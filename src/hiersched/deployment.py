@@ -2,8 +2,9 @@
 
 An application announces its class label, its contract, and optionally its
 own scheduler. Admission first hunts for an already-loaded compatible
-service; only when none fits is the supplied scheduler loaded. A rejected
-deployment rolls the tree back to a state indistinguishable from before.
+service; only when none fits is the supplied scheduler loaded. compose()
+applies grants only on success, so a rejected deployment undoes just the app
+slot and any scheduler it attached, leaving the tree canonically identical.
 """
 
 from __future__ import annotations
@@ -114,7 +115,6 @@ def deploy(h: Hierarchy, req: DeploymentRequest) -> DeploymentDecision:
         )
 
     parent = req.target_parent if req.target_parent is not None else Hierarchy.ROOT_ID
-    snap = h.snapshot()
     try:
         new_id = h.attach_scheduler(parent, req.scheduler)
     except HierarchyError as e:
@@ -122,18 +122,16 @@ def deploy(h: Hierarchy, req: DeploymentRequest) -> DeploymentDecision:
             Outcome.REJECTED, reason=RejectReason.INVALID_REQUEST, detail=str(e)
         )
     h.node(new_id).loaded_for = req.app_id
-    decision = _attach(h, req, new_id, loaded=True)
-    if decision.outcome is Outcome.REJECTED:
-        h.restore(snap)
-    return decision
+    return _attach(h, req, new_id, loaded=True)
 
 
 def _attach(h, req, node_id, loaded):
-    snap = h.snapshot()
     h.attach_application(node_id, req.app_id, req.request)
     result = h.compose()
     if not result.feasible:
-        h.restore(snap)
+        h.undo_attach_application(req.app_id)
+        if loaded:
+            h.undo_attach_scheduler(node_id)
         return DeploymentDecision(
             Outcome.REJECTED,
             reason=RejectReason.INFEASIBLE,

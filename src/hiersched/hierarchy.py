@@ -2,14 +2,17 @@
 
 VIRTUAL nodes schedule schedulers; leaf policies schedule applications. Each
 node asks its parent for service via a contract (parent_request) and compose()
-distributes granted capacity top-down after checking aggregate demand, calling
-reallocate() at any over-committed node instead of giving up: hard reservations
-are never reduced, PS/RESBS grants shrink pro rata and are marked degraded.
+distributes granted capacity top-down from the root after checking aggregate
+demand; reallocate() does the same below any one node. An over-committed node
+degrades instead of giving up: hard reservations are never reduced, PS/RESBS
+grants shrink pro rata and are marked degraded.
+
+Dicts index app -> (node, slot) and name -> node. Ids only grow, and the
+undo_attach_* methods hand back only the newest, so nodes() is in id order.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -143,6 +146,8 @@ class Hierarchy:
             granted=Contract.all_cpu(),
         )
         self._nodes: dict[int, SchedulerNode] = {self.ROOT_ID: root}
+        self._by_name: dict[str, int] = {root.spec.name: self.ROOT_ID}
+        self._apps: dict[str, tuple[int, AppSlot]] = {}
         self._next_node_id = 1
         self._next_app_seq = 0
 
@@ -155,16 +160,13 @@ class Hierarchy:
             raise HierarchyError(f"no such node {node_id}") from None
 
     def nodes(self):
-        return [self._nodes[i] for i in sorted(self._nodes)]
+        return list(self._nodes.values())
 
     def node_count(self) -> int:
         return len(self._nodes)
 
     def find_node_by_name(self, name: str) -> int | None:
-        for n in self.nodes():
-            if n.spec.name == name:
-                return n.node_id
-        return None
+        return self._by_name.get(name)
 
     def leaves(self):
         return [n for n in self.nodes() if n.is_leaf()]
@@ -175,7 +177,7 @@ class Hierarchy:
             raise HierarchyError(
                 f"node {parent_id} ({parent.spec.name}) is not VIRTUAL"
             )
-        if self.find_node_by_name(spec.name) is not None:
+        if spec.name in self._by_name:
             raise HierarchyError(f"duplicate scheduler name {spec.name!r}")
         node_id = self._next_node_id
         self._next_node_id += 1
@@ -185,6 +187,7 @@ class Hierarchy:
             parent=parent_id,
             granted=Contract.null(),  # provisional until compose runs
         )
+        self._by_name[spec.name] = node_id
         parent.children.append(node_id)
         return node_id
 
@@ -196,11 +199,12 @@ class Hierarchy:
             raise HierarchyError(
                 f"{node.spec.name} does not provide {request.service.value}"
             )
-        if self.app_node(app_id) is not None:
+        if app_id in self._apps:
             raise HierarchyError(f"duplicate app id {app_id!r}")
         slot = AppSlot(app_id=app_id, request=request, seq=self._next_app_seq)
         self._next_app_seq += 1
         node.apps.append(slot)
+        self._apps[app_id] = (node_id, slot)
 
     def detach(self, node_id: int):
         if node_id == self.ROOT_ID:
@@ -208,33 +212,44 @@ class Hierarchy:
         node = self.node(node_id)
         for child in list(node.children):
             self.detach(child)
+        for slot in node.apps:
+            del self._apps[slot.app_id]
         parent = self._nodes[node.parent]
         parent.children.remove(node_id)
+        del self._by_name[node.spec.name]
         del self._nodes[node_id]
 
     def app_node(self, app_id: str) -> int | None:
-        for n in self.nodes():
-            for slot in n.apps:
-                if slot.app_id == app_id:
-                    return n.node_id
-        return None
+        entry = self._apps.get(app_id)
+        return None if entry is None else entry[0]
 
     def app_slot(self, app_id: str) -> AppSlot:
-        nid = self.app_node(app_id)
-        if nid is None:
-            raise HierarchyError(f"no such app {app_id!r}")
-        for slot in self._nodes[nid].apps:
-            if slot.app_id == app_id:
-                return slot
-        raise AssertionError("unreachable")
+        try:
+            return self._apps[app_id][1]
+        except KeyError:
+            raise HierarchyError(f"no such app {app_id!r}") from None
 
     def remove_application(self, app_id: str) -> int:
-        nid = self.app_node(app_id)
-        if nid is None:
-            raise HierarchyError(f"no such app {app_id!r}")
-        node = self._nodes[nid]
-        node.apps = [s for s in node.apps if s.app_id != app_id]
+        try:
+            nid, slot = self._apps.pop(app_id)
+        except KeyError:
+            raise HierarchyError(f"no such app {app_id!r}") from None
+        self._nodes[nid].apps.remove(slot)
         return nid
+
+    def undo_attach_application(self, app_id: str):
+        """Take back the newest attach_application, its sequence number too."""
+        if self.app_slot(app_id).seq != self._next_app_seq - 1:
+            raise HierarchyError(f"app {app_id!r} is not the newest attached")
+        self.remove_application(app_id)
+        self._next_app_seq -= 1
+
+    def undo_attach_scheduler(self, node_id: int):
+        """Take back the newest attach_scheduler, its node id too."""
+        if node_id != self._next_node_id - 1:
+            raise HierarchyError(f"node {node_id} is not the newest attached")
+        self.detach(node_id)
+        self._next_node_id -= 1
 
     # ------------------------------------------------------------ composition
 
@@ -243,20 +258,12 @@ class Hierarchy:
 
         Infeasibility is a value, not an error; on failure no grant state is
         touched, so a failed compose leaves the previous awards in place.
+        The root is always granted the whole CPU, undegraded.
         """
-        staged_nodes: dict[int, tuple[Contract, bool]] = {}
-        staged_apps: dict[str, tuple[Contract, bool]] = {}
-        grants: list[Grant] = []
-        rejection = self._settle(
-            self.ROOT_ID, Contract.all_cpu(), False, staged_nodes, staged_apps, grants
-        )
-        if rejection is not None:
-            return FeasibilityResult(False, [], rejection)
-        self._apply(staged_nodes, staged_apps)
-        return FeasibilityResult(True, grants)
+        return self.reallocate(self.ROOT_ID)
 
     def reallocate(self, node_id: int) -> FeasibilityResult:
-        """Redistribute the node's granted capacity among its children.
+        """Redistribute the node's granted capacity below it, staged then applied.
 
         Hard grants are never reduced; PS and RESBS shrink pro rata (exact
         rationals, floored to ppm/ticks) and are marked degraded. Nothing
@@ -454,12 +461,6 @@ class Hierarchy:
                     )
                 )
         return "\n".join(lines) + "\n"
-
-    def snapshot(self):
-        return copy.deepcopy((self._nodes, self._next_node_id, self._next_app_seq))
-
-    def restore(self, snap):
-        self._nodes, self._next_node_id, self._next_app_seq = snap
 
 
 def _scale_soft(req: Contract, factor: Fraction) -> Contract | None:

@@ -125,6 +125,27 @@ def test_deploy_infeasible_rolls_back_byte_identical():
     assert h.canonical() == before
 
 
+def test_rejected_load_frees_the_scheduler_name():
+    h, _ = _tree_with_edf()
+    rejected = deploy(
+        h,
+        DeploymentRequest(
+            "hog", "batch", Contract.resbh(50, 100),
+            scheduler=edf_spec("x", Contract.resbh(50, 100)),
+        ),
+    )
+    assert rejected.outcome is Outcome.REJECTED
+    admitted = deploy(
+        h,
+        DeploymentRequest(
+            "batch", "batch", Contract.be(),
+            scheduler=rr_spec("x", Contract.be()),
+        ),
+    )
+    assert admitted.outcome is Outcome.LOADED_NEW, admitted.detail
+    assert h.find_node_by_name("x") == admitted.node_id
+
+
 def test_deploy_degraded_share_reports_award():
     h = new_hierarchy()
     h.attach_scheduler(0, edf_spec("edf0", Contract.resbh(60, 100)))

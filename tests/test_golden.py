@@ -1,0 +1,65 @@
+"""Pinned sha256 digests of the trace CSV and report of every shipped scenario.
+
+A rerun compared with itself cannot notice that a refactor changed the
+output; these digests can. Any change to the simulator, the admission
+protocol or the verifier that alters a byte of either file makes them fail.
+Update a digest only for an intended change of output.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from hiersched.cli import run
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+GOLDEN = {
+    "deployment_mix": (
+        "db2c790f1218e1cda813062b850c4ac74a57abcc72903b73a660bb39649546e0",
+        "5477620a413562bd391dc95e09b5200348b329f9d89d88023ec385aaae4204b5",
+    ),
+    "hard_guarantees": (
+        "cc8f10b51b1d2a3c0febc88c38290eedc08827bb726b1054d1f4814e0adf3129",
+        "2bfe8724d3b11220ef8d38155a513e5528cbab6387dc9d02c374deaa73e22a76",
+    ),
+    "overcommit": (
+        "ae5d09e3e5e4e6d6eeb625d5bcde677163d7721f014148e8b28b2a05ceebc5ba",
+        "a58345e2f7d67e163c100a1add05806afe37f91faf65a48feca01c6d1c2c1537",
+    ),
+    "pertinence": (
+        "e4640829d24124fa045e200d02f95847a06c446eb19f8e4fcf4e253db1144705",
+        "82936c48ff20ae497f08c8c1d0a53d48d9f9df1b96d0520166f1642d002eb304",
+    ),
+    "reallocation": (
+        "cadbb3e6164626eeec8d6f9649c68d295a7c7fa5ac73d9ea13f44ad36bcc8d2f",
+        "659e7cd5080309967be542f80b7833b464e9b533fb9abaafaca2e18a9104e654",
+    ),
+    "stride": (
+        "de13125d585c4909c1b843fe45b510b3c514cabc3cb45382256a10257ce3140d",
+        "f048d9b87920282ec1e838b5171ce61718e33166feea4ee3b6fd6346ccd9066f",
+    ),
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_every_shipped_scenario_is_pinned():
+    assert sorted(p.stem for p in SCENARIOS.glob("*.json")) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digests(name, tmp_path):
+    trace = tmp_path / "trace.csv"
+    report = tmp_path / "report.txt"
+    code = run([
+        "--scenario", str(SCENARIOS / f"{name}.json"),
+        "--trace-out", str(trace),
+        "--report-out", str(report),
+        "--allow-reject",
+    ])
+    assert code == 0
+    assert (_sha256(trace), _sha256(report)) == GOLDEN[name]

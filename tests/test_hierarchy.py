@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hiersched.contracts import Contract, ServiceClass, utilization
+from hiersched.deployment import DeploymentRequest, Outcome, deploy
 from hiersched.hierarchy import (
     Hierarchy,
     HierarchyError,
@@ -126,11 +127,20 @@ def test_detach_leaf():
 def test_detach_subtree():
     h = new_hierarchy()
     v = h.attach_scheduler(0, virtual_spec("mid", Contract.resbh(50, 100)))
-    h.attach_scheduler(v, edf_spec("edf0", Contract.resbh(10, 100)))
+    edf = h.attach_scheduler(v, edf_spec("edf0", Contract.resbh(10, 100)))
     h.attach_scheduler(v, rr_spec("rr0", Contract.be()))
+    h.attach_application(edf, "a1", Contract.resbh(5, 100))
     assert h.node_count() == 4
     h.detach(v)
     assert h.node_count() == 1
+    # the subtree's names and apps leave the indexes with it
+    assert [h.find_node_by_name(n) for n in ("mid", "edf0", "rr0")] == [None] * 3
+    assert h.app_node("a1") is None
+    with pytest.raises(HierarchyError, match="no such app"):
+        h.app_slot("a1")
+    rr = h.attach_scheduler(0, rr_spec("edf0", Contract.be()))
+    h.attach_application(rr, "a1", Contract.be())
+    assert h.app_node("a1") == rr
 
 
 def test_detach_root_rejected():
@@ -423,26 +433,47 @@ def test_root_spare_counts_node_grants():
     assert h.spare_capacity(0) == Fraction(15, 100)
 
 
-# ------------------------------------------------- snapshot and determinism
+# ---------------------------------------------------- undo and determinism
 
 
-def test_snapshot_restore_round_trip():
+def test_rejected_deploy_round_trip():
     h = new_hierarchy()
     nid = h.attach_scheduler(0, edf_spec("edf0", Contract.resbh(60, 100)))
-    h.attach_application(nid, "a1", Contract.resbh(10, 100))
+    h.attach_application(nid, "a1", Contract.resbh(30, 100))
     assert h.compose().feasible
     frozen = h.canonical()
-    snap = h.snapshot()
 
-    extra = h.attach_scheduler(0, stride_spec("st", Contract.ps(100000)))
-    h.attach_application(extra, "w", Contract.ps(50000))
-    assert h.compose().feasible
-    assert h.canonical() != frozen
-
-    h.restore(snap)
+    # edf0 has 30 spare, so this loads a scheduler, attaches to it, then fails to compose: 60 + 50 > 100
+    decision = deploy(
+        h,
+        DeploymentRequest(
+            "hog", "batch", Contract.resbh(50, 100),
+            scheduler=edf_spec("edf-hog", Contract.resbh(50, 100)),
+        ),
+    )
+    assert decision.outcome is Outcome.REJECTED
     assert h.canonical() == frozen
     # the id counter is part of the state: re-attaching reuses the same id
-    assert h.attach_scheduler(0, rr_spec("rr0", Contract.be())) == extra
+    assert h.attach_scheduler(0, rr_spec("rr0", Contract.be())) == nid + 1
+
+
+def test_undo_takes_back_only_the_newest_attach():
+    h = new_hierarchy()
+    first = h.attach_scheduler(0, stride_spec("st", Contract.ps(500000)))
+    second = h.attach_scheduler(0, rr_spec("rr0", Contract.be()))
+    h.attach_application(first, "w1", Contract.ps(100000))
+    h.attach_application(first, "w2", Contract.ps(100000))
+    with pytest.raises(HierarchyError, match="not the newest"):
+        h.undo_attach_scheduler(first)
+    with pytest.raises(HierarchyError, match="not the newest"):
+        h.undo_attach_application("w1")
+    h.undo_attach_application("w2")
+    h.undo_attach_scheduler(second)
+    assert h.app_node("w2") is None
+    assert h.find_node_by_name("rr0") is None
+    h.attach_application(first, "w3", Contract.ps(100000))
+    assert h.app_slot("w3").seq == 1
+    assert h.attach_scheduler(0, rr_spec("rr1", Contract.be())) == second
 
 
 def test_compose_is_deterministic():
