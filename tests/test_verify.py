@@ -191,6 +191,9 @@ class TestShare:
         assert v.window[0] == 0
         # flagged at the first tick the deficit clears 2 quanta of slack
         assert v.window[1] == 31
+        assert v.line() == (
+            "LAG_EXCEEDED app=big window=[0,31) expected=62/3 observed=0"
+        )
 
     def test_unknown_app_is_refused(self):
         trace = tiny_trace(1, [SimEvent(0, EventKind.IDLE)], [])
@@ -213,6 +216,22 @@ class TestConservation:
         trace = tiny_trace(2, [SimEvent(0, EventKind.IDLE)], [])
         got = check_conservation(trace)
         assert [(v.window, v.observed) for v in got] == [((1, 2), 0)]
+
+    def test_row_past_the_horizon_is_refused(self):
+        events = [SimEvent(0, EventKind.IDLE), SimEvent(2, EventKind.IDLE)]
+        trace = tiny_trace(2, events, [])
+        with pytest.raises(VerifyError, match="tick 2 "):
+            check_conservation(trace)
+
+    def test_row_before_tick_zero_is_refused(self):
+        events = [
+            SimEvent(-1, EventKind.RUN, app="a", node_path="root/leaf"),
+            SimEvent(0, EventKind.IDLE),
+            SimEvent(1, EventKind.IDLE),
+        ]
+        trace = tiny_trace(2, events, [])
+        with pytest.raises(VerifyError, match="tick -1 "):
+            check_conservation(trace)
 
     def test_idle_while_unconstrained_work_waits(self):
         events = [
