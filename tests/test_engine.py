@@ -1,9 +1,11 @@
 """Simulator behavior pinned tick by tick on small hand-checked scenarios."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from hiersched.cli import parse_scenario
 from hiersched.contracts import Contract
 from hiersched.deployment import DeploymentRequest
 from hiersched.engine import (
@@ -12,9 +14,12 @@ from hiersched.engine import (
     Simulation,
     Workload,
     WorkloadKind,
+    run_scenario,
 )
 
 from helpers import edf_spec, fp_spec, rr_spec, stride_spec
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def cpu_bound():
@@ -270,6 +275,45 @@ class TestTimeline:
         sim.undeploy_at(5, "ghost")
         with pytest.raises(EngineError, match="unknown app"):
             sim.run()
+
+    @pytest.mark.parametrize("tick", [-1, 10, 12, 99])
+    def test_undeploy_outside_the_horizon_is_refused(self, tick):
+        sim = Simulation(horizon=10)
+        with pytest.raises(EngineError, match=rf"tick {tick} outside the horizon \[0, 10\)"):
+            sim.undeploy_at(tick, "ghost")
+
+    @pytest.mark.parametrize("tick", [-1, 10, 12])
+    def test_deploy_outside_the_horizon_is_refused(self, tick):
+        sim = Simulation(horizon=10)
+        with pytest.raises(EngineError, match=rf"tick {tick} outside the horizon \[0, 10\)"):
+            deploy(sim, tick, "late", "batch", Contract.be(), cpu_bound(),
+                   scheduler=rr_spec("rr0", Contract.be()))
+
+    def test_last_tick_of_the_horizon_is_accepted(self):
+        sim = Simulation(horizon=10)
+        deploy(sim, 9, "late", "batch", Contract.be(), cpu_bound(),
+               scheduler=rr_spec("rr0", Contract.be()))
+        trace = sim.run()
+        assert [(t, app) for t, app, _ in trace.decisions] == [(9, "late")]
+        assert trace.per_app_service["late"] == 1
+
+
+class TestNextEvent:
+    def test_root_dispatches_only_at_decision_points(self, monkeypatch):
+        scenario = parse_scenario((SCENARIOS / "hard_guarantees.json").read_text())
+        calls = []
+        dispatch = Simulation.dispatch
+
+        def counted(self, node_id, tick):
+            calls.append(tick)
+            return dispatch(self, node_id, tick)
+
+        monkeypatch.setattr(Simulation, "dispatch", counted)
+        trace = run_scenario(scenario)
+        assert len(calls) <= scenario.horizon // 5
+        rows = [e.tick for e in trace.events
+                if e.kind in (EventKind.RUN, EventKind.IDLE)]
+        assert rows == list(range(scenario.horizon))
 
 
 class TestDeterminism:
