@@ -265,9 +265,12 @@ def run(argv=None) -> int:
         if args.seed is not None:
             scenario = replace(scenario, seed=args.seed)
         if args.horizon is not None:
+            if args.horizon < 1:
+                raise ScenarioError("--horizon: must be >= 1")
             if scenario.timeline and args.horizon <= scenario.timeline[-1].tick:
                 raise ScenarioError(
-                    "scenario.horizon: override must exceed the last timeline tick"
+                    "--horizon: must exceed the last timeline tick "
+                    f"({scenario.timeline[-1].tick})"
                 )
             scenario = replace(scenario, horizon=args.horizon)
         trace = run_scenario(scenario)

@@ -194,7 +194,14 @@ class TestRun:
             "--horizon", "10",
         ])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert "error: --horizon: must exceed the last timeline tick" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_horizon_override_must_be_positive(self, tmp_path, capsys, horizon):
+        path = tmp_path / "empty.json"
+        path.write_text(minimal(timeline=[]))
+        assert run(["--scenario", str(path), "--horizon", horizon]) == 2
+        assert capsys.readouterr().err == "error: --horizon: must be >= 1\n"
 
     def test_missing_and_malformed_files(self, tmp_path, capsys):
         assert run(["--scenario", str(tmp_path / "nope.json")]) == 2

@@ -2,16 +2,17 @@
 
 `engine_reference` keeps the earlier loop unchanged. On random small
 scenarios (EDF, FIXED_PRIORITY, ROUND_ROBIN and STRIDE leaves under the root
-or under a VIRTUAL node holding a reservation, share or best-effort grant;
-RESBH, RESBS, PS and BE requests, oversized ones included; PERIODIC,
+or under a VIRTUAL node holding a reservation, share, best-effort or ALL
+grant; RESBH, RESBS, PS, BE and, for schedulers, ALL requests, oversized
+ones included; PERIODIC,
 CPU_BOUND and BURSTY work; quanta 1-10; deploys and undeploys mid-run; a
 large share that degrades the others while it stays; a soft reservation
 running on slack; any seed) both must produce the same CSV, service, idle count, per-app facts
 (backlog intervals included) and decisions. The examples are derandomized,
 so every run checks the same scenarios, and the test asserts that enough of
 them reach deadline misses, budget exhaustion, idle ticks, soft-reservation
-slack, degraded grants and the departure of a degrading app, so that
-agreement is not agreement on empty traces.
+slack, degraded grants, the departure of a degrading app and a scheduler
+granted ALL running, so that agreement is not agreement on empty traces.
 """
 
 from collections import Counter
@@ -35,6 +36,8 @@ SPECS = {
     PolicyKind.ROUND_ROBIN: rr_spec,
     PolicyKind.STRIDE: stride_spec,
 }
+SCHEDULER_REQUESTS = [ServiceClass.RESBH, ServiceClass.RESBS, ServiceClass.PS,
+                      ServiceClass.BE, ServiceClass.ALL]
 
 
 @st.composite
@@ -46,6 +49,8 @@ def contracts(draw, classes):
         return Contract(kind, budget=budget, period=period)
     if kind is ServiceClass.PS:
         return Contract.ps(draw(st.sampled_from([50_000, 100_000, 250_000, 700_000, 1_000_000])))
+    if kind is ServiceClass.ALL:
+        return Contract.all_cpu()
     return Contract.be()
 
 
@@ -64,13 +69,11 @@ def workloads(draw):
 @st.composite
 def scenarios(draw):
     horizon = draw(st.integers(1, 160))
-    mid = draw(st.one_of(st.none(), contracts(
-        [ServiceClass.RESBH, ServiceClass.RESBS, ServiceClass.PS, ServiceClass.BE])))
+    mid = draw(st.one_of(st.none(), contracts(SCHEDULER_REQUESTS)))
     specs = []
     for i in range(draw(st.integers(1, 4))):
         policy = draw(st.sampled_from(sorted(SPECS, key=lambda p: p.value)))
-        request = draw(contracts(
-            [ServiceClass.RESBH, ServiceClass.RESBS, ServiceClass.PS, ServiceClass.BE]))
+        request = draw(contracts(SCHEDULER_REQUESTS))
         spec = SPECS[policy](f"s{i}", request, quantum=draw(st.integers(1, 10)))
         parent = "mid" if mid is not None and draw(st.booleans()) else None
         specs.append((spec, parent))
@@ -163,6 +166,16 @@ def slack_run(trace):
     return False
 
 
+def all_granted_ran(mid, timeline, trace):
+    """Some app ran below a scheduler that asked for, and so holds, ALL."""
+    names = {"mid"} if mid is not None and mid.service is ServiceClass.ALL else set()
+    names |= {entry[2].scheduler.name for entry in timeline
+              if entry[1] == "deploy" and entry[2].scheduler is not None
+              and entry[2].scheduler.parent_request.service is ServiceClass.ALL}
+    return any(e.kind is EventKind.RUN and names & set(e.node_path.split("/"))
+               for e in trace.events)
+
+
 def test_next_event_engine_matches_the_tick_loop():
     seen = Counter()
 
@@ -181,11 +194,12 @@ def test_next_event_engine_matches_the_tick_loop():
         seen["restored"] += any(  # a squeezing app leaves: the others grow back
             d.outcome is Outcome.DEGRADED and old.app_info[app].undeployed_at is not None
             for _, app, d in old.decisions)
+        seen["all"] += all_granted_ran(case[2], case[3], old)
         seen["ok"] += 1
 
     compare()
     # agreement means something only if the traces hold these rows
     for key in ("DEADLINE_MISS", "BUDGET_EXHAUSTED", "IDLE", "REPLENISH", "UNDEPLOY"):
         assert seen[key] >= seen["ok"] // 15, (key, seen)
-    for key in ("slack", "degraded", "restored"):
+    for key in ("slack", "degraded", "restored", "all"):
         assert seen[key] >= seen["ok"] // 40, (key, seen)
