@@ -12,11 +12,14 @@ picks one runnable child by a single precedence rule (`Simulation._pick`),
 so dispatch walks one path from the root to a leaf. That pick holds until
 the next decision point, so the whole stretch is charged at once: service,
 work, budgets and quantum use move by its length, stride passes by an exact
-Fraction. The output stays tick-accurate: one RUN or IDLE row per tick, and
-budget exhaustion and deadline misses at the tick they happen, byte for byte
-what a tick-by-tick loop gives (tests/engine_reference.py keeps one).
-Everything is deterministic for a given scenario and seed; the seed's only
-job is to phase-shift BURSTY workloads.
+Fraction. The stretch goes into the trace as one RUN or IDLE segment
+(start, end, app); budget exhaustion and deadline misses are rows at the
+tick they happen. `Trace.to_csv` expands the segments to one row per tick,
+byte for byte what a tick-by-tick loop writes (tests/engine_reference.py
+keeps one). Per decision, only the apps that can have changed are touched:
+a calendar holds each PERIODIC app's next release and each idle BURSTY
+app's next on-tick. Everything is deterministic for a given scenario and
+seed; the seed's only job is to phase-shift BURSTY workloads.
 
 Reservation servers replenish at absolute multiples of their period (aligned
 to tick 0), so a mid-window deployment starts with a full budget and a short
@@ -28,10 +31,11 @@ other group claims.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import random
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -61,6 +65,11 @@ class WorkloadKind(Enum):
     BURSTY = "BURSTY"
 
 
+_PERIODIC, _CPU_BOUND, _BURSTY = (
+    WorkloadKind.PERIODIC, WorkloadKind.CPU_BOUND, WorkloadKind.BURSTY,
+)
+
+
 @dataclass(frozen=True)
 class Workload:
     """Synthetic demand shape an application presents to the scheduler."""
@@ -73,14 +82,14 @@ class Workload:
     off: int | None = None
 
     def __post_init__(self):
-        if self.kind is WorkloadKind.PERIODIC:
+        if self.kind is _PERIODIC:
             if self.period is None or self.wcet is None:
                 raise EngineError("PERIODIC needs period and wcet")
             if not 0 < self.wcet <= self.period:
                 raise EngineError("PERIODIC needs 0 < wcet <= period")
             if self.offset < 0:
                 raise EngineError("offset must be >= 0")
-        elif self.kind is WorkloadKind.BURSTY:
+        elif self.kind is _BURSTY:
             if self.on is None or self.off is None or self.on < 1 or self.off < 1:
                 raise EngineError("BURSTY needs on > 0 and off > 0")
 
@@ -115,6 +124,11 @@ class EventKind(Enum):
     BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
     DEADLINE_MISS = "DEADLINE_MISS"
 
+
+_DEPLOY, _UNDEPLOY, _REPLENISH, _BUDGET_EXHAUSTED, _DEADLINE_MISS = (
+    EventKind.DEPLOY, EventKind.UNDEPLOY, EventKind.REPLENISH,
+    EventKind.BUDGET_EXHAUSTED, EventKind.DEADLINE_MISS,
+)
 
 # fixed intra-tick ordering
 _RANK = {
@@ -156,20 +170,54 @@ class AppTraceInfo:
     backlog: list  # merged [start, end) intervals of pending demand
 
 
+def _csv_line(fields) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(fields)
+    return out.getvalue()
+
+
 @dataclass
 class Trace:
+    """What a run did. RUN and IDLE are run-length `segments`: `(start, end,
+    app)` covers ticks [start, end), `app` None for idle, in tick order.
+    `events` holds every other row, in the order the CSV writes them."""
+
     horizon: int
     events: list
     per_app_service: dict
     idle_ticks: int
     app_info: dict
     decisions: list  # (tick, app_id, DeploymentDecision) in timeline order
+    segments: list = field(default_factory=list)
 
     def to_csv(self) -> str:
+        """One row per event and one RUN or IDLE row per tick of a segment,
+        ordered by tick and then by `_RANK`."""
         out = io.StringIO()
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["tick", "event", "app", "node_path", "detail"])
-        for e in self.events:
+        rows, i = self.events, 0
+        tails = {None: _csv_line(["", "IDLE", "", "", ""])}
+        for start, end, app in self.segments:
+            tail = tails.get(app)
+            if tail is None:
+                info = self.app_info.get(app)
+                tail = tails[app] = _csv_line(
+                    ["", "RUN", app, info.node_path if info else "", ""]
+                )
+            t = start
+            while t < end:
+                # the rows that come before the RUN or IDLE row of tick t
+                while i < len(rows) and (rows[i].tick, _RANK[rows[i].kind]) <= (t, 2):
+                    e = rows[i]
+                    w.writerow([e.tick, e.kind.value, e.app, e.node_path, e.detail])
+                    i += 1
+                stop = end
+                if i < len(rows):
+                    stop = min(end, rows[i].tick + (_RANK[rows[i].kind] > 2))
+                out.write(tail.join(map(str, range(t, stop))) + tail)
+                t = stop
+        for e in rows[i:]:
             w.writerow([e.tick, e.kind.value, e.app, e.node_path, e.detail])
         return out.getvalue()
 
@@ -209,15 +257,19 @@ class _AppRT:
         self.jobs: deque[_Job] = deque()
         self.pending = 0  # BURSTY backlog
         self.released_to = tick  # BURSTY on-ticks before this are in pending
+        self.due = None  # the tick of its entry in the simulation's calendar
+        self.seq = 0  # deploy order
         self.service = 0
         self.backlog: list = []
         self._open = None  # start of the current backlog interval
 
     def backlogged(self) -> bool:
-        if self.workload.kind is WorkloadKind.CPU_BOUND:
+        # the charge pops each job it empties: every queued job has work left
+        kind = self.workload.kind
+        if kind is _CPU_BOUND:
             return True
-        if self.workload.kind is WorkloadKind.PERIODIC:
-            return any(j.remaining > 0 for j in self.jobs)
+        if kind is _PERIODIC:
+            return bool(self.jobs)
         return self.pending > 0
 
     def note_backlog(self, tick, backlogged):
@@ -261,8 +313,15 @@ class Simulation:
         self._retired_ids: set[str] = set()
         self._nrt: dict[int, _NodeRT] = {}
         self._periods: set[int] = set()  # of every live budget server
-        self._events: list[SimEvent] = []
+        # tick -> the live apps whose next release (PERIODIC) or next
+        # on-tick with nothing pending (BURSTY) falls there; a heap of those
+        # ticks, with stale ones dropped lazily
+        self._calendar: dict[int, list[_AppRT]] = {}
+        self._due_ticks: list[int] = []
+        self._changed: set[_AppRT] = set()  # whose backlog may have flipped
+        self._events: list[SimEvent] = []  # every row but RUN and IDLE
         self._buf: list[SimEvent] = []
+        self._segments: list = []  # (start, end, app or None), in tick order
         self._idle = 0
         self._done = False
         self._sync_runtimes(0)
@@ -308,12 +367,12 @@ class Simulation:
         self.decisions.append((t, req.app_id, decision))
         if decision.outcome is Outcome.REJECTED:
             detail = f"{decision.outcome.value}:{decision.reason.value}"
-            self._emit(t, EventKind.DEPLOY, app=req.app_id, detail=detail)
+            self._emit(t, _DEPLOY, app=req.app_id, detail=detail)
             return
         nid = decision.node_id
         path_ids = self._path_ids(nid)
         phase = 0
-        if workload.kind is WorkloadKind.BURSTY:
+        if workload.kind is _BURSTY:
             phase = self.rng.randrange(workload.on + workload.off)
         slot = self.h.app_slot(req.app_id)
         node = self.h.node(nid)
@@ -331,10 +390,17 @@ class Simulation:
             hard_capped=self._hard_capped(nid, slot.awarded),
             phase_offset=phase,
         )
+        art.seq = len(self._art) + len(self._retired)
         self._art[req.app_id] = art
+        self._changed.add(art)
+        if workload.kind is _PERIODIC:
+            first = max(t, workload.offset)
+            self._schedule(art, first + (workload.offset - first) % workload.period)
+        elif workload.kind is _BURSTY:
+            self._schedule(art, t)  # what is pending at t comes in at t
         self._sync_runtimes(t)
         self._emit(
-            t, EventKind.DEPLOY, app=req.app_id, node_id=nid,
+            t, _DEPLOY, app=req.app_id, node_id=nid,
             node_path=art.node_path, detail=decision.outcome.value,
         )
 
@@ -348,19 +414,25 @@ class Simulation:
             raise EngineError(str(e)) from e
         art.close_backlog(t)
         art.undeployed_at = t
+        self._changed.discard(art)
+        if art.due is not None:
+            due = self._calendar[art.due]
+            due.remove(art)
+            if not due:
+                del self._calendar[art.due]
         self._retired.append(art)
         self._retired_ids.add(app_id)
         del self._art[app_id]
         self._sync_runtimes(t)
-        self._emit(t, EventKind.UNDEPLOY, app=app_id, node_path=art.node_path)
+        self._emit(t, _UNDEPLOY, app=app_id, node_path=art.node_path)
 
     def _hard_capped(self, leaf_id, awarded):
-        if awarded.service is ServiceClass.RESBH:
+        if awarded.service is _RESBH:
             return True
         nid = leaf_id
         while nid is not None:
             node = self.h.node(nid)
-            if node.granted.service is ServiceClass.RESBH:
+            if node.granted.service is _RESBH:
                 return True
             nid = node.parent
         return False
@@ -412,6 +484,8 @@ class Simulation:
 
     def _replenish_phase(self, t):
         """Refill node servers at multiples of their period, then app servers."""
+        if all(t % period for period in self._periods):
+            return
         for nid in sorted(self._nrt):
             granted = self.h.node(nid).granted
             rt = self._nrt[nid]
@@ -422,7 +496,7 @@ class Simulation:
             ):
                 rt.rem = rt.cap
                 self._emit(
-                    t, EventKind.REPLENISH, node_id=nid,
+                    t, _REPLENISH, node_id=nid,
                     node_path=self._path_name(nid),
                 )
         for art in self._art.values():
@@ -431,21 +505,63 @@ class Simulation:
                 if t > art.deployed_at and t % period == 0:
                     art.server_rem = art.server_cap  # app servers are silent
 
+    # ------------------------------------------------- calendar of app ticks
+
+    def _schedule(self, art, tick):
+        """Put `art` in the calendar at `tick`. Ticks past the horizon are
+        dropped, but the horizon itself is kept: a release there is the
+        deadline of the job before it."""
+        if tick > self.horizon:
+            return
+        art.due = tick
+        due = self._calendar.get(tick)
+        if due is None:
+            self._calendar[tick] = [art]
+            heapq.heappush(self._due_ticks, tick)
+        else:
+            due.append(art)
+
+    def _next_due(self):
+        ticks = self._due_ticks
+        while ticks and ticks[0] not in self._calendar:
+            heapq.heappop(ticks)  # its apps left
+        return ticks[0] if ticks else self.horizon
+
+    def _accrue(self, art, until):
+        """Add the BURSTY on-ticks before `until` to what `art` has pending."""
+        w = art.workload
+        art.pending += (_on_before(w, until - art.phase_offset)
+                        - _on_before(w, art.released_to - art.phase_offset))
+        art.released_to = until
+
+    def _next_on(self, art, t):
+        """Put a BURSTY app with nothing pending in the calendar at its
+        first on-tick after `t`."""
+        w = art.workload
+        phase = (t + 1 - art.phase_offset) % (w.on + w.off)
+        self._schedule(art, t + 1 + (w.on + w.off - phase if phase >= w.on else 0))
+
     def _release_phase(self, t):
-        for art in self._art.values():
+        """Release work for the apps the calendar holds at `t`; a BURSTY app
+        with work pending takes its on-ticks in when it is charged."""
+        while self._due_ticks and self._due_ticks[0] <= t:
+            heapq.heappop(self._due_ticks)
+        for art in self._calendar.pop(t, ()):
+            art.due = None
+            self._changed.add(art)
             w = art.workload
-            if w.kind is WorkloadKind.PERIODIC:
-                if t >= art.deployed_at and (t - w.offset) % w.period == 0 and t >= w.offset:
-                    art.jobs.append(_Job(deadline=t + w.period - 1, remaining=w.wcet))
-            elif w.kind is WorkloadKind.BURSTY:
-                # the on-ticks of the stretch since the last decision too
-                art.pending += (_on_before(w, t + 1 - art.phase_offset)
-                                - _on_before(w, art.released_to - art.phase_offset))
-                art.released_to = t + 1
+            if w.kind is _PERIODIC:
+                art.jobs.append(_Job(deadline=t + w.period - 1, remaining=w.wcet))
+                self._schedule(art, t + w.period)
+            else:
+                self._accrue(art, t + 1)
+                if art.pending == 0:
+                    self._next_on(art, t)
 
     def _record_backlog(self, t):
-        for art in self._art.values():
+        for art in self._changed:
             art.note_backlog(t, art.backlogged())
+        self._changed.clear()
 
     # --------------------------------------------------------------- dispatch
 
@@ -570,30 +686,23 @@ class Simulation:
         running app keeps its work, its budgets and, where it has
         contenders, its quantum. No deadline falls before the last tick.
         """
-        end = min(self.horizon, next_action)
+        # the calendar holds the next release of every PERIODIC app (the
+        # newest job's deadline is the tick before it, and older unmet jobs
+        # have missed already) and the on-edge of every idle BURSTY app
+        end = min(self.horizon, next_action, self._next_due())
         for period in self._periods:
             end = min(end, (t // period + 1) * period)
-        for art in self._art.values():
-            w = art.workload
-            if w.kind is WorkloadKind.PERIODIC:
-                # the next release; the newest job's deadline is the tick
-                # before it, and older unmet jobs have missed already
-                first = max(t + 1, w.offset)
-                end = min(end, first + (w.offset - first) % w.period)
-            elif w.kind is WorkloadKind.BURSTY and art.pending == 0:
-                phase = (t + 1 - art.phase_offset) % (w.on + w.off)
-                off_left = w.on + w.off - phase if phase >= w.on else 0
-                end = min(end, t + 1 + off_left)
         if picked is None:
             return end
 
         art = self._art[picked]
         w = art.workload
-        if w.kind is WorkloadKind.PERIODIC:
-            end = min(end, t + next(j for j in art.jobs if j.remaining > 0).remaining)
-        elif w.kind is WorkloadKind.BURSTY:
+        if w.kind is _PERIODIC:
+            end = min(end, t + art.jobs[0].remaining)
+        elif w.kind is _BURSTY:
             # after this tick's charge, pending drops by one on each off-tick:
             # the stretch ends with the charge that empties it
+            self._accrue(art, t + 1)
             start = t + 1 - art.phase_offset
             q, r = divmod(start - _on_before(w, start) + art.pending - 1, w.off)
             drained = q * (w.on + w.off) + (w.on + r if r else 0)
@@ -614,14 +723,18 @@ class Simulation:
         """Charge `picked` for the `n` ticks ending with tick `t`."""
         art = self._art[picked]
         art.service += n
+        self._changed.add(art)
         w = art.workload
-        if w.kind is WorkloadKind.PERIODIC:
-            job = next(j for j in art.jobs if j.remaining > 0)
+        if w.kind is _PERIODIC:
+            job = art.jobs[0]
             job.remaining -= n
-            while art.jobs and art.jobs[0].remaining == 0:
+            if job.remaining == 0:
                 art.jobs.popleft()
-        elif w.kind is WorkloadKind.BURSTY:
+        elif w.kind is _BURSTY:
+            self._accrue(art, t + 1)
             art.pending -= n
+            if art.pending == 0:
+                self._next_on(art, t)
         if art.server_rem is not None and art.server_rem > 0:
             art.server_rem -= n  # app servers exhaust silently
 
@@ -631,7 +744,7 @@ class Simulation:
                 rt.rem -= n
                 if rt.rem == 0:
                     self._emit(
-                        t, EventKind.BUDGET_EXHAUSTED, node_id=nid,
+                        t, _BUDGET_EXHAUSTED, node_id=nid,
                         node_path=self._path_name(nid),
                     )
 
@@ -649,13 +762,14 @@ class Simulation:
             rt.active = (key, used) if used else None
 
     def _deadline_phase(self, t):
-        for art in self._art.values():
-            if art.workload.kind is not WorkloadKind.PERIODIC:
-                continue
-            for job in art.jobs:
-                if job.deadline == t and job.remaining > 0 and not job.missed:
+        """Flag the jobs whose deadline is `t`: each is the newest job of a
+        PERIODIC app that releases again at t + 1."""
+        for art in sorted(self._calendar.get(t + 1, ()), key=lambda a: a.seq):
+            if art.workload.kind is _PERIODIC and art.jobs:
+                job = art.jobs[-1]
+                if job.deadline == t and not job.missed:
                     job.missed = True  # the job carries over, flagged once
-                    self._emit(t, EventKind.DEADLINE_MISS, app=art.app_id,
+                    self._emit(t, _DEADLINE_MISS, app=art.app_id,
                                node_path=art.node_path)
 
     # -------------------------------------------------------------- main loop
@@ -688,16 +802,13 @@ class Simulation:
             )
             if picked is None:
                 self._idle += end - t
-                self._events.extend(
-                    SimEvent(s, EventKind.IDLE) for s in range(t, end)
-                )
             else:
-                art = self._art[picked]
-                self._events.extend(
-                    SimEvent(s, EventKind.RUN, picked, art.node_id, art.node_path)
-                    for s in range(t, end)
-                )
                 self._charge_phase(end - 1, end - t, picked, route)
+            segs = self._segments
+            if segs and segs[-1][1] == t and segs[-1][2] == picked:
+                segs[-1] = (segs[-1][0], end, picked)  # the same runner goes on
+            else:
+                segs.append((t, end, picked))
             self._deadline_phase(end - 1)
             self._flush()
             t = end
@@ -717,7 +828,7 @@ class Simulation:
                 awarded=art.awarded,
                 weight_ppm=(
                     art.requested.share
-                    if art.requested.service is ServiceClass.PS
+                    if art.requested.service is _PS
                     else 0
                 ),
                 quantum=art.quantum,
@@ -734,6 +845,7 @@ class Simulation:
             idle_ticks=self._idle,
             app_info=info,
             decisions=self.decisions,
+            segments=self._segments,
         )
 
 

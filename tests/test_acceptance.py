@@ -22,7 +22,7 @@ from hiersched.contracts import (
     utilization,
 )
 from hiersched.deployment import DeploymentRequest, Outcome, RejectReason, deploy
-from hiersched.engine import EventKind, Simulation, Workload, WorkloadKind, run_scenario
+from hiersched.engine import Simulation, Workload, WorkloadKind, run_scenario
 from hiersched.hierarchy import Hierarchy, new_hierarchy
 from hiersched.verify import ViolationKind, build_report
 
@@ -139,9 +139,10 @@ def test_criterion_3_hard_windows_exact_over_long_run():
         assert report.conservation_ok
 
         windows = {a: [0] * (trace.horizon // 100) for a in grants}
-        for e in trace.events:
-            if e.kind is EventKind.RUN:
-                windows[e.app][e.tick // 100] += 1
+        for start, end, app in trace.segments:
+            for t in range(start, end):
+                if app is not None:
+                    windows[app][t // 100] += 1
         budgets = {"hard_a": 10, "hard_b": 20, "hard_c": 30, "grinder": 40}
         for app, per_window in windows.items():
             assert all(n == budgets[app] for n in per_window), app
@@ -332,12 +333,13 @@ def test_criterion_8_stride_shares_split_exactly_two_to_one():
         quantum = scenario.schedulers["st"].quantum
         bound = quantum * 2
         got = {"big": 0, "small": 0}
-        for e in trace.events:
-            if e.kind is EventKind.RUN:
-                got[e.app] += 1
-                elapsed = got["big"] + got["small"]
-                assert abs(got["big"] - elapsed * 2 / 3) <= bound
-                assert abs(got["small"] - elapsed * 1 / 3) <= bound
+        runners = [app for start, end, app in trace.segments
+                   for _ in range(start, end) if app is not None]
+        for app in runners:
+            got[app] += 1
+            elapsed = got["big"] + got["small"]
+            assert abs(got["big"] - elapsed * 2 / 3) <= bound
+            assert abs(got["small"] - elapsed * 1 / 3) <= bound
 
         grants = {a: i.awarded for a, i in trace.app_info.items()}
         assert build_report(trace, grants).ok

@@ -1,5 +1,7 @@
 """Simulator behavior pinned tick by tick on small hand-checked scenarios."""
 
+import csv
+import io
 import random
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from hiersched.engine import (
     run_scenario,
 )
 
-from helpers import edf_spec, fp_spec, rr_spec, stride_spec
+from helpers import edf_spec, fp_spec, rows, rr_spec, stride_spec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -45,7 +47,7 @@ def deploy(sim, tick, app_id, app_class, request, workload, scheduler=None):
 def ticks(trace, kind, app=None, path=None):
     return [
         e.tick
-        for e in trace.events
+        for e in rows(trace)
         if e.kind is kind
         and (app is None or e.app == app)
         and (path is None or e.node_path == path)
@@ -88,7 +90,7 @@ class TestBasics:
         sim.undeploy_at(90, "b")
         trace = sim.run()
         per_tick = {}
-        for e in trace.events:
+        for e in rows(trace):
             if e.kind in (EventKind.RUN, EventKind.IDLE):
                 per_tick[e.tick] = per_tick.get(e.tick, 0) + 1
         assert per_tick == {t: 1 for t in range(120)}
@@ -140,7 +142,7 @@ class TestHardReservations:
         deploy(sim, 0, "fast_app", "control", Contract.resbh(6, 60), cpu_bound(),
                scheduler=edf_spec("fast", Contract.resbh(6, 60)))
         trace = sim.run()
-        first_run = next(e for e in trace.events if e.kind is EventKind.RUN)
+        first_run = next(e for e in rows(trace) if e.kind is EventKind.RUN)
         assert first_run.app == "fast_app"
 
     def test_wcet_beyond_budget_misses_and_carries_over(self):
@@ -194,7 +196,7 @@ class TestStride:
         trace = sim.run()
         got = {"big": 0, "small": 0}
         bound = 10 * 2  # quantum times group size
-        for e in trace.events:
+        for e in rows(trace):
             if e.kind is EventKind.RUN:
                 got[e.app] += 1
                 elapsed = got["big"] + got["small"]
@@ -249,7 +251,7 @@ class TestTimeline:
         deploy(sim, 0, "a", "batch", Contract.be(), cpu_bound(),
                scheduler=rr_spec("rr0", Contract.be()))
         trace = sim.run()
-        tick0 = [e.kind for e in trace.events if e.tick == 0]
+        tick0 = [e.kind for e in rows(trace) if e.tick == 0]
         assert tick0 == [EventKind.DEPLOY, EventKind.RUN]
 
     def test_rejected_deploy_is_traced_but_not_admitted(self):
@@ -299,7 +301,10 @@ class TestTimeline:
 
 
 class TestNextEvent:
-    def test_root_dispatches_only_at_decision_points(self, monkeypatch):
+    @staticmethod
+    def _counted_run(monkeypatch):
+        """Run hard_guarantees.json; return it, its root dispatch ticks and
+        its trace."""
         scenario = parse_scenario((SCENARIOS / "hard_guarantees.json").read_text())
         calls = []
         dispatch = Simulation.dispatch
@@ -309,11 +314,22 @@ class TestNextEvent:
             return dispatch(self, node_id, tick)
 
         monkeypatch.setattr(Simulation, "dispatch", counted)
-        trace = run_scenario(scenario)
+        return scenario, calls, run_scenario(scenario)
+
+    def test_root_dispatches_only_at_decision_points(self, monkeypatch):
+        scenario, calls, trace = self._counted_run(monkeypatch)
         assert len(calls) <= scenario.horizon // 5
-        rows = [e.tick for e in trace.events
-                if e.kind in (EventKind.RUN, EventKind.IDLE)]
-        assert rows == list(range(scenario.horizon))
+        ticked = [e.tick for e in rows(trace)
+                  if e.kind in (EventKind.RUN, EventKind.IDLE)]
+        assert ticked == list(range(scenario.horizon))
+
+    def test_trace_keeps_one_segment_per_dispatch_at_most(self, monkeypatch):
+        # RUN and IDLE are stored run-length: a return to per-tick rows
+        # would show up here as 100,000 records
+        scenario, calls, trace = self._counted_run(monkeypatch)
+        assert scenario.horizon == 100_000
+        assert len(trace.segments) <= min(len(calls), 4_000)
+        assert not any(e.kind in (EventKind.RUN, EventKind.IDLE) for e in trace.events)
 
 
 class TestDeterminism:
@@ -333,6 +349,26 @@ class TestDeterminism:
         b = self._mixed(5)
         assert a.to_csv() == b.to_csv()
         assert a.per_app_service == b.per_app_service
+
+    def test_csv_quotes_commas_and_quotes(self):
+        app, name = 'a,"b', 's,"x'
+        sim = Simulation(horizon=250)
+        deploy(sim, 0, app, "control", Contract.resbh(10, 100), cpu_bound(),
+               scheduler=edf_spec(name, Contract.resbh(10, 100)))
+        trace = sim.run()
+        text = trace.to_csv()
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["tick", "event", "app", "node_path", "detail"])
+        for e in rows(trace):
+            writer.writerow([e.tick, e.kind.value, e.app, e.node_path, e.detail])
+        assert text == expected.getvalue()
+        read = list(csv.reader(io.StringIO(text)))
+        assert len(read) == 1 + len(rows(trace))
+        runs = [r for r in read if r[1] == "RUN"]
+        assert len(runs) == 30
+        assert all(r[2:] == [app, f"root/{name}", ""] for r in runs)
+        assert ["100", "REPLENISH", "", f"root/{name}", ""] in read
 
     def test_csv_shape(self):
         trace = self._mixed(5)

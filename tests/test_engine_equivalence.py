@@ -4,11 +4,12 @@
 scenarios (EDF, FIXED_PRIORITY, ROUND_ROBIN and STRIDE leaves under the root
 or under a VIRTUAL node holding a reservation, share, best-effort or ALL
 grant; RESBH, RESBS, PS, BE and, for schedulers, ALL requests, oversized
-ones included; PERIODIC,
-CPU_BOUND and BURSTY work; quanta 1-10; deploys and undeploys mid-run; a
-large share that degrades the others while it stays; a soft reservation
-running on slack; any seed) both must produce the same CSV, service, idle count, per-app facts
-(backlog intervals included) and decisions. The examples are derandomized,
+ones included; PERIODIC, CPU_BOUND and BURSTY work; quanta 1-10; deploys
+and undeploys mid-run; a large share that degrades the others while it
+stays; a soft reservation running on slack; any seed) both must produce the
+same CSV, service, idle count, per-app facts (backlog intervals included)
+and decisions, and the RUN/IDLE segments of the new trace must expand
+(`helpers.rows`) to the reference's per-tick rows. The examples are derandomized,
 so every run checks the same scenarios, and the test asserts that enough of
 them reach deadline misses, budget exhaustion, idle ticks, soft-reservation
 slack, degraded grants, the departure of a degrading app and a scheduler
@@ -28,7 +29,7 @@ from hiersched.deployment import DeploymentRequest, Outcome, deploy, undeploy
 from hiersched.engine import EventKind, Workload, WorkloadKind
 from hiersched.hierarchy import Hierarchy, PolicyKind, new_hierarchy
 
-from helpers import edf_spec, fp_spec, rr_spec, stride_spec, virtual_spec
+from helpers import edf_spec, fp_spec, rows, rr_spec, stride_spec, virtual_spec
 
 SPECS = {
     PolicyKind.EDF_RESERVATION: edf_spec,
@@ -185,6 +186,8 @@ def test_next_event_engine_matches_the_tick_loop():
         old = simulate(ref, *case)
         new = simulate(engine, *case)
         assert digest(new) == digest(old)
+        # the reference writes a row per tick; the segments expand to them
+        assert rows(new) == old.events
         kinds = {e.kind for e in old.events}
         for kind in (EventKind.DEADLINE_MISS, EventKind.BUDGET_EXHAUSTED,
                      EventKind.IDLE, EventKind.REPLENISH, EventKind.UNDEPLOY):

@@ -9,7 +9,6 @@ from hiersched.engine import (
     EventKind,
     SimEvent,
     Simulation,
-    Trace,
     Workload,
     WorkloadKind,
 )
@@ -23,7 +22,7 @@ from hiersched.verify import (
     check_share,
 )
 
-from helpers import edf_spec, rr_spec, stride_spec
+from helpers import edf_spec, replace_rows, rr_spec, stride_spec, trace_from_rows
 
 
 def deploy(sim, tick, app_id, app_class, request, workload, scheduler=None):
@@ -40,22 +39,6 @@ def hard_solo_trace(horizon=500):
            Workload(WorkloadKind.CPU_BOUND),
            scheduler=edf_spec("edf0", Contract.resbh(10, 100)))
     return sim.run()
-
-
-def swap_events(trace, picks, make):
-    """Replace selected events in place, preserving order."""
-    trace.events = [make(e) if picks(e) else e for e in trace.events]
-
-
-def tiny_trace(horizon, events, infos):
-    return Trace(
-        horizon=horizon,
-        events=events,
-        per_app_service={},
-        idle_ticks=sum(1 for e in events if e.kind is EventKind.IDLE),
-        app_info={i.app_id: i for i in infos},
-        decisions=[],
-    )
 
 
 def be_info(app_id, backlog, path="root/leaf"):
@@ -86,7 +69,7 @@ class TestReservation:
     def test_single_window_deficit_is_named(self):
         trace = hard_solo_trace()
         victim = {200, 201, 202}
-        swap_events(
+        replace_rows(
             trace,
             lambda e: e.kind is EventKind.RUN and e.tick in victim,
             lambda e: SimEvent(e.tick, EventKind.IDLE),
@@ -103,7 +86,7 @@ class TestReservation:
     def test_running_past_the_cap_is_flagged(self):
         trace = hard_solo_trace()
         extra = {10, 11, 12}
-        swap_events(
+        replace_rows(
             trace,
             lambda e: e.kind is EventKind.IDLE and e.tick in extra,
             lambda e: SimEvent(e.tick, EventKind.RUN, app="hard",
@@ -179,7 +162,7 @@ class TestShare:
     def test_starved_share_holder_is_flagged(self):
         events = [SimEvent(t, EventKind.RUN, app="small", node_path="root/st")
                   for t in range(60)]
-        trace = tiny_trace(60, events, [
+        trace = trace_from_rows(60, events, [
             ps_info("big", 400000, [(0, 60)]),
             ps_info("small", 200000, [(0, 60)]),
         ])
@@ -195,8 +178,46 @@ class TestShare:
             "LAG_EXCEEDED app=big window=[0,31) expected=62/3 observed=0"
         )
 
+    def test_tolerance_counts_the_backlogged_members_only(self):
+        # "gone" held a share on the leaf but left before "a" and "b" began.
+        # Over [10, 30) the bound is quantum * 2 members; counting every
+        # share-holder ever seen would allow quantum * 3. "a" waits while
+        # "b" runs six ticks: its lag reaches 3, between the two bounds.
+        # Then "a" catches up, and the two take turns.
+        rows = ([SimEvent(t, EventKind.RUN, app="gone") for t in range(10)]
+                + [SimEvent(t, EventKind.RUN, app="b") for t in range(10, 16)]
+                + [SimEvent(t, EventKind.RUN, app="a") for t in range(16, 22)]
+                + [SimEvent(t, EventKind.RUN, app="ab"[t % 2]) for t in range(22, 30)])
+        trace = trace_from_rows(30, rows, [
+            ps_info("gone", 500000, [(0, 10)]),
+            ps_info("a", 500000, [(10, 30)]),
+            ps_info("b", 500000, [(10, 30)]),
+        ])
+        got = check_share(trace, "a", 500000, quantum=1)
+        assert [v.line() for v in got] == [
+            "LAG_EXCEEDED app=a window=[10,15) expected=5/2 observed=0"
+        ]
+        assert check_share(trace, "a", 500000, quantum=1, n_siblings=3) == []
+
+    def test_negative_tolerance_flags_the_first_tick(self):
+        # with a negative n_siblings no lag is within bounds: the first
+        # tick of the stretch is flagged, whoever runs on it
+        for runner, observed, expected in (("a", 1, "1/2"), ("b", 0, "1/2"),
+                                           ("gone", 0, "0")):
+            rows = [SimEvent(t, EventKind.RUN, app=runner) for t in range(4)]
+            trace = trace_from_rows(4, rows, [
+                ps_info("gone", 500000, []),
+                ps_info("a", 500000, [(0, 4)]),
+                ps_info("b", 500000, [(0, 4)]),
+            ])
+            got = check_share(trace, "a", 500000, quantum=1, n_siblings=-1)
+            assert [v.line() for v in got] == [
+                f"LAG_EXCEEDED app=a window=[0,1) expected={expected} "
+                f"observed={observed}"
+            ]
+
     def test_unknown_app_is_refused(self):
-        trace = tiny_trace(1, [SimEvent(0, EventKind.IDLE)], [])
+        trace = trace_from_rows(1, [SimEvent(0, EventKind.IDLE)], [])
         with pytest.raises(VerifyError):
             check_share(trace, "ghost", 1000, quantum=10)
 
@@ -208,18 +229,18 @@ class TestConservation:
             SimEvent(0, EventKind.RUN, app="a", node_path="root/leaf"),
             SimEvent(1, EventKind.IDLE),
         ]
-        trace = tiny_trace(2, events, [])
+        trace = trace_from_rows(2, events, [])
         got = check_conservation(trace)
         assert [(v.window, v.observed) for v in got] == [((0, 1), 2)]
 
     def test_missing_tick(self):
-        trace = tiny_trace(2, [SimEvent(0, EventKind.IDLE)], [])
+        trace = trace_from_rows(2, [SimEvent(0, EventKind.IDLE)], [])
         got = check_conservation(trace)
         assert [(v.window, v.observed) for v in got] == [((1, 2), 0)]
 
     def test_row_past_the_horizon_is_refused(self):
         events = [SimEvent(0, EventKind.IDLE), SimEvent(2, EventKind.IDLE)]
-        trace = tiny_trace(2, events, [])
+        trace = trace_from_rows(2, events, [])
         with pytest.raises(VerifyError, match="tick 2 "):
             check_conservation(trace)
 
@@ -229,7 +250,7 @@ class TestConservation:
             SimEvent(0, EventKind.IDLE),
             SimEvent(1, EventKind.IDLE),
         ]
-        trace = tiny_trace(2, events, [])
+        trace = trace_from_rows(2, events, [])
         with pytest.raises(VerifyError, match="tick -1 "):
             check_conservation(trace)
 
@@ -240,11 +261,16 @@ class TestConservation:
             SimEvent(2, EventKind.IDLE),
             SimEvent(3, EventKind.RUN, app="a", node_path="root/leaf"),
         ]
-        trace = tiny_trace(4, events, [be_info("a", [(0, 4)])])
+        trace = trace_from_rows(4, events, [be_info("a", [(0, 4)])])
         got = check_conservation(trace)
         assert [(v.kind, v.window) for v in got] == [
             (ViolationKind.NON_CONSERVING, (1, 3)),
         ]
+
+    def test_empty_demand_interval_wastes_nothing(self):
+        trace = trace_from_rows(4, [], [be_info("a", [(2, 2)])])
+        trace.segments = [(0, 4, None)]  # one idle segment around it
+        assert check_conservation(trace) == []
 
     def test_idle_under_a_hard_cap_is_legitimate(self):
         trace = hard_solo_trace(horizon=200)
@@ -268,7 +294,7 @@ class TestReport:
     def test_single_deficit_report_text(self):
         trace = hard_solo_trace()
         victim = {200, 201, 202}
-        swap_events(
+        replace_rows(
             trace,
             lambda e: e.kind is EventKind.RUN and e.tick in victim,
             lambda e: SimEvent(e.tick, EventKind.IDLE),
@@ -299,7 +325,7 @@ class TestReport:
 
     def test_violations_come_out_sorted(self):
         trace = hard_solo_trace()
-        swap_events(
+        replace_rows(
             trace,
             lambda e: e.kind is EventKind.RUN and e.tick in {400, 201},
             lambda e: SimEvent(e.tick, EventKind.IDLE),

@@ -3,11 +3,14 @@
 `verify_reference` keeps the earlier checks unchanged. On random small
 traces (one or two leaves, up to five apps, weights including 0, backlogs
 touching tick 0 and the horizon, IDLE ticks, RUN rows by non-peers and
-strangers, several rows at one tick, stray rows outside the horizon, and
-`share_ppm`/`n_siblings` overrides) every `check_*` result and every report
-must agree field for field. The shipped scenarios all verify clean, so the
+strangers, several rows at one tick, segments of several ticks overlapping
+them, stray rows outside the horizon, and `share_ppm`/`n_siblings`
+overrides) every `check_*` result and every report must agree field for
+field. The reference reads the trace as per-tick rows (`helpers.rows`). The shipped scenarios all verify clean, so the
 test also asserts that the generated traces do produce LAG_EXCEEDED.
 """
+
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +18,10 @@ from hypothesis import strategies as st
 import verify_reference as ref
 from hiersched import verify
 from hiersched.contracts import Contract, ServiceClass
-from hiersched.engine import AppTraceInfo, EventKind, SimEvent, Trace
+from hiersched.engine import AppTraceInfo, EventKind, SimEvent
 from hiersched.verify import VerifyError, ViolationKind
+
+from helpers import rows, trace_from_rows
 
 PATHS = ("root/a", "root/b")
 
@@ -86,11 +91,13 @@ def cases(draw):
     if stray:
         events = ([SimEvent(-1, EventKind.RUN, app="a0")] + events
                   + [SimEvent(horizon, EventKind.RUN, app="a0")])
-    trace = Trace(
-        horizon=horizon, events=events, per_app_service={},
-        idle_ticks=sum(1 for e in events if e.kind is EventKind.IDLE),
-        app_info={i.app_id: i for i in infos}, decisions=[],
-    )
+    trace = trace_from_rows(horizon, events, infos)
+    # longer segments, overlapping the rows above, anywhere in the list
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, horizon - 1))
+        end = draw(st.integers(start + 1, min(horizon, start + 8)))
+        at = draw(st.integers(0, len(trace.segments)))
+        trace.segments.insert(at, (start, end, draw(row)))
     overrides = draw(st.lists(st.tuples(
         st.sampled_from([i.app_id for i in infos]),
         st.integers(-1, 1_000_000),
@@ -106,27 +113,29 @@ def test_sweep_matches_the_tick_walk():
     @given(cases())
     def compare(case):
         trace, grant_of, stray, overrides = case
+        # the reference reads RUN and IDLE as per-tick rows
+        old_trace = replace(trace, events=rows(trace), segments=[])
         fired = False
         for app, info in trace.app_info.items():
-            old = outcome(ref.check_share, trace, app, info.weight_ppm, info.quantum)
+            old = outcome(ref.check_share, old_trace, app, info.weight_ppm, info.quantum)
             assert outcome(verify.check_share, trace, app, info.weight_ppm,
                            info.quantum) == old
             fired |= old[0] == "ok" and any(
                 f[0] is ViolationKind.LAG_EXCEEDED for f in old[1])
             grant = grant_of[app]
             assert (outcome(verify.check_reservation, trace, app, grant, info.backlog)
-                    == outcome(ref.check_reservation, trace, app, grant, info.backlog))
+                    == outcome(ref.check_reservation, old_trace, app, grant, info.backlog))
         for app, share_ppm, n_siblings in overrides:
             quantum = trace.app_info[app].quantum
             assert (outcome(verify.check_share, trace, app, share_ppm, quantum,
                             n_siblings=n_siblings)
-                    == outcome(ref.check_share, trace, app, share_ppm, quantum,
+                    == outcome(ref.check_share, old_trace, app, share_ppm, quantum,
                                n_siblings=n_siblings))
         lag_cases.append(fired)
         if stray:
             return  # the old conservation check crashes or miscounts on these
         try:
-            old = ref.build_report(trace, grant_of)
+            old = ref.build_report(old_trace, grant_of)
         except VerifyError as e:
             assert outcome(verify.build_report, trace, grant_of) == ("error", str(e))
             return

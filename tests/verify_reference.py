@@ -6,7 +6,12 @@ Everything below the imports is copied unchanged from the earlier
 every peer's backlog cursor, `_covered` scans every demand interval for each
 window, and `check_conservation` indexes its per-tick counts without a
 range check. Do not edit or optimise it; its value is that it is the old,
-obviously correct code.
+obviously correct code. One rule has changed since, here as in
+`hiersched.verify`: the lag tolerance counts the backlogged share-holders of
+the segment, not every share-holder ever seen on the leaf.
+
+It reads RUN and IDLE as per-tick rows in `trace.events`, the trace format
+before segments; `helpers.rows` turns a trace back into that format.
 """
 
 from __future__ import annotations
@@ -94,7 +99,8 @@ def check_share(trace: Trace, app_id: str, share_ppm: int, quantum: int,
     Over each maximal run of ticks where the app stays backlogged and the
     set of backlogged share-holders on its leaf stays constant, the app's
     service must track its relative weight of the group's service within
-    quantum * n_siblings ticks. One violation is reported per such run.
+    quantum * n_siblings ticks, n_siblings being the number of backlogged
+    share-holders unless given. One violation is reported per such run.
     """
     info = trace.app_info.get(app_id)
     if info is None:
@@ -107,7 +113,6 @@ def check_share(trace: Trace, app_id: str, share_ppm: int, quantum: int,
         raise VerifyError(f"app {app_id!r} holds no share on its leaf")
     if share_ppm <= 0:
         raise VerifyError("share_ppm must be positive")
-    tolerance = quantum * (n_siblings if n_siblings is not None else len(peers))
 
     run_at = {}
     for e in trace.events:
@@ -131,6 +136,7 @@ def check_share(trace: Trace, app_id: str, share_ppm: int, quantum: int,
             seg_start = t
             flagged = False
             rel = Fraction(share_ppm, sum(peers[p].weight_ppm for p in present))
+            tolerance = quantum * (n_siblings if n_siblings is not None else len(present))
         runner = run_at.get(t)
         if runner in present:
             group += 1
