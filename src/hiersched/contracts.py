@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 PPM = 1_000_000
@@ -115,6 +116,19 @@ class Contract:
     def is_reservation(self) -> bool:
         return self.service in RESERVATION_CLASSES
 
+    @cached_property
+    def utilization(self) -> Fraction:
+        """CPU fraction the contract stands for, exact, in [0, 1]; computed
+        on first use and kept, since contracts are immutable."""
+        s = self.service
+        if s in RESERVATION_CLASSES:
+            return Fraction(self.budget, self.period)
+        if s is ServiceClass.PS:
+            return Fraction(self.share, PPM)
+        if s is ServiceClass.ALL:
+            return Fraction(1)
+        return Fraction(0)
+
     def slack(self) -> int:
         # worst-case supply delay driver: period - budget
         if not self.is_reservation():
@@ -210,13 +224,7 @@ def format_contract(c: Contract) -> str:
 
 def utilization(c: Contract) -> Fraction:
     """CPU fraction the contract stands for, as an exact rational in [0, 1]."""
-    if c.is_reservation():
-        return Fraction(c.budget, c.period)
-    if c.service is ServiceClass.PS:
-        return Fraction(c.share, PPM)
-    if c.service is ServiceClass.ALL:
-        return Fraction(1)
-    return Fraction(0)
+    return c.utilization
 
 
 def lsbf(c: Contract, t: int) -> Fraction:

@@ -5,7 +5,26 @@ node asks its parent for service via a contract (parent_request) and compose()
 distributes granted capacity top-down from the root after checking aggregate
 demand; reallocate() does the same below any one node. An over-committed node
 degrades instead of giving up: hard reservations are never reduced, PS/RESBS
-grants shrink pro rata and are marked degraded.
+grants shrink pro rata and are marked degraded. Under a reservation grant,
+each reservation award must also be satisfied by the grant's supply shape
+(`satisfies`), not only fit its utilization; the award is the request
+except for a degraded soft reservation, which is checked at its shrunk size.
+
+Composition is incremental. Each node keeps exact Fraction sums of its
+holders' requests (`hard`: RESBH; `soft`: RESBS and PS; `reserved`: RESBH
+and RESBS, which a leaf's own ask must cover), the sum of the awards it has
+handed out (`used`, so spare_capacity is O(1)) and the degradation factor of
+its last successful settle. The mutators keep these sums and mark what
+changed: the node whose holders or own ask changed (`_changed`), every node
+on the path from the root to it (`_dirty`), and the holders whose award is
+pending (`fresh`). A compose walks only the dirty paths. It re-settles a
+node whose holders changed or whose grant changed. It recomputes all of that
+node's awards when its grant or its factor moved, and only the fresh ones
+otherwise. Every other subtree keeps its grants: its inputs are those of the
+last successful compose, which found it feasible. Marks are cleared only
+when a compose succeeds, so a failed compose needs no undo of them. Hence
+FeasibilityResult.grants lists only the grants this compose set; the first
+compose of a fresh tree sets, and lists, all of them.
 
 Dicts index app -> (node, slot) and name -> node. Ids only grow, and the
 undo_attach_* methods hand back only the newest, so nodes() is in id order.
@@ -24,6 +43,7 @@ from .contracts import (
     ServiceClass,
     RESERVATION_CLASSES,
     format_contract,
+    satisfies,
     utilization,
 )
 
@@ -45,7 +65,12 @@ POLICY_PROVIDES = {
     PolicyKind.FIXED_PRIORITY: frozenset({ServiceClass.RESBS, ServiceClass.BE}),
 }
 
-_SOFT_CLASSES = (ServiceClass.RESBS, ServiceClass.PS)
+_VIRTUAL = PolicyKind.VIRTUAL
+_RESBH = ServiceClass.RESBH
+_PS = ServiceClass.PS
+_SOFT_CLASSES = (ServiceClass.RESBS, _PS)
+_ALLOTTED = frozenset({_RESBH, *_SOFT_CLASSES})  # classes that use up capacity
+_ZERO = Fraction(0)
 
 
 class HierarchyError(Exception):
@@ -99,9 +124,16 @@ class SchedulerNode:
     apps: list = field(default_factory=list)  # AppSlot, leaf policies only
     tags: set = field(default_factory=set)  # app_class labels seen here
     loaded_for: str | None = None  # app whose deploy loaded this node
+    # exact sums over the holders (children or apps), kept by Hierarchy
+    hard: Fraction = _ZERO  # RESBH requests
+    soft: Fraction = _ZERO  # RESBS and PS requests
+    reserved: Fraction = _ZERO  # RESBH and RESBS requests
+    used: Fraction = _ZERO  # awards in RESBH, RESBS and PS
+    factor: Fraction | None = None  # soft scaling at the last settle, if any
+    fresh: set = field(default_factory=set)  # holders whose award is pending
 
     def is_leaf(self) -> bool:
-        return self.spec.policy is not PolicyKind.VIRTUAL
+        return self.spec.policy is not _VIRTUAL
 
 
 @dataclass(frozen=True)
@@ -123,6 +155,19 @@ class FeasibilityResult:
     feasible: bool
     grants: list
     rejected: Rejection | None = None
+
+
+class _Stage:
+    """What one compose computed, applied only if it succeeds."""
+
+    __slots__ = ("nodes", "apps", "factors", "grants", "visited")
+
+    def __init__(self):
+        self.nodes = {}  # node id -> (grant, degraded)
+        self.apps = {}  # app id -> (award, degraded)
+        self.factors = {}  # node id -> its new factor
+        self.grants = []  # Grant, in tree order
+        self.visited = []  # SchedulerNode
 
 
 _ROOT_SPEC = SchedulerSpec(
@@ -150,6 +195,8 @@ class Hierarchy:
         self._apps: dict[str, tuple[int, AppSlot]] = {}
         self._next_node_id = 1
         self._next_app_seq = 0
+        self._changed: set[int] = set()  # holders or own ask changed
+        self._dirty: set[int] = set()  # changed nodes and their ancestors
 
     # ------------------------------------------------------------- structure
 
@@ -173,7 +220,7 @@ class Hierarchy:
 
     def attach_scheduler(self, parent_id: int, spec: SchedulerSpec) -> int:
         parent = self.node(parent_id)
-        if parent.spec.policy is not PolicyKind.VIRTUAL:
+        if parent.spec.policy is not _VIRTUAL:
             raise HierarchyError(
                 f"node {parent_id} ({parent.spec.name}) is not VIRTUAL"
             )
@@ -189,6 +236,9 @@ class Hierarchy:
         )
         self._by_name[spec.name] = node_id
         parent.children.append(node_id)
+        _tally(parent, spec.parent_request, 1)
+        parent.fresh.add(node_id)
+        self._mark(parent_id)  # the node itself is marked by its first holder
         return node_id
 
     def attach_application(self, node_id: int, app_id: str, request: Contract):
@@ -205,6 +255,9 @@ class Hierarchy:
         self._next_app_seq += 1
         node.apps.append(slot)
         self._apps[app_id] = (node_id, slot)
+        _tally(node, request, 1)
+        node.fresh.add(app_id)
+        self._mark(node_id)
 
     def detach(self, node_id: int):
         if node_id == self.ROOT_ID:
@@ -216,6 +269,12 @@ class Hierarchy:
             del self._apps[slot.app_id]
         parent = self._nodes[node.parent]
         parent.children.remove(node_id)
+        _tally(parent, node.spec.parent_request, -1)
+        parent.used -= _allotted(node.granted)
+        parent.fresh.discard(node_id)
+        self._changed.discard(node_id)
+        self._dirty.discard(node_id)
+        self._mark(node.parent)
         del self._by_name[node.spec.name]
         del self._nodes[node_id]
 
@@ -234,7 +293,12 @@ class Hierarchy:
             nid, slot = self._apps.pop(app_id)
         except KeyError:
             raise HierarchyError(f"no such app {app_id!r}") from None
-        self._nodes[nid].apps.remove(slot)
+        node = self._nodes[nid]
+        node.apps.remove(slot)
+        _tally(node, slot.request, -1)
+        node.used -= _allotted(slot.awarded)
+        node.fresh.discard(app_id)
+        self._mark(nid)
         return nid
 
     def undo_attach_application(self, app_id: str):
@@ -251,6 +315,14 @@ class Hierarchy:
         self.detach(node_id)
         self._next_node_id -= 1
 
+    def _mark(self, node_id: int):
+        """Note a change in a node's holders or own ask, for the next compose."""
+        self._changed.add(node_id)
+        nid = node_id
+        while nid is not None and nid not in self._dirty:
+            self._dirty.add(nid)  # ancestors of a dirty node are dirty already
+            nid = self._nodes[nid].parent
+
     # ------------------------------------------------------------ composition
 
     def compose(self) -> FeasibilityResult:
@@ -258,7 +330,9 @@ class Hierarchy:
 
         Infeasibility is a value, not an error; on failure no grant state is
         touched, so a failed compose leaves the previous awards in place.
-        The root is always granted the whole CPU, undegraded.
+        The root is always granted the whole CPU, undegraded. `grants`
+        lists the grants this compose set, in tree order (see the module
+        docstring).
         """
         return self.reallocate(self.ROOT_ID)
 
@@ -267,93 +341,116 @@ class Hierarchy:
 
         Hard grants are never reduced; PS and RESBS shrink pro rata (exact
         rationals, floored to ppm/ticks) and are marked degraded. Nothing
-        over-committed means identity on grants.
+        over-committed means identity on grants. Only the changes below the
+        node since the last successful compose are settled.
         """
         node = self.node(node_id)
-        staged_nodes: dict[int, tuple[Contract, bool]] = {}
-        staged_apps: dict[str, tuple[Contract, bool]] = {}
-        grants: list[Grant] = []
-        rejection = self._settle(
-            node_id, node.granted, node.degraded, staged_nodes, staged_apps, grants
-        )
+        stage = _Stage()
+        rejection = self._settle(node, node.granted, False, stage)
         if rejection is not None:
             return FeasibilityResult(False, [], rejection)
-        self._apply(staged_nodes, staged_apps)
-        return FeasibilityResult(True, grants)
+        self._apply(stage)
+        return FeasibilityResult(True, stage.grants)
 
-    def _apply(self, staged_nodes, staged_apps):
-        for nid, (granted, degraded) in staged_nodes.items():
-            self._nodes[nid].granted = granted
-            self._nodes[nid].degraded = degraded
-        for app_id, (awarded, degraded) in staged_apps.items():
-            slot = self.app_slot(app_id)
-            slot.awarded = awarded
+    def _apply(self, stage):
+        """Write a successful compose into the tree and clear its marks."""
+        nodes = self._nodes
+        for nid, (granted, degraded) in stage.nodes.items():
+            node = nodes[nid]
+            if granted != node.granted:
+                parent = nodes[node.parent]
+                parent.used += _allotted(granted) - _allotted(node.granted)
+                node.granted = granted
+            node.degraded = degraded
+        for app_id, (awarded, degraded) in stage.apps.items():
+            nid, slot = self._apps[app_id]
+            if awarded != slot.awarded:
+                leaf = nodes[nid]
+                leaf.used += _allotted(awarded) - _allotted(slot.awarded)
+                slot.awarded = awarded
             slot.degraded = degraded
+        for nid, factor in stage.factors.items():
+            nodes[nid].factor = factor
+        for n in stage.visited:
+            n.fresh.clear()
+            self._changed.discard(n.node_id)
+            self._dirty.discard(n.node_id)
 
-    def _settle(self, node_id, granted, degraded, staged_nodes, staged_apps, grants):
-        """Distribute `granted` among one node's children, then recurse."""
-        node = self._nodes[node_id]
-        staged_nodes[node_id] = (granted, degraded)
+    def _settle(self, node, granted, regrant, stage):
+        """Settle one node under `granted`, then the children that need it.
 
-        if node.is_leaf():
+        `regrant` says that `granted` differs from the grant the node's
+        holders were last settled under. A node whose grant and holders are
+        unchanged passes its checks as it did then and keeps its awards, so
+        only its dirty children are visited.
+        """
+        stage.visited.append(node)
+        nid = node.node_id
+        leaf = node.is_leaf()
+        if regrant or nid in self._changed:
             # a leaf must have asked its parent for at least its apps' demand
-            hard_demand = sum(
-                (utilization(s.request) for s in node.apps if s.request.is_reservation()),
-                Fraction(0),
-            )
-            if utilization(node.spec.parent_request) < hard_demand:
+            if leaf and node.spec.parent_request.utilization < node.reserved:
                 return Rejection(
-                    node_id, "parent request below aggregate reservation demand"
+                    nid, "parent request below aggregate reservation demand"
                 )
-            entries = [(s.app_id, s.request, True) for s in node.apps]
-        else:
-            entries = [
-                (cid, self._nodes[cid].spec.parent_request, False)
-                for cid in node.children
-            ]
+            capacity = granted.utilization
+            if node.hard > capacity:
+                last = [h for h, req in self._holders(node) if req.service is _RESBH]
+                return Rejection(last[-1], "hard demand exceeds capacity")
+            factor = None
+            if node.hard + node.soft > capacity:
+                factor = (capacity - node.hard) / node.soft
+            stage.factors[nid] = factor
 
-        capacity = utilization(granted)
-        hard = [e for e in entries if e[1].service is ServiceClass.RESBH]
-        soft = [e for e in entries if e[1].service in _SOFT_CLASSES]
-        inert = [e for e in entries if e[1].service not in
-                 (ServiceClass.RESBH,) + _SOFT_CLASSES]
+            # the holders whose award may have moved, in tree order
+            if regrant or factor != node.factor:
+                holders = self._holders(node)
+            else:
+                holders = self._holders(node, node.fresh)
+            awards = []
+            for holder, req in holders:
+                if factor is not None and req.service in _SOFT_CLASSES:
+                    scaled = _scale_soft(req, factor)
+                    if scaled is None:
+                        return Rejection(holder, "soft grant would floor to zero")
+                    awards.append(Grant(holder, req, scaled, True))
+                else:
+                    awards.append(Grant(holder, req, req, False))
+            shaped = granted.is_reservation()
+            staged = stage.apps if leaf else stage.nodes
+            for g in awards:
+                award = g.awarded
+                if shaped and award.is_reservation() and not satisfies(granted, award):
+                    return Rejection(
+                        g.holder, f"supply shape: {granted} does not satisfy {award}"
+                    )
+                stage.grants.append(g)
+                staged[g.holder] = (g.awarded, g.degraded)
 
-        hard_sum = sum((utilization(e[1]) for e in hard), Fraction(0))
-        if hard_sum > capacity:
-            return Rejection(hard[-1][0], "hard demand exceeds capacity")
-        soft_sum = sum((utilization(e[1]) for e in soft), Fraction(0))
-
-        awards: dict = {}
-        if hard_sum + soft_sum <= capacity:
-            for holder, req, _ in hard + soft:
-                awards[holder] = (req, False)
-        else:
-            factor = (capacity - hard_sum) / soft_sum
-            for holder, req, _ in hard:
-                awards[holder] = (req, False)
-            for holder, req, _ in soft:
-                scaled = _scale_soft(req, factor)
-                if scaled is None:
-                    return Rejection(holder, "soft grant would floor to zero")
-                awards[holder] = (scaled, True)
-        for holder, req, _ in inert:
-            awards[holder] = (req, False)
-
-        for holder, req, is_app in entries:
-            awarded, was_degraded = awards[holder]
-            grants.append(Grant(holder, req, awarded, was_degraded))
-            if is_app:
-                staged_apps[holder] = (awarded, was_degraded)
-
-        for holder, req, is_app in entries:
-            if not is_app:
-                awarded, was_degraded = awards[holder]
-                rej = self._settle(
-                    holder, awarded, was_degraded, staged_nodes, staged_apps, grants
-                )
+        if leaf:
+            return None
+        for cid in node.children:
+            child = self._nodes[cid]
+            given = stage.nodes.get(cid)  # (grant, degraded) if settled above
+            moved = given is not None and given[0] != child.granted
+            if moved or cid in self._dirty:
+                grant = given[0] if moved else child.granted
+                rej = self._settle(child, grant, moved, stage)
                 if rej is not None:
                     return rej
         return None
+
+    def _holders(self, node, only=None):
+        """(holder, request) of a node's children or apps in tree order: all
+        of them, or those in `only`. Children are in id order and apps in
+        seq order, since both only grow."""
+        if not node.is_leaf():
+            ids = node.children if only is None else sorted(only)
+            return [(cid, self._nodes[cid].spec.parent_request) for cid in ids]
+        slots = node.apps
+        if only is not None:
+            slots = sorted((self._apps[a][1] for a in only), key=lambda s: s.seq)
+        return [(s.app_id, s.request) for s in slots]
 
     # ------------------------------------------------------- demand and spare
 
@@ -379,9 +476,7 @@ class Hierarchy:
         while nid != self.ROOT_ID:
             node = self._nodes[nid]
             if node.is_leaf():
-                demand = sum(
-                    (utilization(s.request) for s in node.apps), Fraction(0)
-                )
+                demand = node.hard + node.soft  # apps ask for no other class
             else:
                 demand = sum(
                     (
@@ -403,6 +498,12 @@ class Hierarchy:
         node = self.node(node_id)
         if node_id == self.ROOT_ID:
             raise HierarchyError("root request is fixed")
+        parent = self._nodes[node.parent]
+        _tally(parent, node.spec.parent_request, -1)
+        _tally(parent, request, 1)
+        parent.fresh.add(node_id)
+        self._mark(node.parent)
+        self._mark(node_id)  # a leaf checks its own ask against its apps
         node.spec = SchedulerSpec(
             name=node.spec.name,
             policy=node.spec.policy,
@@ -414,16 +515,8 @@ class Hierarchy:
     def spare_capacity(self, node_id: int) -> Fraction:
         """Granted utilization not yet committed to reservation/PS children."""
         node = self.node(node_id)
-        used = Fraction(0)
-        if node.is_leaf():
-            awarded = [s.awarded for s in node.apps if s.awarded is not None]
-        else:
-            awarded = [self._nodes[cid].granted for cid in node.children]
-        for a in awarded:
-            if a.service in (ServiceClass.RESBH,) + _SOFT_CLASSES:
-                used += utilization(a)
-        spare = utilization(node.granted) - used
-        return spare if spare > 0 else Fraction(0)
+        spare = node.granted.utilization - node.used
+        return spare if spare > 0 else _ZERO
 
     # ---------------------------------------------------------- serialization
 
@@ -463,9 +556,30 @@ class Hierarchy:
         return "\n".join(lines) + "\n"
 
 
+def _tally(node: SchedulerNode, request: Contract, sign: int):
+    """Add (sign 1) or take away (sign -1) one holder's request in the sums."""
+    service = request.service
+    if service not in _ALLOTTED:
+        return
+    u = request.utilization if sign > 0 else -request.utilization
+    if service is _RESBH:
+        node.hard += u
+    else:
+        node.soft += u
+    if service is not _PS:
+        node.reserved += u
+
+
+def _allotted(award: Contract | None) -> Fraction:
+    """Utilization an award takes from its grantor's capacity."""
+    if award is None or award.service not in _ALLOTTED:
+        return _ZERO
+    return award.utilization
+
+
 def _scale_soft(req: Contract, factor: Fraction) -> Contract | None:
     """Shrink a PS/RESBS request by an exact factor, flooring to the grid."""
-    if req.service is ServiceClass.PS:
+    if req.service is _PS:
         share = math.floor(req.share * factor)
         if share < 1:
             return None

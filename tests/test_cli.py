@@ -160,6 +160,34 @@ class TestRun:
         assert "violations=0 conservation=ok" in out
         assert run(["--scenario", path, "--allow-reject"]) == 0
 
+    def test_reservation_of_the_wrong_shape_is_rejected(self, tmp_path, capsys):
+        # RESBH[50,100] has the utilization for RESBH[5,10] but can starve it
+        # for 100 ticks; admitted, `a` missed 16 of its windows
+        doc = {
+            "horizon": 400, "seed": 0,
+            "schedulers": [
+                {"name": "fast", "policy": "EDF_RESERVATION", "request": "RESBH[25,50]"},
+                {"name": "slow", "policy": "EDF_RESERVATION", "request": "RESBH[50,100]"},
+            ],
+            "timeline": [
+                {"tick": 0, "action": "deploy", "app": "q", "class": "c",
+                 "request": "RESBH[25,50]", "scheduler": "fast",
+                 "workload": {"kind": "CPU_BOUND"}},
+                {"tick": 0, "action": "deploy", "app": "a", "class": "c",
+                 "request": "RESBH[5,10]", "scheduler": "slow",
+                 "workload": {"kind": "PERIODIC", "period": 10, "wcet": 5}},
+            ],
+        }
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        assert run(["--scenario", str(path), "--allow-reject"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "deploy tick=0 app=q outcome=LOADED_NEW node=1 awarded=RESBH[25,50]",
+            "deploy tick=0 app=a outcome=REJECTED reason=INFEASIBLE detail="
+            "'rejected at a: supply shape: RESBH[50,100] does not satisfy RESBH[5,10]'",
+            "violations=0 conservation=ok",
+        ]
+
     def test_reruns_are_byte_identical(self, tmp_path):
         outs = []
         for i in range(2):

@@ -275,6 +275,79 @@ def test_compose_infeasibility_is_monotone():
     assert not h.compose().feasible
 
 
+def test_compose_rejects_a_reservation_of_the_wrong_shape():
+    # enough utilization, but RESBH[50,100] may supply nothing for 100 ticks
+    h = new_hierarchy()
+    nid = h.attach_scheduler(0, edf_spec("slow", Contract.resbh(50, 100)))
+    h.attach_application(nid, "a", Contract.resbh(5, 10))
+    result = h.compose()
+    assert not result.feasible
+    assert result.rejected.holder == "a"
+    assert result.rejected.reason == (
+        "supply shape: RESBH[50,100] does not satisfy RESBH[5,10]"
+    )
+
+
+def test_a_moved_grant_rechecks_the_shape_of_the_awards_below_it():
+    h = new_hierarchy()
+    soft = h.attach_scheduler(0, edf_spec("soft", Contract.resbs(95, 100)))
+    h.attach_application(soft, "s", Contract.resbs(5, 10))
+    assert h.compose().feasible
+    # the share squeezes the leaf to RESBS[50,100]: still room for `s`, but
+    # a slack of 50 ticks against 5; nothing under the leaf itself changed
+    h.attach_scheduler(0, stride_spec("st", Contract.ps(950000)))
+    result = h.compose()
+    assert not result.feasible
+    assert result.rejected.holder == "s"
+    assert result.rejected.reason == (
+        "supply shape: RESBS[50,100] does not satisfy RESBS[5,10]"
+    )
+    assert h.node(soft).granted == Contract.resbs(95, 100)
+
+
+def test_grants_list_only_what_the_compose_set():
+    h = new_hierarchy()
+    st = h.attach_scheduler(0, stride_spec("st", Contract.ps(500000)))
+    h.attach_application(st, "w1", Contract.ps(100000))
+    assert [g.holder for g in h.compose().grants] == [st, "w1"]
+    assert h.compose().grants == []
+    h.attach_application(st, "w2", Contract.ps(100000))
+    assert [g.holder for g in h.compose().grants] == ["w2"]
+    # a squeeze at the root moves the leaf's grant: all of its apps again
+    h.attach_scheduler(0, stride_spec("big", Contract.ps(1000000)))
+    result = h.compose()
+    assert [g.holder for g in result.grants] == [st, st + 1, "w1", "w2"]
+    assert [g.degraded for g in result.grants] == [True, True, False, False]
+
+
+def test_a_new_scheduler_granted_null_still_settles_its_apps():
+    # the leaf's award equals the NULL it was attached with
+    h = new_hierarchy()
+    rr = h.attach_scheduler(0, rr_spec("rr0", Contract.null()))
+    h.attach_application(rr, "batch", Contract.be())
+    assert h.compose().feasible
+    assert h.node(rr).granted == Contract.null()
+    assert h.app_slot("batch").awarded == Contract.be()
+
+
+def test_a_smaller_ask_with_the_same_award_is_still_checked():
+    h = new_hierarchy()
+    soft = h.attach_scheduler(0, edf_spec("soft", Contract.resbs(41, 100)))
+    h.attach_application(soft, "s", Contract.resbs(41, 100))
+    h.attach_scheduler(0, stride_spec("st1", Contract.ps(800000)))
+    h.attach_scheduler(0, stride_spec("st2", Contract.ps(790000)))
+    assert h.compose().feasible
+    assert h.node(soft).granted == Contract.resbs(20, 100)
+    # 40 ticks scale to the same 20, but no longer cover the app's 41
+    h.update_parent_request(soft, Contract.resbs(40, 100))
+    result = h.compose()
+    assert not result.feasible
+    assert result.rejected.holder == soft
+    assert result.rejected.reason == (
+        "parent request below aggregate reservation demand"
+    )
+
+
 # -------------------------------------------------------------- reallocate
 
 
@@ -330,6 +403,21 @@ def test_propagate_demand_ample_ancestor_emits_nothing():
     h.attach_application(nid, "old", Contract.resbh(10, 100))
     assert h.compose().feasible
     assert h.propagate_demand(nid, Contract.resbh(30, 100)) == []
+
+
+def test_propagate_demand_counts_every_app_on_the_leaf():
+    # shares and soft reservations are demand too, not only hard ones
+    h = new_hierarchy()
+    st = h.attach_scheduler(0, stride_spec("st", Contract.ps(300000)))
+    h.attach_application(st, "w", Contract.ps(200000))
+    h.attach_application(st, "b", Contract.be())
+    edf = h.attach_scheduler(0, edf_spec("edf", Contract.resbs(30, 100)))
+    h.attach_application(edf, "s", Contract.resbs(20, 100))
+    assert h.compose().feasible
+    assert h.propagate_demand(st, Contract.ps(200000)) == [(st, Contract.ps(400000))]
+    assert h.propagate_demand(edf, Contract.resbh(20, 100)) == [
+        (edf, Contract.resbs(40, 100))
+    ]
 
 
 def test_propagate_demand_walks_every_level():
