@@ -6,23 +6,24 @@ distributes granted capacity top-down from the root after checking aggregate
 demand; reallocate() does the same below any one node. An over-committed node
 degrades instead of giving up: hard reservations are never reduced, PS/RESBS
 grants shrink pro rata and are marked degraded. Under a reservation grant,
-each reservation award must also be satisfied by the grant's supply shape
-(`satisfies`), not only fit its utilization; the award is the request
-except for a degraded soft reservation, which is checked at its shrunk size.
+each reservation request must also be satisfied by the grant's supply shape
+(`satisfies`), not only fit its utilization. The test is on the request,
+not on a degraded soft award: requests never change and removing demand
+only grows grants, so an undeploy can never fail it.
 
 Composition is incremental. Each node keeps exact Fraction sums of its
 holders' requests (`hard`: RESBH; `soft`: RESBS and PS; `reserved`: RESBH
 and RESBS, which a leaf's own ask must cover), the sum of the awards it has
 handed out (`used`, so spare_capacity is O(1)) and the degradation factor of
 its last successful settle. The mutators keep these sums and mark what
-changed: the node whose holders or own ask changed (`_changed`), every node
-on the path from the root to it (`_dirty`), and the holders whose award is
-pending (`fresh`). A compose walks only the dirty paths. It re-settles a
-node whose holders changed or whose grant changed. It recomputes all of that
-node's awards when its grant or its factor moved, and only the fresh ones
-otherwise. Every other subtree keeps its grants: its inputs are those of the
-last successful compose, which found it feasible. Marks are cleared only
-when a compose succeeds, so a failed compose needs no undo of them. Hence
+changed: the node whose holders or own ask changed (`_changed`) and the
+holders whose award is pending (`fresh`). A compose walks only the paths
+from the root to the changed nodes. It re-settles a node whose holders
+changed or whose grant changed. It recomputes all of that node's awards
+when its grant or its factor moved, and only the fresh ones otherwise.
+Every other subtree keeps its grants: its inputs are those of the last
+successful compose, which found it feasible. Marks are cleared only when a
+compose succeeds, so a failed compose needs no undo of them. Hence
 FeasibilityResult.grants lists only the grants this compose set; the first
 compose of a fresh tree sets, and lists, all of them.
 
@@ -160,9 +161,10 @@ class FeasibilityResult:
 class _Stage:
     """What one compose computed, applied only if it succeeds."""
 
-    __slots__ = ("nodes", "apps", "factors", "grants", "visited")
+    __slots__ = ("dirty", "nodes", "apps", "factors", "grants", "visited")
 
-    def __init__(self):
+    def __init__(self, dirty):
+        self.dirty = dirty  # changed node ids and their ancestors
         self.nodes = {}  # node id -> (grant, degraded)
         self.apps = {}  # app id -> (award, degraded)
         self.factors = {}  # node id -> its new factor
@@ -196,7 +198,6 @@ class Hierarchy:
         self._next_node_id = 1
         self._next_app_seq = 0
         self._changed: set[int] = set()  # holders or own ask changed
-        self._dirty: set[int] = set()  # changed nodes and their ancestors
 
     # ------------------------------------------------------------- structure
 
@@ -238,7 +239,7 @@ class Hierarchy:
         parent.children.append(node_id)
         _tally(parent, spec.parent_request, 1)
         parent.fresh.add(node_id)
-        self._mark(parent_id)  # the node itself is marked by its first holder
+        self._changed.add(parent_id)  # the node itself is marked by its first holder
         return node_id
 
     def attach_application(self, node_id: int, app_id: str, request: Contract):
@@ -257,7 +258,7 @@ class Hierarchy:
         self._apps[app_id] = (node_id, slot)
         _tally(node, request, 1)
         node.fresh.add(app_id)
-        self._mark(node_id)
+        self._changed.add(node_id)
 
     def detach(self, node_id: int):
         if node_id == self.ROOT_ID:
@@ -273,8 +274,7 @@ class Hierarchy:
         parent.used -= _allotted(node.granted)
         parent.fresh.discard(node_id)
         self._changed.discard(node_id)
-        self._dirty.discard(node_id)
-        self._mark(node.parent)
+        self._changed.add(node.parent)
         del self._by_name[node.spec.name]
         del self._nodes[node_id]
 
@@ -298,7 +298,7 @@ class Hierarchy:
         _tally(node, slot.request, -1)
         node.used -= _allotted(slot.awarded)
         node.fresh.discard(app_id)
-        self._mark(nid)
+        self._changed.add(nid)
         return nid
 
     def undo_attach_application(self, app_id: str):
@@ -314,14 +314,6 @@ class Hierarchy:
             raise HierarchyError(f"node {node_id} is not the newest attached")
         self.detach(node_id)
         self._next_node_id -= 1
-
-    def _mark(self, node_id: int):
-        """Note a change in a node's holders or own ask, for the next compose."""
-        self._changed.add(node_id)
-        nid = node_id
-        while nid is not None and nid not in self._dirty:
-            self._dirty.add(nid)  # ancestors of a dirty node are dirty already
-            nid = self._nodes[nid].parent
 
     # ------------------------------------------------------------ composition
 
@@ -345,12 +337,22 @@ class Hierarchy:
         node since the last successful compose are settled.
         """
         node = self.node(node_id)
-        stage = _Stage()
+        stage = _Stage(self._dirty())
         rejection = self._settle(node, node.granted, False, stage)
         if rejection is not None:
             return FeasibilityResult(False, [], rejection)
         self._apply(stage)
         return FeasibilityResult(True, stage.grants)
+
+    def _dirty(self) -> set:
+        """The changed nodes and every node on their paths from the root."""
+        nodes = self._nodes
+        dirty = set()
+        for nid in self._changed:
+            while nid is not None and nid not in dirty:
+                dirty.add(nid)  # its ancestors are in the set already
+                nid = nodes[nid].parent
+        return dirty
 
     def _apply(self, stage):
         """Write a successful compose into the tree and clear its marks."""
@@ -374,7 +376,6 @@ class Hierarchy:
         for n in stage.visited:
             n.fresh.clear()
             self._changed.discard(n.node_id)
-            self._dirty.discard(n.node_id)
 
     def _settle(self, node, granted, regrant, stage):
         """Settle one node under `granted`, then the children that need it.
@@ -419,10 +420,10 @@ class Hierarchy:
             shaped = granted.is_reservation()
             staged = stage.apps if leaf else stage.nodes
             for g in awards:
-                award = g.awarded
-                if shaped and award.is_reservation() and not satisfies(granted, award):
+                req = g.requested
+                if shaped and req.is_reservation() and not satisfies(granted, req):
                     return Rejection(
-                        g.holder, f"supply shape: {granted} does not satisfy {award}"
+                        g.holder, f"supply shape: {granted} does not satisfy {req}"
                     )
                 stage.grants.append(g)
                 staged[g.holder] = (g.awarded, g.degraded)
@@ -433,7 +434,7 @@ class Hierarchy:
             child = self._nodes[cid]
             given = stage.nodes.get(cid)  # (grant, degraded) if settled above
             moved = given is not None and given[0] != child.granted
-            if moved or cid in self._dirty:
+            if moved or cid in stage.dirty:
                 grant = given[0] if moved else child.granted
                 rej = self._settle(child, grant, moved, stage)
                 if rej is not None:
@@ -502,8 +503,8 @@ class Hierarchy:
         _tally(parent, node.spec.parent_request, -1)
         _tally(parent, request, 1)
         parent.fresh.add(node_id)
-        self._mark(node.parent)
-        self._mark(node_id)  # a leaf checks its own ask against its apps
+        self._changed.add(node.parent)
+        self._changed.add(node_id)  # a leaf checks its own ask against its apps
         node.spec = SchedulerSpec(
             name=node.spec.name,
             policy=node.spec.policy,

@@ -115,11 +115,10 @@ class ReferenceHierarchy(Hierarchy):
             awards[holder] = (req, False)
         # the one addition to the copied code: the supply-shape test
         if granted.is_reservation():
-            for holder, _, _ in entries:
-                awarded = awards[holder][0]
-                if awarded.is_reservation() and not satisfies(granted, awarded):
+            for holder, req, _ in entries:
+                if req.is_reservation() and not satisfies(granted, req):
                     return Rejection(
-                        holder, f"supply shape: {granted} does not satisfy {awarded}"
+                        holder, f"supply shape: {granted} does not satisfy {req}"
                     )
 
         for holder, req, is_app in entries:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hiersched.contracts import Contract, ServiceClass, utilization
-from hiersched.deployment import DeploymentRequest, Outcome, deploy
+from hiersched.deployment import DeploymentRequest, Outcome, deploy, undeploy
 from hiersched.hierarchy import (
     Hierarchy,
     HierarchyError,
@@ -305,6 +305,47 @@ def test_a_moved_grant_rechecks_the_shape_of_the_awards_below_it():
     assert h.node(soft).granted == Contract.resbs(95, 100)
 
 
+def test_undeploy_after_a_squeeze_never_fails_the_shape_test():
+    # a squeeze whose shrunk grant cannot stand in for an app's request is
+    # rejected, so freeing demand later only grows grants that already pass
+    h = new_hierarchy()
+    leaf_spec = edf_spec("L", Contract.resbs(11, 12))
+    first = deploy(
+        h, DeploymentRequest("c", "", Contract.resbs(4, 10), scheduler=leaf_spec)
+    )
+    assert first.outcome is Outcome.LOADED_NEW
+    leaf = first.node_id
+    second = deploy(h, DeploymentRequest("a", "", Contract.resbs(5, 10)))
+    assert (second.outcome, second.node_id) == (Outcome.ATTACHED_EXISTING, leaf)
+    squeeze = deploy(h, DeploymentRequest(
+        "w", "", Contract.ps(750000),
+        scheduler=stride_spec("st", Contract.ps(750000)),
+    ))
+    assert squeeze.outcome is Outcome.REJECTED
+    assert squeeze.detail == (
+        "rejected at a: supply shape: RESBS[6,12] does not satisfy RESBS[5,10]"
+    )
+    assert h.node(leaf).granted == Contract.resbs(11, 12)
+    undeploy(h, "c")
+    assert h.app_slot("a").awarded == Contract.resbs(5, 10)
+    # a squeeze the requests survive, then the same undeploy order
+    h = new_hierarchy()
+    leaf = deploy(h, DeploymentRequest(
+        "c", "", Contract.resbs(2, 10), scheduler=edf_spec("L", Contract.resbs(10, 10)),
+    )).node_id
+    deploy(h, DeploymentRequest("a", "", Contract.resbs(2, 10)))
+    squeeze = deploy(h, DeploymentRequest(
+        "w", "", Contract.ps(500000),
+        scheduler=stride_spec("st", Contract.ps(500000)),
+    ))
+    assert squeeze.outcome is Outcome.DEGRADED
+    assert h.node(leaf).granted == Contract.resbs(6, 10)
+    undeploy(h, "c")
+    undeploy(h, "w")
+    assert h.node(leaf).granted == Contract.resbs(10, 10)
+    assert h.app_slot("a").awarded == Contract.resbs(2, 10)
+
+
 def test_grants_list_only_what_the_compose_set():
     h = new_hierarchy()
     st = h.attach_scheduler(0, stride_spec("st", Contract.ps(500000)))
@@ -331,15 +372,16 @@ def test_a_new_scheduler_granted_null_still_settles_its_apps():
 
 
 def test_a_smaller_ask_with_the_same_award_is_still_checked():
+    # a share grant, which has no supply shape to test the app against
     h = new_hierarchy()
-    soft = h.attach_scheduler(0, edf_spec("soft", Contract.resbs(41, 100)))
+    soft = h.attach_scheduler(0, edf_spec("soft", Contract.ps(410000)))
     h.attach_application(soft, "s", Contract.resbs(41, 100))
-    h.attach_scheduler(0, stride_spec("st1", Contract.ps(800000)))
-    h.attach_scheduler(0, stride_spec("st2", Contract.ps(790000)))
+    h.attach_scheduler(0, stride_spec("st1", Contract.ps(540000)))
+    h.attach_scheduler(0, stride_spec("st2", Contract.ps(500000)))
     assert h.compose().feasible
-    assert h.node(soft).granted == Contract.resbs(20, 100)
-    # 40 ticks scale to the same 20, but no longer cover the app's 41
-    h.update_parent_request(soft, Contract.resbs(40, 100))
+    assert h.node(soft).granted == Contract.ps(282758)
+    # 409999 ppm scale to the same 282758, but no longer cover the app's 41 %
+    h.update_parent_request(soft, Contract.ps(409999))
     result = h.compose()
     assert not result.feasible
     assert result.rejected.holder == soft

@@ -9,9 +9,10 @@ scheduler asks, VIRTUAL nodes and reallocate() below any node. After every
 step both trees must agree on every decision, every compose result
 (feasibility and the Rejection's holder and reason), every node grant, app
 award and degraded flag (`canonical()`) and every spare capacity; the
-incremental tree's per-node sums must equal a scan, its marks must be
-closed under ancestors, and after a successful compose no mark is left and
-every node's factor is the one its grant and holders give. The examples are
+incremental tree's per-node sums must equal a scan, and after a successful
+compose no mark is left and every node's factor is the one its grant and
+holders give. Undeploys go through `deployment.undeploy`, which asserts
+that removing demand keeps the tree feasible. The examples are
 derandomized, and the test asserts that enough of them degrade, reject and
 leave a failed compose in place, so that agreement is not agreement on
 trivial trees.
@@ -69,7 +70,7 @@ def _app_request(provides, pick, percent, period):
 SPECS = {"edf": edf_spec, "stride": stride_spec, "rr": rr_spec}
 BASE = [
     (edf_spec("hard", Contract.resbh(40, 100)), Contract.resbh(35, 100)),
-    (edf_spec("soft", Contract.resbs(20, 100)), Contract.resbs(15, 100)),
+    (edf_spec("soft", Contract.resbs(20, 100)), Contract.resbs(5, 100)),
     (stride_spec("share", Contract.ps(200_000)), Contract.ps(170_000)),
     (rr_spec("best", Contract.be()), Contract.be()),
 ]
@@ -139,14 +140,11 @@ def assert_sums_match_scan(h):
         assert n.fresh <= holders
         if n.fresh:
             assert n.node_id in h._changed
-    assert h._changed <= h._dirty
-    for nid in h._dirty:
-        assert nodes[nid].parent is None or nodes[nid].parent in h._dirty
 
 
 def assert_settled(h):
     """After a successful compose: no mark left, every factor current."""
-    assert not h._changed and not h._dirty
+    assert not h._changed
     for n in h.nodes():
         assert not n.fresh
         capacity = utilization(n.granted)
