@@ -30,7 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .contracts import ContractError, parse_contract
 from .deployment import DeploymentRequest, Outcome
@@ -43,8 +43,7 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TimelineEntry:
+class TimelineEntry(NamedTuple):
     tick: int
     action: str  # "deploy" | "undeploy"
     app_id: str
@@ -52,8 +51,7 @@ class TimelineEntry:
     workload: Workload | None = None
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     horizon: int
     seed: int
     schedulers: dict  # name -> SchedulerSpec
@@ -263,7 +261,7 @@ def run(argv=None) -> int:
     try:
         scenario = parse_scenario(text)
         if args.seed is not None:
-            scenario = replace(scenario, seed=args.seed)
+            scenario = scenario._replace(seed=args.seed)
         if args.horizon is not None:
             if args.horizon < 1:
                 raise ScenarioError("--horizon: must be >= 1")
@@ -272,7 +270,7 @@ def run(argv=None) -> int:
                     "--horizon: must exceed the last timeline tick "
                     f"({scenario.timeline[-1].tick})"
                 )
-            scenario = replace(scenario, horizon=args.horizon)
+            scenario = scenario._replace(horizon=args.horizon)
         trace = run_scenario(scenario)
     except (ScenarioError, EngineError) as e:
         print(f"error: {e}", file=sys.stderr)

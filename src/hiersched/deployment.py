@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .contracts import Contract, format_contract, satisfies, utilization
+from .contracts import Contract, format_contract, satisfies
 from .hierarchy import Hierarchy, HierarchyError, SchedulerSpec
 
 
@@ -42,13 +43,13 @@ class DeploymentRequest:
     target_parent: int | None = None  # defaults to the root
 
 
-@dataclass(frozen=True)
-class DeploymentDecision:
+class DeploymentDecision(NamedTuple):
     outcome: Outcome
     node_id: int | None = None
     awarded: Contract | None = None
     reason: RejectReason | None = None
     detail: str = ""
+    grants: tuple = ()  # the grants the admitting compose set (hierarchy.Grant)
 
     def record(self) -> str:
         """One-line serialization for report files."""
@@ -70,24 +71,20 @@ def find_compatible_service(h: Hierarchy, req: DeploymentRequest):
     A candidate must provide the requested class, have spare capacity for
     the request's utilization, and hold a grant that satisfies the request.
     The app_class label is a preference, not a filter: a candidate already
-    tagged with the same label beats earlier untagged ones.
+    tagged with the same label beats earlier untagged ones. Only the leaves
+    offering the class are searched, in id order.
     """
-    candidates = []
-    for node in h.leaves():
-        if req.request.service not in node.spec.provides:
+    request, label = req.request, req.app_class
+    first = None
+    for node in h.leaves_offering(request.service):
+        if (h.spare_capacity(node.node_id) < request.utilization
+                or not satisfies(node.granted, request)):
             continue
-        if h.spare_capacity(node.node_id) < utilization(req.request):
-            continue
-        if not satisfies(node.granted, req.request):
-            continue
-        candidates.append(node)
-    if not candidates:
-        return None
-    if req.app_class:
-        for node in candidates:
-            if req.app_class in node.tags:
-                return node.node_id
-    return candidates[0].node_id
+        if not label or label in node.tags:
+            return node.node_id
+        if first is None:
+            first = node.node_id
+    return first
 
 
 def deploy(h: Hierarchy, req: DeploymentRequest) -> DeploymentDecision:
@@ -141,11 +138,12 @@ def _attach(h, req, node_id, loaded):
         h.node(node_id).tags.add(req.app_class)
     slot = h.app_slot(req.app_id)
     if slot.degraded:
-        return DeploymentDecision(
-            Outcome.DEGRADED, node_id=node_id, awarded=slot.awarded
-        )
-    outcome = Outcome.LOADED_NEW if loaded else Outcome.ATTACHED_EXISTING
-    return DeploymentDecision(outcome, node_id=node_id, awarded=slot.awarded)
+        outcome = Outcome.DEGRADED
+    else:
+        outcome = Outcome.LOADED_NEW if loaded else Outcome.ATTACHED_EXISTING
+    return DeploymentDecision(
+        outcome, node_id=node_id, awarded=slot.awarded, grants=tuple(result.grants)
+    )
 
 
 def _validate(h, req) -> str | None:
@@ -168,9 +166,10 @@ def _validate(h, req) -> str | None:
     return None
 
 
-def undeploy(h: Hierarchy, app_id: str):
+def undeploy(h: Hierarchy, app_id: str) -> list:
     """Remove an application; unload its scheduler if it loaded one and is
-    now idle; recompose so squeezed grants recover."""
+    now idle; recompose so squeezed grants recover. Returns the grants the
+    recompose set."""
     node_id = h.app_node(app_id)
     if node_id is None:
         raise DeploymentError(f"no such app {app_id!r}")
@@ -180,3 +179,4 @@ def undeploy(h: Hierarchy, app_id: str):
         h.detach(node_id)
     result = h.compose()
     assert result.feasible, "removing demand cannot break feasibility"
+    return result.grants

@@ -35,9 +35,10 @@ import heapq
 import io
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .contracts import Contract, ServiceClass
 from .deployment import DeploymentRequest, Outcome
@@ -57,6 +58,8 @@ _NULL, _RESBH, _RESBS, _PS, _BE, _ALL = (
     ServiceClass.PS, ServiceClass.BE, ServiceClass.ALL,
 )
 _VIRTUAL, _FIXED_PRIORITY = PolicyKind.VIRTUAL, PolicyKind.FIXED_PRIORITY
+# the precedence of `Simulation._pick` below the reservations with budget left
+_AFTER_BUDGETED = (_ALL, _PS, _BE, _RESBS)
 
 
 class WorkloadKind(Enum):
@@ -92,6 +95,17 @@ class Workload:
         elif self.kind is _BURSTY:
             if self.on is None or self.off is None or self.on < 1 or self.off < 1:
                 raise EngineError("BURSTY needs on > 0 and off > 0")
+
+
+def _count_period(periods, period, d):
+    """Count one budget server with `period` in (d=1) or out (d=-1) of
+    `periods`; a period of None (no reservation) counts nothing."""
+    if period is not None:
+        n = periods.get(period, 0) + d
+        if n:
+            periods[period] = n
+        else:
+            del periods[period]
 
 
 def _on_before(w, n):
@@ -142,8 +156,7 @@ _RANK = {
 }
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     tick: int
     kind: EventKind
     app: str = ""
@@ -152,8 +165,7 @@ class SimEvent:
     detail: str = ""
 
 
-@dataclass
-class AppTraceInfo:
+class AppTraceInfo(NamedTuple):
     """Static facts the verifier needs about one admitted application."""
 
     app_id: str
@@ -176,19 +188,24 @@ def _csv_line(fields) -> str:
     return out.getvalue()
 
 
-@dataclass
 class Trace:
     """What a run did. RUN and IDLE are run-length `segments`: `(start, end,
     app)` covers ticks [start, end), `app` None for idle, in tick order.
-    `events` holds every other row, in the order the CSV writes them."""
+    `events` holds every other row, in the order the CSV writes them.
+    `decisions` holds (tick, app_id, DeploymentDecision) in timeline order."""
 
-    horizon: int
-    events: list
-    per_app_service: dict
-    idle_ticks: int
-    app_info: dict
-    decisions: list  # (tick, app_id, DeploymentDecision) in timeline order
-    segments: list = field(default_factory=list)
+    __slots__ = ("horizon", "events", "per_app_service", "idle_ticks",
+                 "app_info", "decisions", "segments")
+
+    def __init__(self, horizon, events, per_app_service, idle_ticks, app_info,
+                 decisions, segments=None):
+        self.horizon = horizon
+        self.events = events
+        self.per_app_service = per_app_service
+        self.idle_ticks = idle_ticks
+        self.app_info = app_info
+        self.decisions = decisions
+        self.segments = [] if segments is None else segments
 
     def to_csv(self) -> str:
         """One row per event and one RUN or IDLE row per tick of a segment,
@@ -222,38 +239,36 @@ class Trace:
         return out.getvalue()
 
 
-@dataclass
 class _Job:
-    deadline: int
-    remaining: int
-    missed: bool = False
+    __slots__ = ("deadline", "remaining", "missed")
+
+    def __init__(self, deadline, remaining):
+        self.deadline = deadline
+        self.remaining = remaining
+        self.missed = False
 
 
 class _AppRT:
     """Mutable per-application simulation state."""
 
     def __init__(self, app_id, node_id, path_ids, node_path, leaf_policy,
-                 requested, awarded, quantum, tick, workload, hard_capped,
-                 phase_offset):
+                 requested, quantum, tick, workload, hard_capped, phase_offset):
         self.app_id = app_id
         self.node_id = node_id
         self.path_ids = path_ids  # root..leaf node ids
         self.node_path = node_path
         self.leaf_policy = leaf_policy
         self.requested = requested
-        self.awarded = awarded
+        # the award and its budget server, set by Simulation._sync_runtimes
+        self.awarded = None
+        self.server_cap = None
+        self.server_rem = None
         self.quantum = quantum
         self.deployed_at = tick
         self.undeployed_at = None
         self.workload = workload
         self.hard_capped = hard_capped
         self.phase_offset = phase_offset
-        if awarded.is_reservation():
-            self.server_cap = awarded.budget
-            self.server_rem = awarded.budget
-        else:
-            self.server_cap = None
-            self.server_rem = None
         self.jobs: deque[_Job] = deque()
         self.pending = 0  # BURSTY backlog
         self.released_to = tick  # BURSTY on-ticks before this are in pending
@@ -288,6 +303,7 @@ class _NodeRT:
 
     def __init__(self, grant_tick):
         self.grant_tick = grant_tick
+        self.period = None  # of its grant, if a reservation
         self.cap = None  # reservation grants only
         self.rem = None
         self.passes = {}  # stride: child node id or app id -> Fraction
@@ -311,8 +327,9 @@ class Simulation:
         self._art: dict[str, _AppRT] = {}
         self._retired: list[_AppRT] = []
         self._retired_ids: set[str] = set()
-        self._nrt: dict[int, _NodeRT] = {}
-        self._periods: set[int] = set()  # of every live budget server
+        self._nrt = {Hierarchy.ROOT_ID: _NodeRT(grant_tick=0)}
+        # period -> number of live budget servers (nodes and apps) with it
+        self._periods: dict[int, int] = {}
         # tick -> the live apps whose next release (PERIODIC) or next
         # on-tick with nothing pending (BURSTY) falls there; a heap of those
         # ticks, with stale ones dropped lazily
@@ -324,7 +341,6 @@ class Simulation:
         self._segments: list = []  # (start, end, app or None), in tick order
         self._idle = 0
         self._done = False
-        self._sync_runtimes(0)
 
     # -------------------------------------------------------------- timeline
 
@@ -374,7 +390,6 @@ class Simulation:
         phase = 0
         if workload.kind is _BURSTY:
             phase = self.rng.randrange(workload.on + workload.off)
-        slot = self.h.app_slot(req.app_id)
         node = self.h.node(nid)
         art = _AppRT(
             app_id=req.app_id,
@@ -383,11 +398,10 @@ class Simulation:
             node_path=self._path_name(nid),
             leaf_policy=node.spec.policy.value,
             requested=req.request,
-            awarded=slot.awarded,
             quantum=node.spec.quantum,
             tick=t,
             workload=workload,
-            hard_capped=self._hard_capped(nid, slot.awarded),
+            hard_capped=self._hard_capped(nid, decision.awarded),
             phase_offset=phase,
         )
         art.seq = len(self._art) + len(self._retired)
@@ -398,7 +412,7 @@ class Simulation:
             self._schedule(art, first + (workload.offset - first) % workload.period)
         elif workload.kind is _BURSTY:
             self._schedule(art, t)  # what is pending at t comes in at t
-        self._sync_runtimes(t)
+        self._sync_runtimes(t, decision.grants)
         self._emit(
             t, _DEPLOY, app=req.app_id, node_id=nid,
             node_path=art.node_path, detail=decision.outcome.value,
@@ -409,7 +423,7 @@ class Simulation:
         if art is None:
             raise EngineError(f"undeploy of unknown app {app_id!r} at tick {t}")
         try:
-            _undeploy(self.h, app_id)
+            grants = _undeploy(self.h, app_id)
         except Exception as e:  # pragma: no cover - guarded above
             raise EngineError(str(e)) from e
         art.close_backlog(t)
@@ -423,7 +437,7 @@ class Simulation:
         self._retired.append(art)
         self._retired_ids.add(app_id)
         del self._art[app_id]
-        self._sync_runtimes(t)
+        self._sync_runtimes(t, grants, art)
         self._emit(t, _UNDEPLOY, app=app_id, node_path=art.node_path)
 
     def _hard_capped(self, leaf_id, awarded):
@@ -447,38 +461,45 @@ class Simulation:
     def _path_name(self, nid):
         return "/".join(self.h.node(i).spec.name for i in self._path_ids(nid))
 
-    def _sync_runtimes(self, t):
-        """Reconcile budget servers with the tree after any recompose."""
-        live = set()
-        self._periods = set()
-        for node in self.h.nodes():
-            live.add(node.node_id)
-            rt = self._nrt.get(node.node_id)
-            if rt is None:
-                rt = _NodeRT(grant_tick=t)
-                self._nrt[node.node_id] = rt
-            if node.granted.is_reservation():
-                self._periods.add(node.granted.period)
-                if rt.cap is None:
-                    rt.cap = node.granted.budget
-                    rt.rem = node.granted.budget
-                else:
-                    rt.cap = node.granted.budget
-                    rt.rem = min(rt.rem, rt.cap)
-        for nid in list(self._nrt):
-            if nid not in live:
-                del self._nrt[nid]
-        for art in self._art.values():
-            slot = self.h.app_slot(art.app_id)
-            art.awarded = slot.awarded
-            if slot.awarded.is_reservation():
-                self._periods.add(slot.awarded.period)
-                art.server_cap = slot.awarded.budget
-                art.server_rem = (
-                    art.server_cap
-                    if art.server_rem is None
-                    else min(art.server_rem, art.server_cap)
-                )
+    def _sync_runtimes(self, t, grants, retired=None):
+        """Bring the budget servers in line with a deploy's or an undeploy's
+        recompose. `grants` are the grants it set, the only ones that can
+        have moved; `retired` is the app an undeploy took out, whose leaf
+        goes too if the undeploy unloaded it. A node seen for the first time
+        gets its server here. A server keeps what is left of its budget,
+        capped at the new one.
+
+        The engine learns of grants only from the composes of its own
+        deploys and undeploys: code that changes `self.h` must leave the
+        composing to them.
+        """
+        periods = self._periods
+        if retired is not None:
+            _count_period(periods, retired.awarded.period, -1)
+            if not self.h.has_node(retired.node_id):  # only its leaf can go
+                _count_period(periods, self._nrt.pop(retired.node_id).period, -1)
+        for g in grants:
+            award = g.awarded
+            if isinstance(g.holder, str):  # an app
+                art = self._art[g.holder]
+                if art.awarded is not None:  # None until its first grant
+                    _count_period(periods, art.awarded.period, -1)
+                art.awarded = award
+                if award.is_reservation():
+                    left = art.server_rem
+                    art.server_rem = (award.budget if left is None
+                                      else min(left, award.budget))
+                    art.server_cap = award.budget
+            else:
+                rt = self._nrt.get(g.holder)
+                if rt is None:
+                    rt = self._nrt[g.holder] = _NodeRT(grant_tick=t)
+                _count_period(periods, rt.period, -1)
+                rt.period = award.period  # None unless a reservation
+                if award.is_reservation():
+                    rt.rem = award.budget if rt.rem is None else min(rt.rem, award.budget)
+                    rt.cap = award.budget
+            _count_period(periods, award.period, 1)
 
     # ------------------------------------------------ phases of a decision tick
 
@@ -626,26 +647,24 @@ class Simulation:
         5. soft reservations with their budget spent, on slack, in
            attachment order.
         Each leaf policy offers only classes on this list, so any runnable
-        candidate has a place in it.
+        candidate has a place in it. The classes are tested in this order
+        by identity (hashing an Enum member runs Python code).
         """
         fp = node.spec.policy is _FIXED_PRIORITY
-        groups = {}  # None holds the reservations with budget left
-        for c in cands:
-            groups.setdefault(None if c[2] else c[1].service, []).append(c)
-        if None in groups:
-            budgeted = groups[None]
+        budgeted = [c for c in cands if c[2]]
+        if budgeted:
             if fp:
                 return budgeted[0], None
             return min(budgeted, key=lambda c: (t // c[1].period + 1) * c[1].period), None
-        if _ALL in groups:
-            return groups[_ALL][0], None
-        if _PS in groups:
-            return self._stride_pick(node, groups[_PS]), "stride"
-        if _BE in groups:
-            if fp:
-                return groups[_BE][0], None
-            return self._rr_pick(node, groups[_BE]), "rr"
-        return groups[_RESBS][0], None
+        for service in _AFTER_BUDGETED:
+            group = [c for c in cands if c[1].service is service]
+            if group:
+                break
+        if service is _PS:
+            return self._stride_pick(node, group), "stride"
+        if service is _BE and not fp:
+            return self._rr_pick(node, group), "rr"
+        return group[0], None
 
     def _stride_pick(self, node, cands):
         """Stride: the key still in its quantum, else the lowest pass, the

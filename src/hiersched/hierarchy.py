@@ -27,16 +27,18 @@ compose succeeds, so a failed compose needs no undo of them. Hence
 FeasibilityResult.grants lists only the grants this compose set; the first
 compose of a fresh tree sets, and lists, all of them.
 
-Dicts index app -> (node, slot) and name -> node. Ids only grow, and the
-undo_attach_* methods hand back only the newest, so nodes() is in id order.
+Dicts index app -> (node, slot), name -> node and service class -> the
+leaves offering it. Ids only grow, and the undo_attach_* methods hand back
+only the newest, so nodes() and each class's leaves are in id order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .contracts import (
     PPM,
@@ -103,56 +105,62 @@ class SchedulerSpec:
             raise HierarchyError("quantum must be >= 1")
 
 
-@dataclass
 class AppSlot:
     """An application attached to a leaf: its ask and its current award."""
 
-    app_id: str
-    request: Contract
-    awarded: Contract | None = None
-    degraded: bool = False
-    seq: int = 0
+    __slots__ = ("app_id", "request", "awarded", "degraded", "seq")
+
+    def __init__(self, app_id, request, awarded=None, degraded=False, seq=0):
+        self.app_id = app_id
+        self.request = request
+        self.awarded = awarded
+        self.degraded = degraded
+        self.seq = seq
 
 
-@dataclass
 class SchedulerNode:
-    node_id: int
-    spec: SchedulerSpec
-    parent: int | None
-    granted: Contract
-    degraded: bool = False
-    children: list = field(default_factory=list)  # child node ids, VIRTUAL only
-    apps: list = field(default_factory=list)  # AppSlot, leaf policies only
-    tags: set = field(default_factory=set)  # app_class labels seen here
-    loaded_for: str | None = None  # app whose deploy loaded this node
-    # exact sums over the holders (children or apps), kept by Hierarchy
-    hard: Fraction = _ZERO  # RESBH requests
-    soft: Fraction = _ZERO  # RESBS and PS requests
-    reserved: Fraction = _ZERO  # RESBH and RESBS requests
-    used: Fraction = _ZERO  # awards in RESBH, RESBS and PS
-    factor: Fraction | None = None  # soft scaling at the last settle, if any
-    fresh: set = field(default_factory=set)  # holders whose award is pending
+    """A loaded scheduler: its spec, its grant, its holders and the sums over
+    them that Hierarchy keeps."""
+
+    __slots__ = ("node_id", "spec", "parent", "granted", "degraded", "children",
+                 "apps", "tags", "loaded_for", "hard", "soft", "reserved", "used",
+                 "factor", "fresh")
+
+    def __init__(self, node_id, spec, parent, granted):
+        self.node_id = node_id
+        self.spec = spec
+        self.parent = parent
+        self.granted = granted
+        self.degraded = False
+        self.children = []  # child node ids, VIRTUAL only
+        self.apps = []  # AppSlot, leaf policies only
+        self.tags = set()  # app_class labels seen here
+        self.loaded_for = None  # app whose deploy loaded this node
+        # exact sums over the holders (children or apps), kept by Hierarchy
+        self.hard = _ZERO  # RESBH requests
+        self.soft = _ZERO  # RESBS and PS requests
+        self.reserved = _ZERO  # RESBH and RESBS requests
+        self.used = _ZERO  # awards in RESBH, RESBS and PS
+        self.factor = None  # soft scaling at the last settle, if any
+        self.fresh = set()  # holders whose award is pending
 
     def is_leaf(self) -> bool:
         return self.spec.policy is not _VIRTUAL
 
 
-@dataclass(frozen=True)
-class Grant:
+class Grant(NamedTuple):
     holder: object  # node id (int) or app id (str)
     requested: Contract
     awarded: Contract
     degraded: bool
 
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(NamedTuple):
     holder: object
     reason: str
 
 
-@dataclass
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     feasible: bool
     grants: list
     rejected: Rejection | None = None
@@ -195,6 +203,7 @@ class Hierarchy:
         self._nodes: dict[int, SchedulerNode] = {self.ROOT_ID: root}
         self._by_name: dict[str, int] = {root.spec.name: self.ROOT_ID}
         self._apps: dict[str, tuple[int, AppSlot]] = {}
+        self._offering: dict = {}  # service class -> {leaf id: leaf}
         self._next_node_id = 1
         self._next_app_seq = 0
         self._changed: set[int] = set()  # holders or own ask changed
@@ -213,11 +222,18 @@ class Hierarchy:
     def node_count(self) -> int:
         return len(self._nodes)
 
+    def has_node(self, node_id: int) -> bool:
+        return node_id in self._nodes
+
     def find_node_by_name(self, name: str) -> int | None:
         return self._by_name.get(name)
 
     def leaves(self):
         return [n for n in self.nodes() if n.is_leaf()]
+
+    def leaves_offering(self, service: ServiceClass):
+        """The leaves whose policy offers `service`, in id order."""
+        return self._offering.get(service, {}).values()
 
     def attach_scheduler(self, parent_id: int, spec: SchedulerSpec) -> int:
         parent = self.node(parent_id)
@@ -229,13 +245,15 @@ class Hierarchy:
             raise HierarchyError(f"duplicate scheduler name {spec.name!r}")
         node_id = self._next_node_id
         self._next_node_id += 1
-        self._nodes[node_id] = SchedulerNode(
+        node = self._nodes[node_id] = SchedulerNode(
             node_id=node_id,
             spec=spec,
             parent=parent_id,
             granted=Contract.null(),  # provisional until compose runs
         )
         self._by_name[spec.name] = node_id
+        for service in spec.provides:
+            self._offering.setdefault(service, {})[node_id] = node
         parent.children.append(node_id)
         _tally(parent, spec.parent_request, 1)
         parent.fresh.add(node_id)
@@ -275,6 +293,8 @@ class Hierarchy:
         parent.fresh.discard(node_id)
         self._changed.discard(node_id)
         self._changed.add(node.parent)
+        for service in node.spec.provides:
+            del self._offering[service][node_id]
         del self._by_name[node.spec.name]
         del self._nodes[node_id]
 

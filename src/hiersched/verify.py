@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .contracts import Contract, ServiceClass
 from .engine import Trace
@@ -30,8 +30,7 @@ class ViolationKind(Enum):
     NON_CONSERVING = "NON_CONSERVING"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: ViolationKind
     app_id: str
     window: tuple  # [start, end)
@@ -47,8 +46,7 @@ class Violation:
         )
 
 
-@dataclass(frozen=True)
-class GuaranteeReport:
+class GuaranteeReport(NamedTuple):
     violations: tuple
     conservation_ok: bool
 

@@ -5,15 +5,28 @@ Composition keeps per-node sums and re-settles only the changed path, so a
 deploy into a tree that is not over-committed must do as many Fraction
 operations with 600 apps on the leaves as with 100. The count is taken by
 wrapping the Fraction operators for the length of one deploy() call.
+
+Through the engine, a deploy and an undeploy sync only the grants their
+compose set, so they must look up as many app slots and visit as many nodes
+with 600 live apps as with 100. Those are counted by wrapping the tree's
+lookups for the length of one timeline action. The search for a compatible
+leaf walks only the leaves that offer the requested class.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from hiersched.contracts import Contract
-from hiersched.deployment import DeploymentRequest, Outcome, deploy
-from hiersched.hierarchy import new_hierarchy
+from hiersched.deployment import (
+    DeploymentRequest,
+    Outcome,
+    deploy,
+    find_compatible_service,
+)
+from hiersched.engine import Simulation, Workload, WorkloadKind
+from hiersched.hierarchy import Hierarchy, new_hierarchy
 from helpers import edf_spec, rr_spec, stride_spec
 
 OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
@@ -21,10 +34,9 @@ OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"
 LEAVES = 30
 
 
-def loaded_tree(n_apps):
-    """30 leaves (EDF, STRIDE and RR in turn) with n_apps dealt out over them,
-    composed once; the root and every leaf keep spare capacity."""
-    h = new_hierarchy()
+def attach_leaves(h):
+    """30 leaves under the root, EDF, STRIDE and RR in turn, with the
+    request each one's apps make."""
     leaves = []
     for j in range(LEAVES // 3):
         leaves.append((h.attach_scheduler(0, edf_spec(f"edf{j}", Contract.resbh(30, 1000))),
@@ -33,6 +45,14 @@ def loaded_tree(n_apps):
                        Contract.ps(1500)))
         leaves.append((h.attach_scheduler(0, rr_spec(f"rr{j}", Contract.be())),
                        Contract.be()))
+    return leaves
+
+
+def loaded_tree(n_apps):
+    """30 leaves with n_apps dealt out over them, composed once; the root
+    and every leaf keep spare capacity."""
+    h = new_hierarchy()
+    leaves = attach_leaves(h)
     for i in range(n_apps):
         nid, request = leaves[i % LEAVES]
         h.attach_application(nid, f"a{i}", request)
@@ -69,3 +89,80 @@ def test_one_more_deploy_costs_the_same_at_100_and_600_apps(monkeypatch, request
     assert small.node_id == large.node_id
     assert n_small > 0
     assert n_large == n_small
+
+
+def loaded_simulation(n_apps):
+    """The tree of loaded_tree(n_apps), with every app deployed through the
+    engine at tick 0. Leaf j is tagged with the class of its apps, so that
+    admission deals them out as loaded_tree does."""
+    sim = Simulation(horizon=10)
+    leaves = attach_leaves(sim.h)
+    for j, (nid, _) in enumerate(leaves):
+        sim.h.node(nid).tags.add(f"c{j}")
+    # grant the empty leaves, and hand the grants to the engine as a deploy would
+    sim._sync_runtimes(0, sim.h.compose().grants)
+    for i in range(n_apps):
+        nid, request = leaves[i % LEAVES]
+        sim._do_deploy(0, DeploymentRequest(f"a{i}", f"c{i % LEAVES}", request),
+                       Workload(WorkloadKind.CPU_BOUND))
+    assert len(sim._art) == n_apps
+    assert all(sim.h.app_node(f"a{i}") == leaves[i % LEAVES][0] for i in range(n_apps))
+    assert not any(n.degraded for n in sim.h.nodes())
+    return sim
+
+
+def count_lookups(monkeypatch, action):
+    """While `action` runs: app_slot calls, node lookups, and the nodes that
+    nodes(), leaves() and leaves_offering() hand out, counted as they are
+    taken."""
+    calls = Counter()
+
+    def counting(name):
+        method = getattr(Hierarchy, name)
+
+        def looked_up(*args):
+            calls[name] += 1
+            return method(*args)
+
+        def listed(*args):
+            for node in method(*args):
+                calls["listed"] += 1
+                yield node
+        return looked_up if name in ("node", "app_slot") else listed
+
+    with monkeypatch.context() as m:
+        for name in ("node", "app_slot", "nodes", "leaves", "leaves_offering"):
+            m.setattr(Hierarchy, name, counting(name))
+        action()
+    return calls
+
+
+@pytest.mark.parametrize("request_, offering", [
+    (Contract.resbh(1, 1000), 10), (Contract.ps(1500), 10), (Contract.be(), 20),
+], ids=str)
+def test_the_search_walks_only_the_leaves_offering_the_class(monkeypatch, request_,
+                                                             offering):
+    h = loaded_tree(100)
+    # a label no leaf carries: every candidate is tested
+    req = DeploymentRequest("extra", "nowhere", request_)
+    calls = count_lookups(monkeypatch, lambda: find_compatible_service(h, req))
+    assert calls["listed"] == offering
+
+
+@pytest.mark.parametrize("request_", [
+    Contract.resbh(1, 1000), Contract.ps(1500), Contract.be(),
+], ids=str)
+def test_one_more_engine_deploy_visits_the_same_at_100_and_600_apps(monkeypatch,
+                                                                  request_):
+    counts = []
+    for n_apps in (100, 600):
+        sim = loaded_simulation(n_apps)
+        req = DeploymentRequest("extra", "", request_)
+        deployed = count_lookups(monkeypatch, lambda: sim._do_deploy(
+            1, req, Workload(WorkloadKind.CPU_BOUND)))
+        assert sim.decisions[-1][2].outcome is Outcome.ATTACHED_EXISTING
+        undeployed = count_lookups(monkeypatch, lambda: sim._do_undeploy(2, "extra"))
+        counts.append((sim.decisions[-1][2].node_id, deployed, undeployed))
+    small, large = counts
+    assert small[1]["node"] > 0 and small[1]["app_slot"] == 1
+    assert large == small

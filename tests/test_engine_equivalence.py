@@ -14,6 +14,11 @@ so every run checks the same scenarios, and the test asserts that enough of
 them reach deadline misses, budget exhaustion, idle ticks, soft-reservation
 slack, degraded grants, the departure of a degrading app and a scheduler
 granted ALL running, so that agreement is not agreement on empty traces.
+
+On the same scenarios, the engine's sync of budget servers, which applies
+only the grants each compose set, must leave every server, award and live
+period as `sync_reference.FullScanSimulation` does by walking the whole
+tree after every deploy and undeploy.
 """
 
 from collections import Counter
@@ -23,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engine_reference as ref
+import sync_reference
 from hiersched import engine
 from hiersched.contracts import Contract, ServiceClass
 from hiersched.deployment import DeploymentRequest, Outcome, deploy, undeploy
@@ -136,8 +142,8 @@ def admitted_undeploys(mid, timeline):
     return kept
 
 
-def simulate(module, horizon, seed, mid, timeline):
-    sim = module.Simulation(horizon=horizon, seed=seed)
+def simulate(sim_class, horizon, seed, mid, timeline):
+    sim = sim_class(horizon=horizon, seed=seed)
     if mid is not None:
         sim.h.attach_scheduler(Hierarchy.ROOT_ID, virtual_spec("mid", mid))
     for tick, action, *args in timeline:
@@ -145,7 +151,7 @@ def simulate(module, horizon, seed, mid, timeline):
             sim.deploy_at(tick, *args)
         else:
             sim.undeploy_at(tick, *args)
-    return sim.run()
+    return sim.run(), sim
 
 
 def digest(trace):
@@ -183,8 +189,8 @@ def test_next_event_engine_matches_the_tick_loop():
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(scenarios())
     def compare(case):
-        old = simulate(ref, *case)
-        new = simulate(engine, *case)
+        old, _ = simulate(ref.Simulation, *case)
+        new, _ = simulate(engine.Simulation, *case)
         assert digest(new) == digest(old)
         # the reference writes a row per tick; the segments expand to them
         assert rows(new) == old.events
@@ -206,3 +212,65 @@ def test_next_event_engine_matches_the_tick_loop():
         assert seen[key] >= seen["ok"] // 15, (key, seen)
     for key in ("slack", "degraded", "restored", "all"):
         assert seen[key] >= seen["ok"] // 40, (key, seen)
+
+
+class Recording:
+    """Keeps the budget servers as they stand after every sync."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.states = []
+
+    def _sync_runtimes(self, t, grants, retired=None):
+        super()._sync_runtimes(t, grants, retired)
+        self.states.append((
+            t,
+            {nid: (rt.grant_tick, rt.cap, rt.rem) for nid, rt in self._nrt.items()},
+            {app: (art.awarded, art.server_cap, art.server_rem)
+             for app, art in self._art.items()},
+            set(self._periods),
+        ))
+
+
+class Incremental(Recording, engine.Simulation):
+    def _sync_runtimes(self, t, grants, retired=None):
+        super()._sync_runtimes(t, grants, retired)
+        # the period counts are those of a recount, not only the same keys
+        servers = [rt.period for rt in self._nrt.values()]
+        servers += [art.awarded.period for art in self._art.values()]
+        assert self._periods == Counter(p for p in servers if p is not None)
+
+
+class FullScan(Recording, sync_reference.FullScanSimulation):
+    pass
+
+
+def test_incremental_sync_matches_the_full_scan():
+    """After every deploy and undeploy, each node's budget server (first
+    tick, cap, budget left), each live app's award and server, and the live
+    periods equal what the full scan of the tree gives; so does the trace."""
+    seen = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(scenarios())
+    def compare(case):
+        old_trace, old = simulate(FullScan, *case)
+        new_trace, new = simulate(Incremental, *case)
+        assert new.states == old.states
+        assert digest(new_trace) == digest(old_trace)
+        steps = list(zip(old.states, old.states[1:]))
+        # a scheduler unloaded; a server's budget moved by a regrant; two
+        # periods live at once
+        seen["unloaded"] += any(a[1].keys() - b[1].keys() for a, b in steps)
+        seen["regrant"] += any(
+            key in a[k] and a[k][key][1] != server[1]
+            for a, b in steps for k in (1, 2) for key, server in b[k].items()
+        )
+        seen["periods"] += any(len(state[3]) > 1 for state in old.states)
+        seen["ok"] += 1
+
+    compare()
+    # agreement means something only if the runs reach these states
+    for key in ("unloaded", "periods"):
+        assert seen[key] >= seen["ok"] // 15, (key, seen)
+    assert seen["regrant"] >= seen["ok"] // 40, seen

@@ -7,13 +7,17 @@ Update a digest only for an intended change of output.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from hiersched.cli import run
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 GOLDEN = {
     "deployment_mix": (
@@ -62,4 +66,26 @@ def test_golden_digests(name, tmp_path):
         "--allow-reject",
     ])
     assert code == 0
+    assert (_sha256(trace), _sha256(report)) == GOLDEN[name]
+
+
+def test_module_entry_point_in_a_fresh_process(tmp_path):
+    """`python -m hiersched` imports the package and runs `__main__` in a
+    new interpreter that compiles every module afresh, as the benchmark
+    runs it; its files carry the pinned digests."""
+    name = "deployment_mix"
+    trace = tmp_path / "trace.csv"
+    report = tmp_path / "report.txt"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "hiersched",
+         "--scenario", str(SCENARIOS / f"{name}.json"),
+         "--trace-out", str(trace), "--report-out", str(report), "--allow-reject"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == report.read_text(encoding="utf-8")
     assert (_sha256(trace), _sha256(report)) == GOLDEN[name]

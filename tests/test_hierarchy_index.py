@@ -1,13 +1,22 @@
-"""The tree's app and name indexes agree with a scan of the nodes under
-random deploy/undeploy churn, and a rejected deploy leaves the tree
-canonically identical."""
+"""The tree's app, name and offered-class indexes agree with a scan of the
+nodes under random deploy/undeploy churn, and a rejected deploy leaves the
+tree canonically identical. The search for a compatible leaf, which walks
+only the leaves offering the class, returns the leaf a scan of every leaf
+returns, also after a scheduler is unloaded (detach) or a rejected load is
+taken back (undo_attach_scheduler)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiersched.contracts import Contract
-from hiersched.deployment import DeploymentRequest, Outcome, deploy, undeploy
-from hiersched.hierarchy import new_hierarchy
+from hiersched.contracts import Contract, ServiceClass, satisfies, utilization
+from hiersched.deployment import (
+    DeploymentRequest,
+    Outcome,
+    deploy,
+    find_compatible_service,
+    undeploy,
+)
+from hiersched.hierarchy import Hierarchy, new_hierarchy
 from helpers import edf_spec, rr_spec, stride_spec
 
 # few names, so that names and ids are reused after undeploys and rejections
@@ -46,9 +55,45 @@ deploy_op = st.tuples(
 undeploy_op = st.tuples(st.just("undeploy"), st.integers(0, 1_000))
 
 
+def scan_for_service(h, req):
+    """The search as a scan of every leaf, as it was written before the
+    index of leaves by offered class."""
+    candidates = []
+    for node in h.leaves():
+        if req.request.service not in node.spec.provides:
+            continue
+        if h.spare_capacity(node.node_id) < utilization(req.request):
+            continue
+        if not satisfies(node.granted, req.request):
+            continue
+        candidates.append(node)
+    if not candidates:
+        return None
+    if req.app_class:
+        for node in candidates:
+            if req.app_class in node.tags:
+                return node.node_id
+    return candidates[0].node_id
+
+
+# every class a leaf offers, small and large, with and without a label
+PROBES = [
+    DeploymentRequest("probe", label, request)
+    for label in ("", "video", "batch")
+    for request in (Contract.resbh(1, 100), Contract.resbh(40, 100),
+                    Contract.resbs(5, 100), Contract.resbs(30, 50),
+                    Contract.ps(10_000), Contract.ps(400_000), Contract.be())
+]
+
+
 def assert_indexes_match_scan(h, names, apps):
     nodes = h.nodes()
     assert [n.node_id for n in nodes] == sorted(n.node_id for n in nodes)
+    for service in ServiceClass:
+        assert list(h.leaves_offering(service)) == [
+            n for n in h.leaves() if service in n.spec.provides]
+    for req in PROBES:
+        assert find_compatible_service(h, req) == scan_for_service(h, req)
     by_name = {n.spec.name: n.node_id for n in nodes}
     slots = {s.app_id: (n.node_id, s) for n in nodes for s in n.apps}
     for name in set(names) | set(by_name):
@@ -91,3 +136,47 @@ def test_indexes_follow_random_churn(ops):
             else:
                 live.append(app)
         assert_indexes_match_scan(h, NAMES, seen)
+
+
+def test_search_after_detach_and_undo_attach_scheduler():
+    h = new_hierarchy()
+
+    def check():
+        assert_indexes_match_scan(h, NAMES, [])
+
+    steps = [  # app, label, request, the scheduler it brings
+        ("e0a", "", Contract.resbh(15, 100), _edf("e0", 20)),
+        ("e1a", "video", Contract.resbh(10, 100), _edf("e1", 20)),  # e0 is too full
+        ("p0a", "", Contract.ps(150_000), _stride("p0", 20)),
+        ("p1a", "batch", Contract.ps(100_000), _stride("p1", 20)),
+        ("r0a", "video", Contract.be(), _rr("r0", 0)),  # STRIDE offers BE too
+    ]
+    for app, label, request, scheduler in steps:
+        decision = deploy(h, DeploymentRequest(app, label, request, scheduler=scheduler))
+        assert decision.outcome is not Outcome.REJECTED
+        check()
+    # the later leaf with the label beats the earlier one without it
+    small = Contract.resbh(1, 100)
+    assert [find_compatible_service(h, DeploymentRequest("p", label, small))
+            for label in ("", "video")] == [h.find_node_by_name(n) for n in ("e0", "e1")]
+    # a load that admission takes back: the new leaf's hard ask overflows the root
+    before = h.node_count()
+    decision = deploy(h, DeploymentRequest(
+        "big", "video", Contract.resbh(50, 100), scheduler=_edf("big", 90)))
+    assert decision.outcome is Outcome.REJECTED and h.node_count() == before
+    check()
+    # an undeploy that unloads the leaf its app loaded
+    undeploy(h, "e0a")
+    assert h.find_node_by_name("e0") is None
+    check()
+    # both called directly; the id taken back is handed out again
+    nid = h.attach_scheduler(Hierarchy.ROOT_ID, _stride("x", 5))
+    check()
+    h.undo_attach_scheduler(nid)
+    check()
+    assert h.attach_scheduler(Hierarchy.ROOT_ID, _edf("y", 5)) == nid
+    assert h.compose().feasible
+    check()
+    h.detach(nid)
+    assert h.compose().feasible
+    check()

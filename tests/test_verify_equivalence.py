@@ -10,15 +10,13 @@ field. The reference reads the trace as per-tick rows (`helpers.rows`). The ship
 test also asserts that the generated traces do produce LAG_EXCEEDED.
 """
 
-from dataclasses import replace
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verify_reference as ref
 from hiersched import verify
 from hiersched.contracts import Contract, ServiceClass
-from hiersched.engine import AppTraceInfo, EventKind, SimEvent
+from hiersched.engine import AppTraceInfo, EventKind, SimEvent, Trace
 from hiersched.verify import VerifyError, ViolationKind
 
 from helpers import rows, trace_from_rows
@@ -114,7 +112,8 @@ def test_sweep_matches_the_tick_walk():
     def compare(case):
         trace, grant_of, stray, overrides = case
         # the reference reads RUN and IDLE as per-tick rows
-        old_trace = replace(trace, events=rows(trace), segments=[])
+        old_trace = Trace(trace.horizon, rows(trace), trace.per_app_service,
+                          trace.idle_ticks, trace.app_info, trace.decisions)
         fired = False
         for app, info in trace.app_info.items():
             old = outcome(ref.check_share, old_trace, app, info.weight_ppm, info.quantum)
