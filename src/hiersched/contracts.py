@@ -9,11 +9,11 @@ is exact: integers and Fractions, never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import attrgetter
 
 PPM = 1_000_000
 MAX_PERIOD = 2 ** 31
@@ -49,21 +49,70 @@ class ContractError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Contract:
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass lists its `_fields`, in the order its constructor takes them,
+    and sets each once in `__init__` with `object.__setattr__`. Instances
+    compare and hash by the field values, print as `Name(field=value, ...)`,
+    refuse any later assignment or deletion, and copy with changes through
+    `_replace`.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter(*cls._fields)  # the field values, as a tuple
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed, validated anew."""
+        args = {f: changes.pop(f, getattr(self, f)) for f in self._fields}
+        if changes:
+            raise TypeError(f"unknown fields {sorted(changes)}")
+        return type(self)(**args)
+
+
+class Contract(Frozen):
     """Immutable service contract value.
 
     budget/period are set for reservations only, share for PS only; the other
     classes carry no parameters.
     """
 
-    service: ServiceClass
-    budget: int | None = None
-    period: int | None = None
-    share: int | None = None
+    # no __slots__: the instance dict holds the cached `utilization`
+    _fields = ("service", "budget", "period", "share")
 
-    def __post_init__(self):
-        s = self.service
+    def __init__(self, service: ServiceClass, budget: int | None = None,
+                 period: int | None = None, share: int | None = None):
+        setfield = object.__setattr__
+        setfield(self, "service", service)
+        setfield(self, "budget", budget)
+        setfield(self, "period", period)
+        setfield(self, "share", share)
+        s = service
         if s in RESERVATION_CLASSES:
             if not isinstance(self.budget, int) or not isinstance(self.period, int):
                 raise ContractError(f"{s.value} needs integer budget and period")

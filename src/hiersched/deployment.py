@@ -9,11 +9,10 @@ slot and any scheduler it attached, leaving the tree canonically identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .contracts import Contract, format_contract, satisfies
+from .contracts import Contract, Frozen, format_contract, satisfies
 from .hierarchy import Hierarchy, HierarchyError, SchedulerSpec
 
 
@@ -34,13 +33,23 @@ class DeploymentError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class DeploymentRequest:
-    app_id: str
-    app_class: str
-    request: Contract
-    scheduler: SchedulerSpec | None = None
-    target_parent: int | None = None  # defaults to the root
+class DeploymentRequest(Frozen):
+    """An application's ask: its id, class label and contract, and optionally
+    the scheduler to load for it and the parent to load that under (a node
+    id, or a scheduler's name that the engine resolves; the root if None)."""
+
+    _fields = __slots__ = ("app_id", "app_class", "request", "scheduler",
+                           "target_parent")
+
+    def __init__(self, app_id: str, app_class: str, request: Contract,
+                 scheduler: SchedulerSpec | None = None,
+                 target_parent: int | None = None):
+        setfield = object.__setattr__
+        setfield(self, "app_id", app_id)
+        setfield(self, "app_class", app_class)
+        setfield(self, "request", request)
+        setfield(self, "scheduler", scheduler)
+        setfield(self, "target_parent", target_parent)
 
 
 class DeploymentDecision(NamedTuple):

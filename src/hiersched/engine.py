@@ -11,12 +11,12 @@ root dispatches exactly one application (or idles): each node on the way
 picks one runnable child by a single precedence rule (`Simulation._pick`),
 so dispatch walks one path from the root to a leaf. That pick holds until
 the next decision point, so the whole stretch is charged at once: service,
-work, budgets and quantum use move by its length, stride passes by an exact
-Fraction. The stretch goes into the trace as one RUN or IDLE segment
-(start, end, app); budget exhaustion and deadline misses are rows at the
-tick they happen. `Trace.to_csv` expands the segments to one row per tick,
-byte for byte what a tick-by-tick loop writes (tests/engine_reference.py
-keeps one). Per decision, only the apps that can have changed are touched:
+work, budgets and quantum use move by its length, stride passes by its
+length over the share, kept exact as integers (`_NodeRT.scale`). The
+stretch goes into the trace as one RUN or IDLE segment (start, end, app);
+budget exhaustion and deadline misses are rows at the tick they happen.
+`Trace.to_csv` expands the segments to one row per tick, byte for byte what
+a tick-by-tick loop writes (tests/engine_reference.py keeps one). Per decision, only the apps that can have changed are touched:
 a calendar holds each PERIODIC app's next release and each idle BURSTY
 app's next on-tick. Everything is deterministic for a given scenario and
 seed; the seed's only job is to phase-shift BURSTY workloads.
@@ -35,12 +35,11 @@ import heapq
 import io
 import random
 from collections import deque
-from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
-from .contracts import Contract, ServiceClass
+from .contracts import Contract, Frozen, ServiceClass
 from .deployment import DeploymentRequest, Outcome
 from .deployment import deploy as _deploy
 from .deployment import undeploy as _undeploy
@@ -73,28 +72,31 @@ _PERIODIC, _CPU_BOUND, _BURSTY = (
 )
 
 
-@dataclass(frozen=True)
-class Workload:
+class Workload(Frozen):
     """Synthetic demand shape an application presents to the scheduler."""
 
-    kind: WorkloadKind
-    period: int | None = None
-    wcet: int | None = None
-    offset: int = 0
-    on: int | None = None
-    off: int | None = None
+    _fields = __slots__ = ("kind", "period", "wcet", "offset", "on", "off")
 
-    def __post_init__(self):
-        if self.kind is _PERIODIC:
-            if self.period is None or self.wcet is None:
+    def __init__(self, kind: WorkloadKind, period: int | None = None,
+                 wcet: int | None = None, offset: int = 0, on: int | None = None,
+                 off: int | None = None):
+        if kind is _PERIODIC:
+            if period is None or wcet is None:
                 raise EngineError("PERIODIC needs period and wcet")
-            if not 0 < self.wcet <= self.period:
+            if not 0 < wcet <= period:
                 raise EngineError("PERIODIC needs 0 < wcet <= period")
-            if self.offset < 0:
+            if offset < 0:
                 raise EngineError("offset must be >= 0")
-        elif self.kind is _BURSTY:
-            if self.on is None or self.off is None or self.on < 1 or self.off < 1:
+        elif kind is _BURSTY:
+            if on is None or off is None or on < 1 or off < 1:
                 raise EngineError("BURSTY needs on > 0 and off > 0")
+        setfield = object.__setattr__
+        setfield(self, "kind", kind)
+        setfield(self, "period", period)
+        setfield(self, "wcet", wcet)
+        setfield(self, "offset", offset)
+        setfield(self, "on", on)
+        setfield(self, "off", off)
 
 
 def _count_period(periods, period, d):
@@ -306,7 +308,11 @@ class _NodeRT:
         self.period = None  # of its grant, if a reservation
         self.cap = None  # reservation grants only
         self.rem = None
-        self.passes = {}  # stride: child node id or app id -> Fraction
+        # stride: child node id or app id -> its pass times `scale`, the lcm
+        # of the shares charged here, so a charge of n ticks adds
+        # n * (scale // share) exactly
+        self.passes = {}
+        self.scale = 1
         self.prev_runnable = frozenset()
         self.active = None  # (key, ticks used) for quantum continuity
         self.rr_last = None  # key that last held the round-robin turn
@@ -378,7 +384,7 @@ class Simulation:
                 raise EngineError(
                     f"unknown target parent {req.target_parent!r} at tick {t}"
                 )
-            req = replace(req, target_parent=nid)
+            req = req._replace(target_parent=nid)
         decision = _deploy(self.h, req)
         self.decisions.append((t, req.app_id, decision))
         if decision.outcome is Outcome.REJECTED:
@@ -674,10 +680,11 @@ class Simulation:
         rt.alone = len(cands) == 1
         current = frozenset(c[0] for c in cands)
         joined = current - rt.prev_runnable
-        stayed = [rt.passes[k] for k in current - joined]
-        floor = min(stayed) if stayed else Fraction(0)
-        for k in joined:
-            rt.passes[k] = max(rt.passes.get(k, floor), floor)
+        if joined:
+            passes = rt.passes
+            floor = min((passes[k] for k in current - joined), default=0)
+            for k in joined:
+                passes[k] = max(passes.get(k, floor), floor)
         rt.prev_runnable = current
         return _held(rt, cands) or min(cands, key=lambda c: rt.passes[c[0]])
 
@@ -772,7 +779,12 @@ class Simulation:
                 continue
             rt = self._nrt[nid]
             if kind == "stride":
-                rt.passes[key] += Fraction(n, grant.share)
+                share = grant.share
+                if rt.scale % share:  # a new share: every pass is rescaled
+                    m = share // gcd(rt.scale, share)
+                    rt.scale *= m
+                    rt.passes = {k: p * m for k, p in rt.passes.items()}
+                rt.passes[key] += n * (rt.scale // share)
             else:
                 rt.rr_last = key
             # a quantum that runs out hands the turn back; with no

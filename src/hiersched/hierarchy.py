@@ -35,7 +35,6 @@ only the newest, so nodes() and each class's leaves are in id order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -43,6 +42,7 @@ from typing import NamedTuple
 from .contracts import (
     PPM,
     Contract,
+    Frozen,
     ServiceClass,
     RESERVATION_CLASSES,
     format_contract,
@@ -80,29 +80,31 @@ class HierarchyError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SchedulerSpec:
+class SchedulerSpec(Frozen):
     """Loadable scheduler description: identity, policy, offer, and own ask."""
 
-    name: str
-    policy: PolicyKind
-    provides: frozenset
-    parent_request: Contract
-    quantum: int = 10
+    _fields = __slots__ = ("name", "policy", "provides", "parent_request", "quantum")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, policy: PolicyKind, provides: frozenset,
+                 parent_request: Contract, quantum: int = 10):
+        if not name:
             raise HierarchyError("scheduler name must be non-empty")
-        allowed = POLICY_PROVIDES[self.policy]
-        extra = frozenset(self.provides) - allowed
+        allowed = POLICY_PROVIDES[policy]
+        provides = frozenset(provides)
+        extra = provides - allowed
         if extra:
             names = ",".join(sorted(c.value for c in extra))
             raise HierarchyError(
-                f"{self.policy.value} cannot provide {names}"
+                f"{policy.value} cannot provide {names}"
             )
-        object.__setattr__(self, "provides", frozenset(self.provides))
-        if self.quantum < 1:
+        if quantum < 1:
             raise HierarchyError("quantum must be >= 1")
+        setfield = object.__setattr__
+        setfield(self, "name", name)
+        setfield(self, "policy", policy)
+        setfield(self, "provides", provides)
+        setfield(self, "parent_request", parent_request)
+        setfield(self, "quantum", quantum)
 
 
 class AppSlot:
@@ -525,13 +527,7 @@ class Hierarchy:
         parent.fresh.add(node_id)
         self._changed.add(node.parent)
         self._changed.add(node_id)  # a leaf checks its own ask against its apps
-        node.spec = SchedulerSpec(
-            name=node.spec.name,
-            policy=node.spec.policy,
-            provides=node.spec.provides,
-            parent_request=request,
-            quantum=node.spec.quantum,
-        )
+        node.spec = node.spec._replace(parent_request=request)
 
     def spare_capacity(self, node_id: int) -> Fraction:
         """Granted utilization not yet committed to reservation/PS children."""

@@ -126,14 +126,28 @@ def check_reservation(trace: Trace, app_id: str, grant: Contract,
     return out
 
 
-def _stretches(peers, app_id, horizon):
-    """Maximal [start, end) tick ranges in which `app_id` is backlogged and
-    the set of backlogged peers stays the same, each with that set and its
-    summed weight.
+class _ShareLeaf(NamedTuple):
+    """What the share checks of one leaf have in common: its share-holders
+    (the peers), their RUN segments as `_runners` gives them with the start
+    of each, and the leaf's pieces. A piece is a maximal [start, end) range
+    in which the set of backlogged peers is the same and not empty, carried
+    as (start, end, that set, its summed weight)."""
 
-    The set can change only where a peer's backlog starts or ends, so only
-    those ticks (clipped to [0, horizon)) are visited, in ascending order.
-    """
+    peers: dict
+    runners: list
+    starts: list
+    pieces: list
+
+
+def _share_leaf(trace: Trace, node_path: str) -> _ShareLeaf:
+    """Build the `_ShareLeaf` of `node_path` in one sweep over its peers'
+    backlog endpoints, clipped to [0, horizon): the backlogged set can change
+    only there. Rows outside the horizon fall outside every piece."""
+    peers = {
+        i.app_id: i for i in trace.app_info.values()
+        if i.node_path == node_path and i.weight_ppm > 0
+    }
+    horizon = trace.horizon
     edges = {}  # tick -> {peer: net change of its backlog count}
     for p, info in peers.items():
         for s, e in info.backlog:
@@ -145,7 +159,7 @@ def _stretches(peers, app_id, horizon):
     count = dict.fromkeys(peers, 0)
     present = set()
     weight = 0
-    out = []
+    pieces = []
     start = None
     for t in sorted(edges):
         flips = []
@@ -156,7 +170,7 @@ def _stretches(peers, app_id, horizon):
         if not flips:
             continue
         if start is not None:
-            out.append((start, t, frozenset(present), weight))
+            pieces.append((start, t, frozenset(present), weight))
         for p in flips:
             if p in present:
                 present.remove(p)
@@ -164,14 +178,15 @@ def _stretches(peers, app_id, horizon):
             else:
                 present.add(p)
                 weight += peers[p].weight_ppm
-        start = t if app_id in present else None
+        start = t if present else None
     if start is not None:
-        out.append((start, horizon, frozenset(present), weight))
-    return out
+        pieces.append((start, horizon, frozenset(present), weight))
+    runners = _runners(trace.segments, peers)
+    return _ShareLeaf(peers, runners, [r[0] for r in runners], pieces)
 
 
 def _runners(segments, apps):
-    """The RUN segments of `apps` as disjoint (start, end, app) pieces in
+    """The RUN segments of `apps`, made disjoint, as (start, end, app) in
     tick order. Where segments overlap, the one listed last holds the tick.
 
     A simulation's segments are disjoint already; overlapping ones (from
@@ -209,38 +224,37 @@ def check_share(trace: Trace, app_id: str, share_ppm: int, quantum: int,
     the number of members unless given. One violation is reported per such
     run.
 
-    Nothing walks the horizon. The runs are found by sweeping the peers'
-    backlog endpoints. Within a run the lag moves only while a member runs,
-    by the same step on each tick of one RUN segment, so the first tick at
-    which it leaves the bound is found per segment in closed form, in
-    integers: |obs * W - share_ppm * group| > tolerance * W, W being the
+    Nothing walks the horizon. The runs are the leaf's pieces that hold the
+    app (`_share_leaf`). Within a run the lag moves only while a member
+    runs, by the same step on each tick of one RUN segment, so the first
+    tick at which it leaves the bound is found per segment in closed form,
+    in integers: |obs * W - share_ppm * group| > tolerance * W, W being the
     members' summed weight. The lag is also tested at the run's first tick.
-    Per app this costs one pass over the segments plus O(b log b + r) for
-    b peer backlog endpoints and r peer RUN segments.
+    `build_report` builds each leaf once for all the apps it checks there.
     """
     info = trace.app_info.get(app_id)
     if info is None:
         raise VerifyError(f"trace has no app {app_id!r}")
-    peers = {
-        i.app_id: i for i in trace.app_info.values()
-        if i.node_path == info.node_path and i.weight_ppm > 0
-    }
-    if app_id not in peers:
+    return _check_share(_share_leaf(trace, info.node_path), app_id, share_ppm,
+                        quantum, n_siblings)
+
+
+def _check_share(leaf, app_id, share_ppm, quantum, n_siblings):
+    """`check_share` of `app_id` against its leaf, built."""
+    if app_id not in leaf.peers:
         raise VerifyError(f"app {app_id!r} holds no share on its leaf")
     if share_ppm <= 0:
         raise VerifyError("share_ppm must be positive")
-
-    # rows outside the horizon fall outside every stretch
-    runners = _runners(trace.segments, peers)
-    starts = [r[0] for r in runners]
-
+    runners, starts = leaf.runners, leaf.starts
     out = []
-    for start, end, members, weight in _stretches(peers, app_id, trace.horizon):
+    for start, end, members, weight in leaf.pieces:
+        if app_id not in members:
+            continue
         limit = quantum * (len(members) if n_siblings is None else n_siblings) * weight
         lag = group = obs = 0  # lag = obs * weight - share_ppm * group
         k = max(bisect.bisect_right(starts, start) - 1, 0)
         if limit < 0:
-            # no lag is within bounds: the stretch's first tick is flagged
+            # no lag is within bounds: the run's first tick is flagged
             on = k < len(runners) and runners[k][0] <= start < runners[k][1]
             runner = runners[k][2] if on else None
             group = int(runner in members)
@@ -378,6 +392,7 @@ def build_report(trace: Trace, grants: dict) -> GuaranteeReport:
     BE and NULL grants promise nothing, so nothing is checked for them.
     """
     violations = []
+    leaves = {}  # node path -> _ShareLeaf, built for its first PS grant
     for app_id in sorted(grants):
         grant = grants[app_id]
         info = trace.app_info.get(app_id)
@@ -386,7 +401,11 @@ def build_report(trace: Trace, grants: dict) -> GuaranteeReport:
         if grant.is_reservation():
             violations += check_reservation(trace, app_id, grant, info.backlog)
         elif grant.service is ServiceClass.PS:
-            violations += check_share(trace, app_id, info.weight_ppm, info.quantum)
+            leaf = leaves.get(info.node_path)
+            if leaf is None:
+                leaf = leaves[info.node_path] = _share_leaf(trace, info.node_path)
+            violations += _check_share(leaf, app_id, info.weight_ppm,
+                                       info.quantum, None)
     conservation = check_conservation(trace)
     violations += conservation
     return GuaranteeReport(

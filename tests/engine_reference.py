@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from hiersched.contracts import ServiceClass
@@ -155,7 +155,7 @@ class Simulation:
                 raise EngineError(
                     f"unknown target parent {req.target_parent!r} at tick {t}"
                 )
-            req = replace(req, target_parent=nid)
+            req = req._replace(target_parent=nid)
         decision = _deploy(self.h, req)
         self.decisions.append((t, req.app_id, decision))
         if decision.outcome is Outcome.REJECTED:

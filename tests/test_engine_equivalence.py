@@ -15,6 +15,13 @@ them reach deadline misses, budget exhaustion, idle ticks, soft-reservation
 slack, degraded grants, the departure of a degrading app and a scheduler
 granted ALL running, so that agreement is not agreement on empty traces.
 
+The engine keeps stride passes as integers scaled by the lcm of the shares
+charged at a node, and rescales them all when a share that does not divide
+it comes in. The share pool holds pairwise-coprime shares (3, 7, 999,983),
+and a STRIDE leaf may see its holders' awards cut by a squeeze while they
+run, so the test also asserts that enough runs rescale passes that are not
+all zero, and that enough charge a key at a share other than its last one.
+
 On the same scenarios, the engine's sync of budget servers, which applies
 only the grants each compose set, must leave every server, award and live
 period as `sync_reference.FullScanSimulation` does by walking the whole
@@ -22,7 +29,6 @@ tree after every deploy and undeploy.
 """
 
 from collections import Counter
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +51,9 @@ SPECS = {
 }
 SCHEDULER_REQUESTS = [ServiceClass.RESBH, ServiceClass.RESBS, ServiceClass.PS,
                       ServiceClass.BE, ServiceClass.ALL]
+# 3, 7 and 999,983 (a prime) are pairwise coprime: each one charged at a node
+# makes the lcm of its shares grow
+SHARES = [3, 7, 50_000, 100_000, 250_000, 700_000, 999_983, 1_000_000]
 
 
 @st.composite
@@ -55,7 +64,7 @@ def contracts(draw, classes):
         budget = draw(st.integers(1, max(1, period // draw(st.sampled_from([1, 2, 4, 8])))))
         return Contract(kind, budget=budget, period=period)
     if kind is ServiceClass.PS:
-        return Contract.ps(draw(st.sampled_from([50_000, 100_000, 250_000, 700_000, 1_000_000])))
+        return Contract.ps(draw(st.sampled_from(SHARES)))
     if kind is ServiceClass.ALL:
         return Contract.all_cpu()
     return Contract.be()
@@ -107,6 +116,19 @@ def scenarios(draw):
         if start + 1 < horizon:
             timeline.append((draw(st.integers(start + 1, horizon - 1)), "undeploy", "squeeze"))
     if draw(st.booleans()):
+        # a STRIDE leaf whose holders' awards a squeeze deployed at or after
+        # their start cuts, to shares no earlier charge there used
+        start = draw(st.integers(0, horizon - 1))
+        leaf = stride_spec("cut", Contract.ps(600_000), quantum=draw(st.integers(1, 10)))
+        for k, share in enumerate((299_993, 200_003, 7)):
+            timeline.append((start, "deploy", DeploymentRequest(
+                f"cut{k}", "c", Contract.ps(share), scheduler=leaf,
+            ), Workload(WorkloadKind.CPU_BOUND)))
+        request = Contract.ps(700_000)
+        timeline.append((draw(st.integers(start, horizon - 1)), "deploy", DeploymentRequest(
+            "cutter", "k", request, scheduler=stride_spec("cutter", request),
+        ), Workload(WorkloadKind.CPU_BOUND)))
+    if draw(st.booleans()):
         # a soft reservation under a soft one, with work beyond both budgets
         period = draw(st.integers(2, 20))
         budget = draw(st.integers(1, period // 2))
@@ -130,7 +152,7 @@ def admitted_undeploys(mid, timeline):
         if entry[1] == "deploy":
             req = entry[2]
             if req.target_parent is not None:
-                req = replace(req, target_parent=h.find_node_by_name(req.target_parent))
+                req = req._replace(target_parent=h.find_node_by_name(req.target_parent))
             if deploy(h, req).outcome is not Outcome.REJECTED:
                 live.add(req.app_id)
         elif entry[2] in live:
@@ -183,6 +205,29 @@ def all_granted_ran(mid, timeline, trace):
                for e in trace.events)
 
 
+class Rescaling(engine.Simulation):
+    """Counts, over the stride charges, those that grew a node's scale while
+    a pass there was not zero, and those that charged a key at a share other
+    than the one it was last charged at."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rescales = self.recharged = 0
+        self._last_share = {}
+
+    def _charge_phase(self, t, n, picked, route):
+        before = []
+        for nid, kind, key, grant in route:
+            if kind == "stride":
+                rt = self._nrt[nid]
+                before.append((rt, rt.scale, any(rt.passes.values())))
+                last = self._last_share.get((nid, key), grant.share)
+                self.recharged += last != grant.share
+                self._last_share[nid, key] = grant.share
+        super()._charge_phase(t, n, picked, route)
+        self.rescales += sum(live and rt.scale != scale for rt, scale, live in before)
+
+
 def test_next_event_engine_matches_the_tick_loop():
     seen = Counter()
 
@@ -190,7 +235,7 @@ def test_next_event_engine_matches_the_tick_loop():
     @given(scenarios())
     def compare(case):
         old, _ = simulate(ref.Simulation, *case)
-        new, _ = simulate(engine.Simulation, *case)
+        new, sim = simulate(Rescaling, *case)
         assert digest(new) == digest(old)
         # the reference writes a row per tick; the segments expand to them
         assert rows(new) == old.events
@@ -204,6 +249,8 @@ def test_next_event_engine_matches_the_tick_loop():
             d.outcome is Outcome.DEGRADED and old.app_info[app].undeployed_at is not None
             for _, app, d in old.decisions)
         seen["all"] += all_granted_ran(case[2], case[3], old)
+        seen["rescaled"] += sim.rescales > 0
+        seen["recharged"] += sim.recharged > 0
         seen["ok"] += 1
 
     compare()
@@ -212,6 +259,8 @@ def test_next_event_engine_matches_the_tick_loop():
         assert seen[key] >= seen["ok"] // 15, (key, seen)
     for key in ("slack", "degraded", "restored", "all"):
         assert seen[key] >= seen["ok"] // 40, (key, seen)
+    for key in ("rescaled", "recharged"):
+        assert seen[key] >= seen["ok"] // 10, (key, seen)
 
 
 class Recording:

@@ -89,3 +89,21 @@ def test_module_entry_point_in_a_fresh_process(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout == report.read_text(encoding="utf-8")
     assert (_sha256(trace), _sha256(report)) == GOLDEN[name]
+
+
+def test_import_loads_no_dataclasses_in_a_fresh_process():
+    """`import hiersched` loads neither `dataclasses` nor the `inspect` it
+    pulls in (with `ast`, `dis`, `tokenize`, ...): every CLI run would pay
+    for them at start-up."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hiersched; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -8,7 +8,15 @@ them, stray rows outside the horizon, and `share_ppm`/`n_siblings`
 overrides) every `check_*` result and every report must agree field for
 field. The reference reads the trace as per-tick rows (`helpers.rows`). The shipped scenarios all verify clean, so the
 test also asserts that the generated traces do produce LAG_EXCEEDED.
+
+`build_report` builds each share leaf once for every holder it checks
+there. On traces with two STRIDE leaves of three or four share-holders
+each, all granted PS, its report must equal the reference's, its
+LAG_EXCEEDED violations must be those of the per-app `check_share` calls,
+and it must sweep each leaf once.
 """
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,16 +65,27 @@ def grants(draw, weight):
     return Contract(ServiceClass[kind], budget=budget, period=period)
 
 
+WEIGHTS = [0, 1, 100_000, 250_000, 333_333, 1_000_000]
+
+
 @st.composite
-def cases(draw):
+def cases(draw, holders=0):
+    """A trace, its grants, whether it has stray rows, and check_share
+    overrides. With `holders`, both leaves get `holders` or one more
+    share-holders each, every one granted PS, and no stray rows."""
     horizon = draw(st.integers(1, 40))
-    paths = PATHS[:draw(st.integers(1, 2))]
-    n = draw(st.integers(1, 5))
+    if holders:
+        paths = PATHS
+        placed = [p for p in paths for _ in range(draw(st.integers(holders, holders + 1)))]
+    else:
+        paths = PATHS[:draw(st.integers(1, 2))]
+        placed = [None] * draw(st.integers(1, 5))
+    n = len(placed)
     infos, grant_of = [], {}
-    for k in range(n):
+    for k, path in enumerate(placed):
         app = f"a{k}"
-        weight = draw(st.sampled_from([0, 1, 100_000, 250_000, 333_333, 1_000_000]))
-        path = draw(st.sampled_from(paths))
+        weight = draw(st.sampled_from(WEIGHTS[1:] if holders else WEIGHTS))
+        path = path or draw(st.sampled_from(paths))
         infos.append(AppTraceInfo(
             app_id=app, node_id=1 + PATHS.index(path),
             node_path=path, leaf_policy="STRIDE",
@@ -74,7 +93,7 @@ def cases(draw):
             quantum=draw(st.integers(0, 2)), deployed_at=0, undeployed_at=None,
             hard_capped=draw(st.booleans()), backlog=draw(backlogs(horizon)),
         ))
-        grant_of[app] = draw(grants(weight))
+        grant_of[app] = Contract.ps(weight) if holders else draw(grants(weight))
     # IDLE (None) or RUN by an app or a stranger; one or two rows a tick,
     # and one tick in ten anything from none to three
     row = st.one_of(st.just(None), st.sampled_from([f"a{k}" for k in range(n)] + ["ghost"]))
@@ -85,7 +104,7 @@ def cases(draw):
         for who in draw(rows):
             events.append(SimEvent(t, EventKind.IDLE) if who is None
                           else SimEvent(t, EventKind.RUN, app=who, node_path=paths[0]))
-    stray = draw(st.booleans())
+    stray = not holders and draw(st.booleans())
     if stray:
         events = ([SimEvent(-1, EventKind.RUN, app="a0")] + events
                   + [SimEvent(horizon, EventKind.RUN, app="a0")])
@@ -145,4 +164,41 @@ def test_sweep_matches_the_tick_walk():
 
     compare()
     # the comparison is worth something only if the old check fires often
+    assert sum(lag_cases) >= len(lag_cases) // 10
+
+
+def test_one_sweep_per_leaf_matches_the_per_app_checks(monkeypatch):
+    built = Counter()
+    share_leaf = verify._share_leaf
+
+    def counted(trace, node_path):
+        built[node_path] += 1
+        return share_leaf(trace, node_path)
+
+    monkeypatch.setattr(verify, "_share_leaf", counted)
+    lag_cases = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(cases(holders=3))
+    def compare(case):
+        trace, grant_of, _, _ = case
+        old_trace = Trace(trace.horizon, rows(trace), trace.per_app_service,
+                          trace.idle_ticks, trace.app_info, trace.decisions)
+        built.clear()
+        new = verify.build_report(trace, grant_of)
+        assert built == Counter(PATHS)  # each leaf swept once
+        old = ref.build_report(old_trace, grant_of)
+        assert new.to_text() == old.to_text()
+        assert [fields(v) for v in new.violations] == [fields(v) for v in old.violations]
+        per_app = sorted(
+            (v for app, info in trace.app_info.items()
+             for v in verify.check_share(trace, app, info.weight_ppm, info.quantum)),
+            key=verify._sort_key,
+        )
+        lags = [v for v in new.violations if v.kind is ViolationKind.LAG_EXCEEDED]
+        assert [fields(v) for v in lags] == [fields(v) for v in per_app]
+        lag_cases.append(len({v.app_id for v in lags}) > 1)
+
+    compare()
+    # several holders of a leaf must fail in the same report, often enough
     assert sum(lag_cases) >= len(lag_cases) // 10
