@@ -178,7 +178,8 @@ def _validate(h, req) -> str | None:
 def undeploy(h: Hierarchy, app_id: str) -> list:
     """Remove an application; unload its scheduler if it loaded one and is
     now idle; recompose so squeezed grants recover. Returns the grants the
-    recompose set."""
+    recompose set. Raises DeploymentError if the recompose fails, which only
+    a tree changed without composing can make it do."""
     node_id = h.app_node(app_id)
     if node_id is None:
         raise DeploymentError(f"no such app {app_id!r}")
@@ -187,5 +188,9 @@ def undeploy(h: Hierarchy, app_id: str) -> list:
     if node.loaded_for == app_id and not node.apps:
         h.detach(node_id)
     result = h.compose()
-    assert result.feasible, "removing demand cannot break feasibility"
+    if not result.feasible:  # removing demand cannot break a composed tree
+        raise DeploymentError(
+            f"undeploy of {app_id!r} left the tree infeasible: rejected at "
+            f"{result.rejected.holder}: {result.rejected.reason}"
+        )
     return result.grants

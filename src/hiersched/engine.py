@@ -9,17 +9,27 @@ quantum where a contender waits. At a decision point timeline actions apply
 first, then reservation servers replenish, workloads release work, and the
 root dispatches exactly one application (or idles): each node on the way
 picks one runnable child by a single precedence rule (`Simulation._pick`),
-so dispatch walks one path from the root to a leaf. That pick holds until
+so dispatch walks one path from the root to a leaf. As in Bossa, events
+keep each node's ready state: `ready` holds its runnable children, those
+whose grant is not NULL nor a spent RESBH and that are apps with backlog or
+nodes with a runnable child. An event re-checks only the children it can
+flip (apps whose backlog changed, servers a charge empties or a replenish
+refills, the holders of a compose's grants, a leaving app and the leaf it
+unloads), and a set that fills or empties re-checks its node at the
+parent, so no pick looks into a subtree. That pick holds until
 the next decision point, so the whole stretch is charged at once: service,
 work, budgets and quantum use move by its length, stride passes by its
 length over the share, kept exact as integers (`_NodeRT.scale`). The
 stretch goes into the trace as one RUN or IDLE segment (start, end, app);
 budget exhaustion and deadline misses are rows at the tick they happen.
 `Trace.to_csv` expands the segments to one row per tick, byte for byte what
-a tick-by-tick loop writes (tests/engine_reference.py keeps one). Per decision, only the apps that can have changed are touched:
-a calendar holds each PERIODIC app's next release and each idle BURSTY
-app's next on-tick. Everything is deterministic for a given scenario and
-seed; the seed's only job is to phase-shift BURSTY workloads.
+a tick-by-tick loop writes (tests/engine_reference.py keeps one). Per
+decision, only the apps that can have changed are touched: a calendar holds
+each PERIODIC app's next release and each idle BURSTY app's next on-tick,
+and the next period boundary is kept until a decision reaches it or a
+timeline action may have changed the live periods. A phase runs only at the
+ticks that need it. Everything is deterministic for a given scenario and seed;
+the seed's only job is to phase-shift BURSTY workloads.
 
 Reservation servers replenish at absolute multiples of their period (aligned
 to tick 0), so a mid-window deployment starts with a full budget and a short
@@ -40,7 +50,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .contracts import Contract, Frozen, ServiceClass
-from .deployment import DeploymentRequest, Outcome
+from .deployment import DeploymentError, DeploymentRequest, Outcome
 from .deployment import deploy as _deploy
 from .deployment import undeploy as _undeploy
 from .hierarchy import Hierarchy, PolicyKind, new_hierarchy
@@ -56,7 +66,7 @@ _NULL, _RESBH, _RESBS, _PS, _BE, _ALL = (
     ServiceClass.NULL, ServiceClass.RESBH, ServiceClass.RESBS,
     ServiceClass.PS, ServiceClass.BE, ServiceClass.ALL,
 )
-_VIRTUAL, _FIXED_PRIORITY = PolicyKind.VIRTUAL, PolicyKind.FIXED_PRIORITY
+_FIXED_PRIORITY = PolicyKind.FIXED_PRIORITY
 # the precedence of `Simulation._pick` below the reservations with budget left
 _AFTER_BUDGETED = (_ALL, _PS, _BE, _RESBS)
 
@@ -115,6 +125,23 @@ def _on_before(w, n):
     running count, so differences give the on-ticks of any range."""
     q, r = divmod(n, w.on + w.off)
     return q * w.on + min(r, w.on)
+
+
+def _open(grant, left):
+    """Neither a NULL grant nor a RESBH one with no budget `left`."""
+    service = grant.service
+    return service is not _NULL and not (service is _RESBH and left == 0)
+
+
+def _app_pos(art, backlogged):
+    """The app's position at its leaf if it is runnable, else None."""
+    return art.seq if backlogged and _open(art.awarded, art.server_rem) else None
+
+
+def _node_pos(rt):
+    """The node's position at its parent if it is runnable, else None."""
+    node = rt.node
+    return node.node_id if rt.ready and _open(node.granted, rt.rem) else None
 
 
 def _used(rt, key):
@@ -253,11 +280,10 @@ class _Job:
 class _AppRT:
     """Mutable per-application simulation state."""
 
-    def __init__(self, app_id, node_id, path_ids, node_path, leaf_policy,
+    def __init__(self, app_id, node_id, node_path, leaf_policy,
                  requested, quantum, tick, workload, hard_capped, phase_offset):
         self.app_id = app_id
         self.node_id = node_id
-        self.path_ids = path_ids  # root..leaf node ids
         self.node_path = node_path
         self.leaf_policy = leaf_policy
         self.requested = requested
@@ -301,10 +327,15 @@ class _AppRT:
 
 
 class _NodeRT:
-    """Budget server plus per-policy dispatch state for one node."""
+    """Budget server, runnable children and dispatch state for one node."""
 
-    def __init__(self, grant_tick):
+    def __init__(self, grant_tick, node=None):
         self.grant_tick = grant_tick
+        self.node = node  # its SchedulerNode; bound by Simulation._recheck if None
+        self.parent = None if node is None else node.parent
+        # runnable child node id or app id -> its attachment position (node
+        # id or app seq, both growing with attachment)
+        self.ready = {}
         self.period = None  # of its grant, if a reservation
         self.cap = None  # reservation grants only
         self.rem = None
@@ -315,7 +346,7 @@ class _NodeRT:
         self.scale = 1
         self.prev_runnable = frozenset()
         self.active = None  # (key, ticks used) for quantum continuity
-        self.rr_last = None  # key that last held the round-robin turn
+        self.rr_last = None  # (key, position) that last held the round-robin turn
         self.alone = False  # the last stride/RR pick had no contender
 
 
@@ -333,9 +364,10 @@ class Simulation:
         self._art: dict[str, _AppRT] = {}
         self._retired: list[_AppRT] = []
         self._retired_ids: set[str] = set()
-        self._nrt = {Hierarchy.ROOT_ID: _NodeRT(grant_tick=0)}
+        self._nrt = {Hierarchy.ROOT_ID: _NodeRT(0, self.h.node(Hierarchy.ROOT_ID))}
         # period -> number of live budget servers (nodes and apps) with it
         self._periods: dict[int, int] = {}
+        self._boundary = 0  # the first period boundary not before the decision
         # tick -> the live apps whose next release (PERIODIC) or next
         # on-tick with nothing pending (BURSTY) falls there; a heap of those
         # ticks, with stale ones dropped lazily
@@ -392,7 +424,6 @@ class Simulation:
             self._emit(t, _DEPLOY, app=req.app_id, detail=detail)
             return
         nid = decision.node_id
-        path_ids = self._path_ids(nid)
         phase = 0
         if workload.kind is _BURSTY:
             phase = self.rng.randrange(workload.on + workload.off)
@@ -400,7 +431,6 @@ class Simulation:
         art = _AppRT(
             app_id=req.app_id,
             node_id=nid,
-            path_ids=path_ids,
             node_path=self._path_name(nid),
             leaf_policy=node.spec.policy.value,
             requested=req.request,
@@ -419,6 +449,7 @@ class Simulation:
         elif workload.kind is _BURSTY:
             self._schedule(art, t)  # what is pending at t comes in at t
         self._sync_runtimes(t, decision.grants)
+        self._recheck(decision.grants)
         self._emit(
             t, _DEPLOY, app=req.app_id, node_id=nid,
             node_path=art.node_path, detail=decision.outcome.value,
@@ -430,7 +461,7 @@ class Simulation:
             raise EngineError(f"undeploy of unknown app {app_id!r} at tick {t}")
         try:
             grants = _undeploy(self.h, app_id)
-        except Exception as e:  # pragma: no cover - guarded above
+        except DeploymentError as e:  # a recompose that failed
             raise EngineError(str(e)) from e
         art.close_backlog(t)
         art.undeployed_at = t
@@ -443,7 +474,10 @@ class Simulation:
         self._retired.append(art)
         self._retired_ids.add(app_id)
         del self._art[app_id]
+        # a leaf it unloaded has no app left, so leaves its parent's set too
+        self._mark(art.node_id, app_id, None)
         self._sync_runtimes(t, grants, art)
+        self._recheck(grants)
         self._emit(t, _UNDEPLOY, app=app_id, node_path=art.node_path)
 
     def _hard_capped(self, leaf_id, awarded):
@@ -499,7 +533,7 @@ class Simulation:
             else:
                 rt = self._nrt.get(g.holder)
                 if rt is None:
-                    rt = self._nrt[g.holder] = _NodeRT(grant_tick=t)
+                    rt = self._nrt[g.holder] = _NodeRT(t, self.h.node(g.holder))
                 _count_period(periods, rt.period, -1)
                 rt.period = award.period  # None unless a reservation
                 if award.is_reservation():
@@ -507,30 +541,76 @@ class Simulation:
                     rt.cap = award.budget
             _count_period(periods, award.period, 1)
 
+    def _recheck(self, grants):
+        """Re-check the holders of the grants a compose set: a grant can
+        open or close a child. A server made without its node is bound
+        here."""
+        for g in grants:
+            holder = g.holder
+            if isinstance(holder, str):  # an app
+                art = self._art[holder]
+                self._mark(art.node_id, holder, _app_pos(art, art.backlogged()))
+            else:
+                rt = self._nrt[holder]
+                if rt.node is None:
+                    rt.node = self.h.node(holder)
+                    rt.parent = rt.node.parent
+                self._mark(rt.parent, holder, _node_pos(rt))
+
+    def _mark(self, nid, key, pos):
+        """Record at node `nid` whether its child `key` is runnable: `pos`
+        is its attachment position if so, else None. A node whose ready set
+        fills or empties is re-checked at its parent, and so on up."""
+        while nid is not None:
+            rt = self._nrt[nid]
+            ready = rt.ready
+            if pos is None:
+                if ready.pop(key, None) is None or ready:
+                    return
+            elif key in ready:
+                return
+            else:
+                ready[key] = pos
+                if len(ready) > 1:
+                    return
+            key, nid, pos = nid, rt.parent, _node_pos(rt)
+
     # ------------------------------------------------ phases of a decision tick
 
+    def _first_boundary(self, t):
+        """The first multiple of a live period at or after `t`."""
+        return min((-(-t // period) * period for period in self._periods),
+                   default=self.horizon)
+
     def _replenish_phase(self, t):
-        """Refill node servers at multiples of their period, then app servers."""
-        if all(t % period for period in self._periods):
-            return
-        for nid in sorted(self._nrt):
-            granted = self.h.node(nid).granted
-            rt = self._nrt[nid]
+        """Refill node servers at multiples of their period, then app
+        servers; a server refilled from empty is re-checked."""
+        nrt = self._nrt
+        for nid in sorted(nrt):
+            rt = nrt[nid]
+            granted = rt.node.granted
             if (
                 granted.is_reservation()
                 and t > rt.grant_tick
                 and t % granted.period == 0
             ):
+                empty = rt.rem == 0
                 rt.rem = rt.cap
                 self._emit(
                     t, _REPLENISH, node_id=nid,
                     node_path=self._path_name(nid),
                 )
+                if empty:
+                    self._mark(rt.parent, nid, _node_pos(rt))
         for art in self._art.values():
             if art.server_cap is not None:
                 period = art.awarded.period
                 if t > art.deployed_at and t % period == 0:
+                    empty = art.server_rem == 0
                     art.server_rem = art.server_cap  # app servers are silent
+                    if empty:
+                        self._mark(art.node_id, art.app_id,
+                                   _app_pos(art, art.backlogged()))
 
     # ------------------------------------------------- calendar of app ticks
 
@@ -586,8 +666,11 @@ class Simulation:
                     self._next_on(art, t)
 
     def _record_backlog(self, t):
+        """Note and re-check the apps whose backlog or budget may have moved."""
         for art in self._changed:
-            art.note_backlog(t, art.backlogged())
+            backlogged = art.backlogged()
+            art.note_backlog(t, backlogged)
+            self._mark(art.node_id, art.app_id, _app_pos(art, backlogged))
         self._changed.clear()
 
     # --------------------------------------------------------------- dispatch
@@ -602,44 +685,34 @@ class Simulation:
         None.
         """
         route: list = []
-        node = self.h.node(node_id)
+        rt = self._nrt[node_id]
         while True:
-            cands = self._candidates(node)
+            cands = self._candidates(rt)
             if not cands:
                 return None, route
-            (key, grant, _), kind = self._pick(node, cands, tick)
-            route.append((node.node_id, kind, key, grant))
-            if node.is_leaf():
+            (key, grant, _), kind = self._pick(rt, cands, tick)
+            route.append((node_id, kind, key, grant))
+            if rt.node.is_leaf():
                 return key, route
-            node = self.h.node(key)
+            node_id, rt = key, self._nrt[key]
 
-    def _candidates(self, node, first=False):
-        """The runnable children of `node` as `(key, grant, budget left)`, in
-        attachment order; with `first`, only the first of them.
-
-        A child is runnable unless its grant is NULL or an exhausted RESBH,
-        and only if it is an app with pending work or a scheduler with a
-        runnable child. Budget left is None for grants without a budget.
-        """
+    def _candidates(self, rt):
+        """The runnable children of a node (its `ready` set) as `(key,
+        grant, budget left)`, in attachment order. Budget left is None for
+        grants without a budget."""
+        ready = rt.ready
+        keys = sorted(ready, key=ready.__getitem__) if len(ready) > 1 else ready
+        if rt.node.is_leaf():
+            arts = self._art
+            return [(key, arts[key].awarded, arts[key].server_rem) for key in keys]
         out = []
-        leaf = node.spec.policy is not _VIRTUAL
-        for entry in node.apps if leaf else node.children:
-            if leaf:
-                art = self._art[entry.app_id]
-                key, grant, left = art.app_id, art.awarded, art.server_rem
-            else:
-                key, child = entry, self.h.node(entry)
-                grant = child.granted
-                left = self._nrt[key].rem if grant.is_reservation() else None
-            if grant.service is _NULL or (grant.service is _RESBH and left == 0):
-                continue
-            if art.backlogged() if leaf else self._candidates(child, True):
-                out.append((key, grant, left))
-                if first:
-                    break
+        for key in keys:
+            child = self._nrt[key]
+            grant = child.node.granted
+            out.append((key, grant, child.rem if grant.is_reservation() else None))
         return out
 
-    def _pick(self, node, cands, t):
+    def _pick(self, rt, cands, t):
         """The candidate `node` runs at `t`, and the kind of its turn.
 
         One precedence rule serves every node, VIRTUAL or leaf:
@@ -656,7 +729,7 @@ class Simulation:
         candidate has a place in it. The classes are tested in this order
         by identity (hashing an Enum member runs Python code).
         """
-        fp = node.spec.policy is _FIXED_PRIORITY
+        fp = rt.node.spec.policy is _FIXED_PRIORITY
         budgeted = [c for c in cands if c[2]]
         if budgeted:
             if fp:
@@ -667,16 +740,15 @@ class Simulation:
             if group:
                 break
         if service is _PS:
-            return self._stride_pick(node, group), "stride"
+            return self._stride_pick(rt, group), "stride"
         if service is _BE and not fp:
-            return self._rr_pick(node, group), "rr"
+            return self._rr_pick(rt, group), "rr"
         return group[0], None
 
-    def _stride_pick(self, node, cands):
+    def _stride_pick(self, rt, cands):
         """Stride: the key still in its quantum, else the lowest pass, the
         first of equal ones. A key that joins the runnable set starts at the
         lowest pass of those that stayed, unless its own is higher."""
-        rt = self._nrt[node.node_id]
         rt.alone = len(cands) == 1
         current = frozenset(c[0] for c in cands)
         joined = current - rt.prev_runnable
@@ -688,18 +760,19 @@ class Simulation:
         rt.prev_runnable = current
         return _held(rt, cands) or min(cands, key=lambda c: rt.passes[c[0]])
 
-    def _rr_pick(self, node, cands):
+    def _rr_pick(self, rt, cands):
         """Round robin: the key still in its quantum, else the first key after
-        the last turn's holder in attachment order, cyclically."""
-        rt = self._nrt[node.node_id]
+        the last turn's holder in attachment order, cyclically; the first
+        key if that holder has left."""
         rt.alone = len(cands) == 1
         held = _held(rt, cands)
         if held:
             return held
-        order = [s.app_id for s in node.apps] if node.is_leaf() else node.children
-        if rt.rr_last in order:
-            later = set(order[order.index(rt.rr_last) + 1:])
-            return next((c for c in cands if c[0] in later), cands[0])
+        last = rt.rr_last
+        # still a holder: live app and node ids are never reused
+        if last is not None and (last[0] in self._art or last[0] in self._nrt):
+            ready = rt.ready
+            return next((c for c in cands if ready[c[0]] > last[1]), cands[0])
         return cands[0]
 
     # ------------------------------------------------------- stretch and charge
@@ -715,9 +788,7 @@ class Simulation:
         # the calendar holds the next release of every PERIODIC app (the
         # newest job's deadline is the tick before it, and older unmet jobs
         # have missed already) and the on-edge of every idle BURSTY app
-        end = min(self.horizon, next_action, self._next_due())
-        for period in self._periods:
-            end = min(end, (t // period + 1) * period)
+        end = min(self.horizon, next_action, self._next_due(), self._boundary)
         if picked is None:
             return end
 
@@ -735,14 +806,13 @@ class Simulation:
             end = min(end, max(t + 1, drained + art.phase_offset))
         if art.server_rem:
             end = min(end, t + art.server_rem)
-        for nid in art.path_ids:
-            rt = self._nrt[nid]
-            if rt.rem and self.h.node(nid).granted.is_reservation():
+        nrt = self._nrt
+        for nid, kind, key, _ in route:  # the picked app's path
+            rt = nrt[nid]
+            if rt.rem and rt.node.granted.is_reservation():
                 end = min(end, t + rt.rem)
-        for nid, kind, key, _ in route:
-            rt = self._nrt[nid]
             if kind and not rt.alone:
-                end = min(end, t + self.h.node(nid).spec.quantum - _used(rt, key))
+                end = min(end, t + rt.node.spec.quantum - _used(rt, key))
         return end
 
     def _charge_phase(self, t, n, picked, route):
@@ -764,20 +834,19 @@ class Simulation:
         if art.server_rem is not None and art.server_rem > 0:
             art.server_rem -= n  # app servers exhaust silently
 
-        for nid in art.path_ids:
-            rt = self._nrt[nid]
-            if rt.rem and self.h.node(nid).granted.is_reservation():
+        nrt = self._nrt
+        for nid, kind, key, grant in route:  # the picked app's path
+            rt = nrt[nid]
+            if rt.rem and rt.node.granted.is_reservation():
                 rt.rem -= n
                 if rt.rem == 0:
                     self._emit(
                         t, _BUDGET_EXHAUSTED, node_id=nid,
                         node_path=self._path_name(nid),
                     )
-
-        for nid, kind, key, grant in route:
+                    self._mark(rt.parent, nid, _node_pos(rt))
             if kind is None:
                 continue
-            rt = self._nrt[nid]
             if kind == "stride":
                 share = grant.share
                 if rt.scale % share:  # a new share: every pass is rescaled
@@ -786,10 +855,10 @@ class Simulation:
                     rt.passes = {k: p * m for k, p in rt.passes.items()}
                 rt.passes[key] += n * (rt.scale // share)
             else:
-                rt.rr_last = key
+                rt.rr_last = (key, rt.ready[key])
             # a quantum that runs out hands the turn back; with no
             # contender the same key takes it again
-            used = (_used(rt, key) + n) % self.h.node(nid).spec.quantum
+            used = (_used(rt, key) + n) % rt.node.spec.quantum
             rt.active = (key, used) if used else None
 
     def _deadline_phase(self, t):
@@ -817,16 +886,22 @@ class Simulation:
         if self._done:
             raise EngineError("simulation already ran")
         self._done = True
+        # every action, calendar tick and period boundary is a decision point
         actions = sorted(self._timeline, reverse=True)
         t = 0
         while t < self.horizon:
-            while actions and actions[-1] <= t:
+            if actions and actions[-1] == t:
                 actions.pop()
-            self._apply_timeline(t)
-            self._replenish_phase(t)
-            self._release_phase(t)
+                self._apply_timeline(t)
+                self._boundary = self._first_boundary(t)
+            if self._boundary == t:
+                self._replenish_phase(t)
+                self._boundary = self._first_boundary(t + 1)
+            if t in self._calendar:
+                self._release_phase(t)
             self._record_backlog(t)
-            self._flush()
+            if self._buf:
+                self._flush()
             picked, route = self.dispatch(Hierarchy.ROOT_ID, t)
             end = self._stretch_end(
                 t, picked, route, actions[-1] if actions else self.horizon
@@ -840,8 +915,10 @@ class Simulation:
                 segs[-1] = (segs[-1][0], end, picked)  # the same runner goes on
             else:
                 segs.append((t, end, picked))
-            self._deadline_phase(end - 1)
-            self._flush()
+            if end in self._calendar:
+                self._deadline_phase(end - 1)
+            if self._buf:
+                self._flush()
             t = end
         return self._finish()
 

@@ -11,6 +11,11 @@ compose set, so they must look up as many app slots and visit as many nodes
 with 600 live apps as with 100. Those are counted by wrapping the tree's
 lookups for the length of one timeline action. The search for a compatible
 leaf walks only the leaves that offer the requested class.
+
+Each node keeps its runnable children, so a dispatch decision costs the same
+however many idle apps and idle leaves sit beside the path it takes: the
+backlog tests and candidate listings of the decisions are counted by
+wrapping `_AppRT.backlogged` and `Simulation._candidates`.
 """
 
 from collections import Counter
@@ -25,7 +30,7 @@ from hiersched.deployment import (
     deploy,
     find_compatible_service,
 )
-from hiersched.engine import Simulation, Workload, WorkloadKind
+from hiersched.engine import Simulation, Workload, WorkloadKind, _AppRT
 from hiersched.hierarchy import Hierarchy, new_hierarchy
 from helpers import edf_spec, rr_spec, stride_spec
 
@@ -165,4 +170,55 @@ def test_one_more_engine_deploy_visits_the_same_at_100_and_600_apps(monkeypatch,
         counts.append((sim.decisions[-1][2].node_id, deployed, undeployed))
     small, large = counts
     assert small[1]["node"] > 0 and small[1]["app_slot"] == 1
+    assert large == small
+
+
+def dispatch_counts(monkeypatch, n_idle):
+    """Run a CPU-bound app on an EDF leaf beside `n_idle` PERIODIC apps
+    whose first release falls past the horizon, under a root that also holds
+    `n_idle` empty RR leaves. Returns the decisions after tick 0, and the
+    `backlogged` and `_candidates` calls made from the end of the tick-0
+    dispatch on."""
+    calls = Counter()
+    decisions = []
+
+    def counting(cls, name):
+        method = getattr(cls, name)
+
+        def counted(self, *args):
+            if decisions:
+                calls[name] += 1
+            return method(self, *args)
+        return counted
+
+    class AfterTickZero(Simulation):
+        def dispatch(self, node_id, tick):
+            out = super().dispatch(node_id, tick)
+            decisions.append(tick)
+            return out
+
+    sim = AfterTickZero(horizon=300)
+    for i in range(n_idle):
+        sim.h.attach_scheduler(Hierarchy.ROOT_ID, rr_spec(f"idle{i}", Contract.be()))
+    sim.deploy_at(0, DeploymentRequest(
+        "runner", "", Contract.resbs(10, 100),
+        scheduler=edf_spec("main", Contract.resbh(50, 100)),
+    ), Workload(WorkloadKind.CPU_BOUND))
+    never = Workload(WorkloadKind.PERIODIC, period=1000, wcet=1, offset=500)
+    for i in range(n_idle):
+        sim.deploy_at(0, DeploymentRequest(f"p{i}", "", Contract.resbh(1, 1000)), never)
+    with monkeypatch.context() as m:
+        m.setattr(_AppRT, "backlogged", counting(_AppRT, "backlogged"))
+        m.setattr(Simulation, "_candidates", counting(Simulation, "_candidates"))
+        trace = sim.run()
+    assert all(d.outcome is not Outcome.REJECTED for _, _, d in trace.decisions)
+    assert len(sim.h.node(sim.h.find_node_by_name("main")).apps) == n_idle + 1
+    assert trace.per_app_service["runner"] == 150  # the leaf's budget, 3 windows
+    return decisions[1:], calls["backlogged"], calls["_candidates"]
+
+
+def test_a_decision_costs_the_same_at_10_and_100_idle_apps(monkeypatch):
+    small = dispatch_counts(monkeypatch, 10)
+    large = dispatch_counts(monkeypatch, 100)
+    assert len(small[0]) >= 5 and small[1] > 0 and small[2] > 0
     assert large == small

@@ -341,3 +341,14 @@ def test_undeploy_unknown_app():
     h = new_hierarchy()
     with pytest.raises(DeploymentError, match="no such app"):
         undeploy(h, "ghost")
+
+
+def test_undeploy_raises_on_an_infeasible_recompose():
+    # an ask cut below the leaf's reservations without composing: the
+    # recompose after the undeploy must fail, and say so under -O too
+    h, nid = _tree_with_edf()
+    h.update_parent_request(nid, Contract.resbh(15, 100))
+    with pytest.raises(DeploymentError, match=(
+            r"undeploy of 'a1' left the tree infeasible: rejected at "
+            rf"{nid}: parent request below aggregate reservation demand")):
+        undeploy(h, "a1")

@@ -278,6 +278,24 @@ class TestTimeline:
         with pytest.raises(EngineError, match="unknown app"):
             sim.run()
 
+    def test_an_infeasible_undeploy_stops_the_run(self):
+        class Cut(Simulation):
+            """Cuts edf0's ask below its reservations without composing, so
+            the recompose of the undeploy fails."""
+
+            def _do_undeploy(self, t, app_id):
+                self.h.update_parent_request(self.h.find_node_by_name("edf0"),
+                                             Contract.resbh(15, 100))
+                super()._do_undeploy(t, app_id)
+
+        sim = Cut(horizon=10)
+        deploy(sim, 0, "a1", "control", Contract.resbh(10, 100), cpu_bound(),
+               scheduler=edf_spec("edf0", Contract.resbh(60, 100)))
+        deploy(sim, 0, "a2", "control", Contract.resbh(20, 100), cpu_bound())
+        sim.undeploy_at(5, "a1")
+        with pytest.raises(EngineError, match="undeploy of 'a1' left the tree infeasible"):
+            sim.run()
+
     @pytest.mark.parametrize("tick", [-1, 10, 12, 99])
     def test_undeploy_outside_the_horizon_is_refused(self, tick):
         sim = Simulation(horizon=10)

@@ -15,6 +15,11 @@ them reach deadline misses, budget exhaustion, idle ticks, soft-reservation
 slack, degraded grants, the departure of a degrading app and a scheduler
 granted ALL running, so that agreement is not agreement on empty traces.
 
+The engine keeps each node's runnable children up to date as events flip
+them, so the test also asserts that enough runs see a node run out of
+budget with work waiting below it and run again after a refill, and an
+undeploy unload a leaf at a tick where a sibling leaf runs.
+
 The engine keeps stride passes as integers scaled by the lcm of the shares
 charged at a node, and rescales them all when a share that does not divide
 it comes in. The share pool holds pairwise-coprime shares (3, 7, 999,983),
@@ -205,15 +210,62 @@ def all_granted_ran(mid, timeline, trace):
                for e in trace.events)
 
 
+def refilled_after_exhaustion(trace):
+    """A node ran out of budget while an app below it had work, nothing
+    below it ran until its next replenishment, and the app ran after that
+    while its work was still pending: the refill let the node run again."""
+    events = trace.events
+    below = {}  # node path -> the apps in its subtree
+    for app, info in trace.app_info.items():
+        parts = info.node_path.split("/")
+        for k in range(2, len(parts) + 1):
+            below.setdefault("/".join(parts[:k]), set()).add(app)
+    for e in events:
+        if e.kind is not EventKind.BUDGET_EXHAUSTED:
+            continue
+        refill = next((r.tick for r in events if r.kind is EventKind.REPLENISH
+                       and r.node_path == e.node_path and r.tick > e.tick), None)
+        apps = below.get(e.node_path, set())
+        if refill is None or any(r.kind is EventKind.RUN and r.app in apps
+                                 and e.tick < r.tick < refill for r in events):
+            continue
+        for app in apps:
+            for start, end in trace.app_info[app].backlog:
+                if start <= e.tick + 1 and refill < end and any(
+                        r.kind is EventKind.RUN and r.app == app
+                        and refill <= r.tick < end for r in events):
+                    return True
+    return False
+
+
+def unloaded_beside_runners(unloads, trace):
+    """An undeploy unloaded a leaf at a tick where an app on a sibling leaf
+    (another child of the same parent) ran."""
+    for tick, path in unloads:
+        parent = path.rsplit("/", 1)[0]
+        if any(e.kind is EventKind.RUN and e.tick == tick and e.node_path != path
+               and e.node_path.rsplit("/", 1)[0] == parent for e in trace.events):
+            return True
+    return False
+
+
 class Rescaling(engine.Simulation):
     """Counts, over the stride charges, those that grew a node's scale while
     a pass there was not zero, and those that charged a key at a share other
-    than the one it was last charged at."""
+    than the one it was last charged at. Keeps the tick and leaf path of each
+    undeploy that unloaded its leaf."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.rescales = self.recharged = 0
         self._last_share = {}
+        self.unloads = []
+
+    def _do_undeploy(self, t, app_id):
+        art = self._art.get(app_id)
+        super()._do_undeploy(t, app_id)
+        if not self.h.has_node(art.node_id):
+            self.unloads.append((t, art.node_path))
 
     def _charge_phase(self, t, n, picked, route):
         before = []
@@ -251,6 +303,8 @@ def test_next_event_engine_matches_the_tick_loop():
         seen["all"] += all_granted_ran(case[2], case[3], old)
         seen["rescaled"] += sim.rescales > 0
         seen["recharged"] += sim.recharged > 0
+        seen["refilled"] += refilled_after_exhaustion(old)
+        seen["unloaded"] += unloaded_beside_runners(sim.unloads, old)
         seen["ok"] += 1
 
     compare()
@@ -259,7 +313,7 @@ def test_next_event_engine_matches_the_tick_loop():
         assert seen[key] >= seen["ok"] // 15, (key, seen)
     for key in ("slack", "degraded", "restored", "all"):
         assert seen[key] >= seen["ok"] // 40, (key, seen)
-    for key in ("rescaled", "recharged"):
+    for key in ("rescaled", "recharged", "refilled", "unloaded"):
         assert seen[key] >= seen["ok"] // 10, (key, seen)
 
 

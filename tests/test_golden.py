@@ -69,10 +69,10 @@ def test_golden_digests(name, tmp_path):
     assert (_sha256(trace), _sha256(report)) == GOLDEN[name]
 
 
-def test_module_entry_point_in_a_fresh_process(tmp_path):
-    """`python -m hiersched` imports the package and runs `__main__` in a
-    new interpreter that compiles every module afresh, as the benchmark
-    runs it; its files carry the pinned digests."""
+def _run_module(tmp_path, *flags):
+    """Run `python <flags> -m hiersched` on deployment_mix.json in a new
+    interpreter that compiles every module afresh, as the benchmark runs
+    it; check that it exits 0 and that its files carry the pinned digests."""
     name = "deployment_mix"
     trace = tmp_path / "trace.csv"
     report = tmp_path / "report.txt"
@@ -81,7 +81,7 @@ def test_module_entry_point_in_a_fresh_process(tmp_path):
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     done = subprocess.run(
-        [sys.executable, "-m", "hiersched",
+        [sys.executable, *flags, "-m", "hiersched",
          "--scenario", str(SCENARIOS / f"{name}.json"),
          "--trace-out", str(trace), "--report-out", str(report), "--allow-reject"],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
@@ -89,6 +89,16 @@ def test_module_entry_point_in_a_fresh_process(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout == report.read_text(encoding="utf-8")
     assert (_sha256(trace), _sha256(report)) == GOLDEN[name]
+
+
+def test_module_entry_point_in_a_fresh_process(tmp_path):
+    _run_module(tmp_path)
+
+
+def test_module_entry_point_without_asserts(tmp_path):
+    """`python -O` strips `assert` statements: no check the run relies on
+    may be one."""
+    _run_module(tmp_path, "-O")
 
 
 def test_import_loads_no_dataclasses_in_a_fresh_process():
