@@ -12,7 +12,6 @@ from .contracts import (
     ContractError,
     ServiceClass,
     format_contract,
-    lsbf,
     parse_contract,
     satisfies,
     utilization,
@@ -77,7 +76,6 @@ __all__ = [
     "parse_contract",
     "format_contract",
     "utilization",
-    "lsbf",
     "satisfies",
     "PolicyKind",
     "POLICY_PROVIDES",

@@ -35,7 +35,7 @@ from typing import NamedTuple
 from .contracts import ContractError, parse_contract
 from .deployment import DeploymentRequest, Outcome
 from .engine import EngineError, Workload, WorkloadKind, run_scenario
-from .hierarchy import POLICY_PROVIDES, HierarchyError, PolicyKind, SchedulerSpec
+from .hierarchy import HierarchyError, PolicyKind, SchedulerSpec
 from .verify import build_report
 
 
@@ -69,10 +69,10 @@ def _need(obj, key, kind, where, minimum=None):
     return val
 
 
-def _opt_int(obj, key, where, default, minimum=None):
+def _opt(obj, key, kind, where, default, minimum=None):
     if key not in obj:
         return default
-    return _need(obj, key, int, where, minimum=minimum)
+    return _need(obj, key, kind, where, minimum=minimum)
 
 
 def _contract(obj, key, where):
@@ -94,12 +94,10 @@ def _scheduler(item, i):
     except KeyError:
         raise ScenarioError(f"{where}.policy: unknown policy {policy_name!r}")
     request = _contract(item, "request", where)
-    quantum = _opt_int(item, "quantum", where, 10, minimum=1)
-    provides = frozenset(POLICY_PROVIDES[policy])
+    quantum = _opt(item, "quantum", int, where, 10, minimum=1)
     try:
         return SchedulerSpec(
-            name=name, policy=policy, provides=provides,
-            parent_request=request, quantum=quantum,
+            name=name, policy=policy, parent_request=request, quantum=quantum,
         )
     except HierarchyError as e:
         raise ScenarioError(f"{where}: {e}") from e
@@ -120,7 +118,7 @@ def _workload(obj, where):
                 kind,
                 period=_need(spec, "period", int, f"{where}.workload", minimum=1),
                 wcet=_need(spec, "wcet", int, f"{where}.workload", minimum=1),
-                offset=_opt_int(spec, "offset", f"{where}.workload", 0, minimum=0),
+                offset=_opt(spec, "offset", int, f"{where}.workload", 0, minimum=0),
             )
         if kind is WorkloadKind.BURSTY:
             return Workload(
@@ -143,10 +141,10 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: expected a JSON object")
     horizon = _need(doc, "horizon", int, "scenario", minimum=1)
-    seed = _opt_int(doc, "seed", "scenario", 0)
+    seed = _opt(doc, "seed", int, "scenario", 0)
 
     schedulers: dict = {}
-    for i, item in enumerate(doc.get("schedulers", [])):
+    for i, item in enumerate(_opt(doc, "schedulers", list, "scenario", [])):
         spec = _scheduler(item, i)
         if spec.name in schedulers:
             raise ScenarioError(
@@ -157,7 +155,7 @@ def parse_scenario(text: str) -> Scenario:
     entries = []
     deployed: set = set()
     last_tick = -1
-    for i, item in enumerate(doc.get("timeline", [])):
+    for i, item in enumerate(_opt(doc, "timeline", list, "scenario", [])):
         where = f"timeline[{i}]"
         if not isinstance(item, dict):
             raise ScenarioError(f"{where}: expected object")

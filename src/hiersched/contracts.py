@@ -276,26 +276,6 @@ def utilization(c: Contract) -> Fraction:
     return c.utilization
 
 
-def lsbf(c: Contract, t: int) -> Fraction:
-    """Linear supply bound: least service guaranteed in any window of length t.
-
-    Reservations supply nothing for up to 2*(period - budget) ticks, then at
-    utilization rate. ALL is the identity, PS supplies at its rate (latency is
-    the share scheduler's concern), BE/NULL promise nothing.
-    """
-    if t < 0:
-        raise ValueError("window length must be >= 0")
-    if c.is_reservation():
-        u = utilization(c)
-        blackout = 2 * c.slack()
-        return max(Fraction(0), u * (t - blackout))
-    if c.service is ServiceClass.ALL:
-        return Fraction(t)
-    if c.service is ServiceClass.PS:
-        return utilization(c) * t
-    return Fraction(0)
-
-
 def _reservation_dominates(p: Contract, r: Contract) -> bool:
     """Exact check: worst-case supply of p >= worst-case supply of r, all t.
 

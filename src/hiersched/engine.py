@@ -322,9 +322,6 @@ class _AppRT:
             self.backlog.append((self._open, tick))
             self._open = None
 
-    def close_backlog(self, tick):
-        self.note_backlog(tick, False)
-
 
 class _NodeRT:
     """Budget server, runnable children and dispatch state for one node."""
@@ -375,7 +372,6 @@ class Simulation:
         self._due_ticks: list[int] = []
         self._changed: set[_AppRT] = set()  # whose backlog may have flipped
         self._events: list[SimEvent] = []  # every row but RUN and IDLE
-        self._buf: list[SimEvent] = []
         self._segments: list = []  # (start, end, app or None), in tick order
         self._idle = 0
         self._done = False
@@ -463,7 +459,7 @@ class Simulation:
             grants = _undeploy(self.h, app_id)
         except DeploymentError as e:  # a recompose that failed
             raise EngineError(str(e)) from e
-        art.close_backlog(t)
+        art.note_backlog(t, False)
         art.undeployed_at = t
         self._changed.discard(art)
         if art.due is not None:
@@ -491,15 +487,13 @@ class Simulation:
             nid = node.parent
         return False
 
-    def _path_ids(self, nid):
-        path = []
-        while nid is not None:
-            path.append(nid)
-            nid = self.h.node(nid).parent
-        return list(reversed(path))
-
     def _path_name(self, nid):
-        return "/".join(self.h.node(i).spec.name for i in self._path_ids(nid))
+        names = []
+        while nid is not None:
+            node = self.h.node(nid)
+            names.append(node.spec.name)
+            nid = node.parent
+        return "/".join(reversed(names))
 
     def _sync_runtimes(self, t, grants, retired=None):
         """Bring the budget servers in line with a deploy's or an undeploy's
@@ -875,12 +869,8 @@ class Simulation:
     # -------------------------------------------------------------- main loop
 
     def _emit(self, tick, kind, app="", node_id=None, node_path="", detail=""):
-        self._buf.append(SimEvent(tick, kind, app, node_id, node_path, detail))
-
-    def _flush(self):
-        self._buf.sort(key=lambda e: _RANK[e.kind])
-        self._events.extend(self._buf)
-        self._buf = []
+        # the phases run in `_RANK` order, so rows arrive in trace order
+        self._events.append(SimEvent(tick, kind, app, node_id, node_path, detail))
 
     def run(self) -> Trace:
         if self._done:
@@ -900,8 +890,6 @@ class Simulation:
             if t in self._calendar:
                 self._release_phase(t)
             self._record_backlog(t)
-            if self._buf:
-                self._flush()
             picked, route = self.dispatch(Hierarchy.ROOT_ID, t)
             end = self._stretch_end(
                 t, picked, route, actions[-1] if actions else self.horizon
@@ -917,8 +905,6 @@ class Simulation:
                 segs.append((t, end, picked))
             if end in self._calendar:
                 self._deadline_phase(end - 1)
-            if self._buf:
-                self._flush()
             t = end
         return self._finish()
 
@@ -926,7 +912,7 @@ class Simulation:
         info = {}
         service = {}
         for art in list(self._art.values()) + self._retired:
-            art.close_backlog(self.horizon)
+            art.note_backlog(self.horizon, False)
             info[art.app_id] = AppTraceInfo(
                 app_id=art.app_id,
                 node_id=art.node_id,

@@ -3,13 +3,13 @@
 VIRTUAL nodes schedule schedulers; leaf policies schedule applications. Each
 node asks its parent for service via a contract (parent_request) and compose()
 distributes granted capacity top-down from the root after checking aggregate
-demand; reallocate() does the same below any one node. An over-committed node
-degrades instead of giving up: hard reservations are never reduced, PS/RESBS
-grants shrink pro rata and are marked degraded. Under a reservation grant,
-each reservation request must also be satisfied by the grant's supply shape
-(`satisfies`), not only fit its utilization. The test is on the request,
-not on a degraded soft award: requests never change and removing demand
-only grows grants, so an undeploy can never fail it.
+demand. An over-committed node degrades instead of giving up: hard
+reservations are never reduced, PS/RESBS grants shrink pro rata and are
+marked degraded. Under a reservation grant, each reservation request must
+also be satisfied by the grant's supply shape (`satisfies`), not only fit
+its utilization. The test is on the request, not on a degraded soft award:
+requests never change and removing demand only grows grants, so an
+undeploy can never fail it.
 
 Composition is incremental. Each node keeps exact Fraction sums of its
 holders' requests (`hard`: RESBH; `soft`: RESBS and PS; `reserved`: RESBH
@@ -81,30 +81,26 @@ class HierarchyError(Exception):
 
 
 class SchedulerSpec(Frozen):
-    """Loadable scheduler description: identity, policy, offer, and own ask."""
+    """Loadable scheduler description: identity, policy and own ask."""
 
-    _fields = __slots__ = ("name", "policy", "provides", "parent_request", "quantum")
+    _fields = __slots__ = ("name", "policy", "parent_request", "quantum")
 
-    def __init__(self, name: str, policy: PolicyKind, provides: frozenset,
-                 parent_request: Contract, quantum: int = 10):
+    def __init__(self, name: str, policy: PolicyKind, parent_request: Contract,
+                 quantum: int = 10):
         if not name:
             raise HierarchyError("scheduler name must be non-empty")
-        allowed = POLICY_PROVIDES[policy]
-        provides = frozenset(provides)
-        extra = provides - allowed
-        if extra:
-            names = ",".join(sorted(c.value for c in extra))
-            raise HierarchyError(
-                f"{policy.value} cannot provide {names}"
-            )
         if quantum < 1:
             raise HierarchyError("quantum must be >= 1")
         setfield = object.__setattr__
         setfield(self, "name", name)
         setfield(self, "policy", policy)
-        setfield(self, "provides", provides)
         setfield(self, "parent_request", parent_request)
         setfield(self, "quantum", quantum)
+
+    @property
+    def provides(self) -> frozenset:
+        """The service classes the policy offers to applications."""
+        return POLICY_PROVIDES[self.policy]
 
 
 class AppSlot:
@@ -185,7 +181,6 @@ class _Stage:
 _ROOT_SPEC = SchedulerSpec(
     name="root",
     policy=PolicyKind.VIRTUAL,
-    provides=frozenset(),
     parent_request=Contract.all_cpu(),
 )
 
@@ -229,9 +224,6 @@ class Hierarchy:
 
     def find_node_by_name(self, name: str) -> int | None:
         return self._by_name.get(name)
-
-    def leaves(self):
-        return [n for n in self.nodes() if n.is_leaf()]
 
     def leaves_offering(self, service: ServiceClass):
         """The leaves whose policy offers `service`, in id order."""
@@ -344,23 +336,16 @@ class Hierarchy:
 
         Infeasibility is a value, not an error; on failure no grant state is
         touched, so a failed compose leaves the previous awards in place.
-        The root is always granted the whole CPU, undegraded. `grants`
-        lists the grants this compose set, in tree order (see the module
-        docstring).
+        The root is always granted the whole CPU, undegraded. Hard grants
+        are never reduced; PS and RESBS shrink pro rata (exact rationals,
+        floored to ppm/ticks) and are marked degraded. Nothing
+        over-committed means identity on grants. Only the changes since the
+        last successful compose are settled, and `grants` lists the grants
+        this compose set, in tree order (see the module docstring).
         """
-        return self.reallocate(self.ROOT_ID)
-
-    def reallocate(self, node_id: int) -> FeasibilityResult:
-        """Redistribute the node's granted capacity below it, staged then applied.
-
-        Hard grants are never reduced; PS and RESBS shrink pro rata (exact
-        rationals, floored to ppm/ticks) and are marked degraded. Nothing
-        over-committed means identity on grants. Only the changes below the
-        node since the last successful compose are settled.
-        """
-        node = self.node(node_id)
+        root = self._nodes[self.ROOT_ID]
         stage = _Stage(self._dirty())
-        rejection = self._settle(node, node.granted, False, stage)
+        rejection = self._settle(root, root.granted, False, stage)
         if rejection is not None:
             return FeasibilityResult(False, [], rejection)
         self._apply(stage)

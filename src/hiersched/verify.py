@@ -213,16 +213,15 @@ def _runners(segments, apps):
     return out
 
 
-def check_share(trace: Trace, app_id: str, share_ppm: int, quantum: int,
-                n_siblings: int | None = None) -> list:
+def check_share(trace: Trace, app_id: str, share_ppm: int, quantum: int) -> list:
     """Lag check for one proportional-share app.
 
     Over each maximal run of ticks where the app stays backlogged and the
     set of backlogged share-holders on its leaf (the members) stays
     constant, the app's service must track its relative weight of the
-    members' service within quantum * n_siblings ticks, n_siblings being
-    the number of members unless given. One violation is reported per such
-    run.
+    members' service within quantum * (number of members) ticks. One
+    violation is reported per such run. A `share_ppm` of zero or less and
+    a negative `quantum` are refused.
 
     Nothing walks the horizon. The runs are the leaf's pieces that hold the
     app (`_share_leaf`). Within a run the lag moves only while a member
@@ -236,33 +235,25 @@ def check_share(trace: Trace, app_id: str, share_ppm: int, quantum: int,
     if info is None:
         raise VerifyError(f"trace has no app {app_id!r}")
     return _check_share(_share_leaf(trace, info.node_path), app_id, share_ppm,
-                        quantum, n_siblings)
+                        quantum)
 
 
-def _check_share(leaf, app_id, share_ppm, quantum, n_siblings):
+def _check_share(leaf, app_id, share_ppm, quantum):
     """`check_share` of `app_id` against its leaf, built."""
     if app_id not in leaf.peers:
         raise VerifyError(f"app {app_id!r} holds no share on its leaf")
     if share_ppm <= 0:
         raise VerifyError("share_ppm must be positive")
+    if quantum < 0:
+        raise VerifyError("quantum must be >= 0")
     runners, starts = leaf.runners, leaf.starts
     out = []
     for start, end, members, weight in leaf.pieces:
         if app_id not in members:
             continue
-        limit = quantum * (len(members) if n_siblings is None else n_siblings) * weight
+        limit = quantum * len(members) * weight
         lag = group = obs = 0  # lag = obs * weight - share_ppm * group
         k = max(bisect.bisect_right(starts, start) - 1, 0)
-        if limit < 0:
-            # no lag is within bounds: the run's first tick is flagged
-            on = k < len(runners) and runners[k][0] <= start < runners[k][1]
-            runner = runners[k][2] if on else None
-            group = int(runner in members)
-            out.append(Violation(
-                ViolationKind.LAG_EXCEEDED, app_id, (start, start + 1),
-                Fraction(share_ppm, weight) * group, int(runner == app_id),
-            ))
-            continue
         while k < len(runners) and runners[k][0] < end:
             a, b, runner = runners[k]
             k += 1
@@ -404,8 +395,7 @@ def build_report(trace: Trace, grants: dict) -> GuaranteeReport:
             leaf = leaves.get(info.node_path)
             if leaf is None:
                 leaf = leaves[info.node_path] = _share_leaf(trace, info.node_path)
-            violations += _check_share(leaf, app_id, info.weight_ppm,
-                                       info.quantum, None)
+            violations += _check_share(leaf, app_id, info.weight_ppm, info.quantum)
     conservation = check_conservation(trace)
     violations += conservation
     return GuaranteeReport(

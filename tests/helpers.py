@@ -2,7 +2,6 @@
 
 import heapq
 
-from hiersched.contracts import Contract, ServiceClass
 from hiersched.engine import _RANK, EventKind, SimEvent, Trace
 from hiersched.hierarchy import PolicyKind, SchedulerSpec
 
@@ -11,7 +10,6 @@ def edf_spec(name, request, quantum=10):
     return SchedulerSpec(
         name=name,
         policy=PolicyKind.EDF_RESERVATION,
-        provides=frozenset({ServiceClass.RESBH, ServiceClass.RESBS}),
         parent_request=request,
         quantum=quantum,
     )
@@ -21,7 +19,6 @@ def stride_spec(name, request, quantum=10):
     return SchedulerSpec(
         name=name,
         policy=PolicyKind.STRIDE,
-        provides=frozenset({ServiceClass.PS, ServiceClass.BE}),
         parent_request=request,
         quantum=quantum,
     )
@@ -31,7 +28,6 @@ def rr_spec(name, request, quantum=10):
     return SchedulerSpec(
         name=name,
         policy=PolicyKind.ROUND_ROBIN,
-        provides=frozenset({ServiceClass.BE}),
         parent_request=request,
         quantum=quantum,
     )
@@ -41,7 +37,6 @@ def fp_spec(name, request, quantum=10):
     return SchedulerSpec(
         name=name,
         policy=PolicyKind.FIXED_PRIORITY,
-        provides=frozenset({ServiceClass.RESBS, ServiceClass.BE}),
         parent_request=request,
         quantum=quantum,
     )
@@ -51,7 +46,6 @@ def virtual_spec(name, request, quantum=10):
     return SchedulerSpec(
         name=name,
         policy=PolicyKind.VIRTUAL,
-        provides=frozenset(),
         parent_request=request,
         quantum=quantum,
     )

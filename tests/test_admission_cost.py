@@ -118,8 +118,7 @@ def loaded_simulation(n_apps):
 
 def count_lookups(monkeypatch, action):
     """While `action` runs: app_slot calls, node lookups, and the nodes that
-    nodes(), leaves() and leaves_offering() hand out, counted as they are
-    taken."""
+    nodes() and leaves_offering() hand out, counted as they are taken."""
     calls = Counter()
 
     def counting(name):
@@ -136,7 +135,7 @@ def count_lookups(monkeypatch, action):
         return looked_up if name in ("node", "app_slot") else listed
 
     with monkeypatch.context() as m:
-        for name in ("node", "app_slot", "nodes", "leaves", "leaves_offering"):
+        for name in ("node", "app_slot", "nodes", "leaves_offering"):
             m.setattr(Hierarchy, name, counting(name))
         action()
     return calls

@@ -1,6 +1,9 @@
 """Scenario parsing diagnostics and end-to-end CLI runs over the bundled zoo."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,8 @@ from hiersched.cli import Scenario, ScenarioError, parse_scenario, run
 from hiersched.contracts import ServiceClass
 from hiersched.hierarchy import PolicyKind
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def minimal(**overrides):
@@ -239,6 +243,15 @@ class TestRun:
         assert run(["--scenario", str(bad)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["schedulers", "timeline"])
+    @pytest.mark.parametrize("value", [5, "abc", {"tick": 0}],
+                             ids=["int", "str", "object"])
+    def test_non_list_section_exits_two(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"horizon": 10, key: value}))
+        assert run(["--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: scenario.{key}: expected list\n"
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "--scenario" in capsys.readouterr().out
@@ -246,3 +259,27 @@ class TestRun:
     def test_usage_error_exits_two(self, capsys):
         assert run([]) == 2
         capsys.readouterr()
+
+
+class TestBenchWraps:
+    """bench/traced.py wraps package names by attribute; a rename or removal
+    of one of them breaks the benchmark's traced runs."""
+
+    def traced(self, tmp_path, mode, *outputs):
+        out = tmp_path / f"{mode}.json"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "bench" / "traced.py"), mode,
+             str(SCENARIOS / "stride.json"), *map(str, outputs), str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(out.read_text())
+
+    def test_mirror_runs_the_cli(self, tmp_path):
+        got = self.traced(tmp_path, "mirror", tmp_path / "t.csv", tmp_path / "r.txt")
+        assert got["counts"]["exit"] == 0
+
+    def test_layers_times_compose(self, tmp_path):
+        got = self.traced(tmp_path, "layers")
+        assert "hierarchy.compose" in {span[0] for span in got["spans"]}

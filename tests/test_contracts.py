@@ -1,8 +1,7 @@
 """Contract grammar, exact arithmetic, and compatibility tests.
 
-Every expected number for supply lower bounds and reservation dominance was
-frozen from the brute-force enumeration in oracle.py, not from the formulas
-under test.
+Every expected number for reservation dominance was frozen from the
+brute-force enumeration in oracle.py, not from the formulas under test.
 """
 
 import random
@@ -18,7 +17,6 @@ from hiersched.contracts import (
     ContractError,
     ServiceClass,
     format_contract,
-    lsbf,
     parse_contract,
     satisfies,
     utilization,
@@ -158,52 +156,6 @@ def test_utilization_is_exact():
     u = utilization(Contract.resbh(1, 3))
     assert isinstance(u, Fraction)
     assert u == Fraction(1, 3)
-
-
-# ------------------------------------------------------------------- lsbf
-
-
-def test_lsbf_reservation_frozen_points():
-    c = Contract.resbh(10, 100)
-    assert lsbf(c, 180) == 0  # still inside the 2*slack dead zone
-    assert lsbf(c, 280) == 10
-    assert lsbf(c, 0) == 0
-
-
-def test_lsbf_full_cpu():
-    assert lsbf(Contract.all_cpu(), 50) == 50
-
-
-def test_lsbf_share_and_inert():
-    assert lsbf(Contract.ps(500000), 9) == Fraction(9, 2)
-    assert lsbf(Contract.be(), 1000) == 0
-    assert lsbf(Contract.null(), 1000) == 0
-
-
-def test_lsbf_rejects_negative_window():
-    with pytest.raises(ValueError):
-        lsbf(Contract.be(), -1)
-
-
-def test_lsbf_monotone():
-    c = Contract.resbs(3, 7)
-    values = [lsbf(c, t) for t in range(0, 60)]
-    assert all(a <= b for a, b in zip(values, values[1:]))
-
-
-def test_lsbf_never_exceeds_brute_force_supply():
-    # the linear bound must sit on or below the worst-case supply curve,
-    # touching it exactly at window lengths 2*slack + k*period
-    for budget, period in [(1, 4), (2, 5), (3, 7), (10, 100), (5, 12)]:
-        slack = period - budget
-        horizon = 2 * slack + 4 * period
-        curve = worst_case_supply(budget, period, horizon)
-        c = Contract.resbh(budget, period)
-        for t in range(horizon + 1):
-            assert lsbf(c, t) <= curve[t]
-        for k in range(5):
-            assert curve[2 * slack + k * period] == k * budget
-            assert lsbf(c, 2 * slack + k * period) == k * budget
 
 
 # -------------------------------------------------------------- satisfies

@@ -8,6 +8,7 @@ import pytest
 from hiersched.contracts import Contract, ServiceClass, utilization
 from hiersched.deployment import DeploymentRequest, Outcome, deploy, undeploy
 from hiersched.hierarchy import (
+    POLICY_PROVIDES,
     Hierarchy,
     HierarchyError,
     PolicyKind,
@@ -72,13 +73,9 @@ def test_attach_to_unknown_parent():
 
 
 def test_spec_validation():
-    with pytest.raises(HierarchyError, match="cannot provide"):
-        SchedulerSpec(
-            name="bad",
-            policy=PolicyKind.EDF_RESERVATION,
-            provides=frozenset({ServiceClass.BE}),
-            parent_request=Contract.resbh(1, 10),
-        )
+    for policy in PolicyKind:
+        spec = SchedulerSpec("s", policy, Contract.be())
+        assert spec.provides == POLICY_PROVIDES[policy]
     with pytest.raises(HierarchyError, match="non-empty"):
         rr_spec("", Contract.be())
     with pytest.raises(HierarchyError, match="quantum"):
@@ -399,7 +396,7 @@ def test_reallocate_identity_when_not_overcommitted():
     h.attach_application(nid, "a1", Contract.resbh(10, 100))
     assert h.compose().feasible
     before = h.canonical()
-    result = h.reallocate(0)
+    result = h.compose()
     assert result.feasible
     assert h.canonical() == before
 
@@ -408,7 +405,7 @@ def test_reallocate_hard_overload_fails():
     h = new_hierarchy()
     h.attach_scheduler(0, edf_spec("edf0", Contract.resbh(60, 100)))
     late = h.attach_scheduler(0, edf_spec("edf1", Contract.resbh(50, 100)))
-    result = h.reallocate(0)
+    result = h.compose()
     assert not result.feasible
     assert result.rejected.holder == late
 
@@ -421,7 +418,7 @@ def test_reallocate_at_leaf_scales_app_awards():
     assert h.compose().feasible
     # shares fit the node's ask exactly: full awards
     assert h.app_slot("w1").awarded == Contract.ps(300000)
-    result = h.reallocate(st)
+    result = h.compose()
     assert result.feasible
     assert h.app_slot("w1").awarded == Contract.ps(300000)
     assert h.app_slot("w2").awarded == Contract.ps(100000)

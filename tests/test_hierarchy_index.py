@@ -59,8 +59,8 @@ def scan_for_service(h, req):
     """The search as a scan of every leaf, as it was written before the
     index of leaves by offered class."""
     candidates = []
-    for node in h.leaves():
-        if req.request.service not in node.spec.provides:
+    for node in h.nodes():
+        if not node.is_leaf() or req.request.service not in node.spec.provides:
             continue
         if h.spare_capacity(node.node_id) < utilization(req.request):
             continue
@@ -91,7 +91,7 @@ def assert_indexes_match_scan(h, names, apps):
     assert [n.node_id for n in nodes] == sorted(n.node_id for n in nodes)
     for service in ServiceClass:
         assert list(h.leaves_offering(service)) == [
-            n for n in h.leaves() if service in n.spec.provides]
+            n for n in h.nodes() if n.is_leaf() and service in n.spec.provides]
     for req in PROBES:
         assert find_compatible_service(h, req) == scan_for_service(h, req)
     by_name = {n.spec.name: n.node_id for n in nodes}

@@ -197,29 +197,20 @@ class TestShare:
         assert [v.line() for v in got] == [
             "LAG_EXCEEDED app=a window=[10,15) expected=5/2 observed=0"
         ]
-        assert check_share(trace, "a", 500000, quantum=1, n_siblings=3) == []
-
-    def test_negative_tolerance_flags_the_first_tick(self):
-        # with a negative n_siblings no lag is within bounds: the first
-        # tick of the stretch is flagged, whoever runs on it
-        for runner, observed, expected in (("a", 1, "1/2"), ("b", 0, "1/2"),
-                                           ("gone", 0, "0")):
-            rows = [SimEvent(t, EventKind.RUN, app=runner) for t in range(4)]
-            trace = trace_from_rows(4, rows, [
-                ps_info("gone", 500000, []),
-                ps_info("a", 500000, [(0, 4)]),
-                ps_info("b", 500000, [(0, 4)]),
-            ])
-            got = check_share(trace, "a", 500000, quantum=1, n_siblings=-1)
-            assert [v.line() for v in got] == [
-                f"LAG_EXCEEDED app=a window=[0,1) expected={expected} "
-                f"observed={observed}"
-            ]
 
     def test_unknown_app_is_refused(self):
         trace = trace_from_rows(1, [SimEvent(0, EventKind.IDLE)], [])
         with pytest.raises(VerifyError):
             check_share(trace, "ghost", 1000, quantum=10)
+
+    def test_bad_share_or_quantum_is_refused(self):
+        trace = trace_from_rows(1, [SimEvent(0, EventKind.RUN, app="a")],
+                                [ps_info("a", 500000, [(0, 1)])])
+        assert check_share(trace, "a", 500000, quantum=0) == []
+        with pytest.raises(VerifyError, match="share_ppm"):
+            check_share(trace, "a", 0, quantum=1)
+        with pytest.raises(VerifyError, match="quantum"):
+            check_share(trace, "a", 500000, quantum=-1)
 
 
 class TestConservation:

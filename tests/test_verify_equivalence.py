@@ -4,8 +4,7 @@
 traces (one or two leaves, up to five apps, weights including 0, backlogs
 touching tick 0 and the horizon, IDLE ticks, RUN rows by non-peers and
 strangers, several rows at one tick, segments of several ticks overlapping
-them, stray rows outside the horizon, and `share_ppm`/`n_siblings`
-overrides) every `check_*` result and every report must agree field for
+them, stray rows outside the horizon, and `share_ppm` overrides) every `check_*` result and every report must agree field for
 field. The reference reads the trace as per-tick rows (`helpers.rows`). The shipped scenarios all verify clean, so the
 test also asserts that the generated traces do produce LAG_EXCEEDED.
 
@@ -118,7 +117,6 @@ def cases(draw, holders=0):
     overrides = draw(st.lists(st.tuples(
         st.sampled_from([i.app_id for i in infos]),
         st.integers(-1, 1_000_000),
-        st.one_of(st.none(), st.integers(-1, 5)),
     ), max_size=3))
     return trace, grant_of, stray, overrides
 
@@ -143,12 +141,10 @@ def test_sweep_matches_the_tick_walk():
             grant = grant_of[app]
             assert (outcome(verify.check_reservation, trace, app, grant, info.backlog)
                     == outcome(ref.check_reservation, old_trace, app, grant, info.backlog))
-        for app, share_ppm, n_siblings in overrides:
+        for app, share_ppm in overrides:
             quantum = trace.app_info[app].quantum
-            assert (outcome(verify.check_share, trace, app, share_ppm, quantum,
-                            n_siblings=n_siblings)
-                    == outcome(ref.check_share, old_trace, app, share_ppm, quantum,
-                               n_siblings=n_siblings))
+            assert (outcome(verify.check_share, trace, app, share_ppm, quantum)
+                    == outcome(ref.check_share, old_trace, app, share_ppm, quantum))
         lag_cases.append(fired)
         if stray:
             return  # the old conservation check crashes or miscounts on these
