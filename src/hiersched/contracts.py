@@ -216,7 +216,7 @@ def parse_contract(text: str) -> Contract:
             while i < len(text) and text[i] == " ":
                 i += 1
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and "0" <= text[i] <= "9":  # ASCII only
                 i += 1
             if i == start:
                 found = text[i] if i < len(text) else "<end>"

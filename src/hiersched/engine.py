@@ -9,11 +9,15 @@ quantum where a contender waits. At a decision point timeline actions apply
 first, then reservation servers replenish, workloads release work, and the
 root dispatches exactly one application (or idles): each node on the way
 picks one runnable child by a single precedence rule (`Simulation._pick`),
-so dispatch walks one path from the root to a leaf. As in Bossa, events
-keep each node's ready state: `ready` holds its runnable children, those
-whose grant is not NULL nor a spent RESBH and that are apps with backlog or
-nodes with a runnable child. An event re-checks only the children it can
-flip (apps whose backlog changed, servers a charge empties or a replenish
+so dispatch walks one path from the root to a leaf. Apps (`_AppRT`) and
+nodes (`_NodeRT`) are one kind of grant holder: each has a `key`, a
+position `pos` at its `parent` node, a `grant`, a budget server (`cap` and
+`rem`, None unless the grant is a reservation), the tick `since` of its
+first grant, and is `backlogged()` (an app with work pending, a node with a
+runnable child). As in Bossa, events keep each node's ready state: `ready`
+holds its runnable children, the backlogged holders whose grant is not
+NULL nor a spent RESBH. An event re-checks only the holders it can flip
+(apps whose backlog changed, servers a charge empties or a replenish
 refills, the holders of a compose's grants, a leaving app and the leaf it
 unloads), and a set that fills or empties re-checks its node at the
 parent, so no pick looks into a subtree. That pick holds until
@@ -33,7 +37,9 @@ the seed's only job is to phase-shift BURSTY workloads.
 
 Reservation servers replenish at absolute multiples of their period (aligned
 to tick 0), so a mid-window deployment starts with a full budget and a short
-first window. RESBH budgets are a hard cap: an exhausted subtree is skipped.
+first window. Each server is filed under its period (`Simulation._servers`),
+so a boundary touches only the servers it refills. RESBH budgets are a hard
+cap: an exhausted subtree is skipped.
 RESBS budgets are a floor: once spent, the app may keep running on slack no
 other group claims.
 """
@@ -47,6 +53,7 @@ import random
 from collections import deque
 from enum import Enum
 from math import gcd
+from operator import attrgetter
 from typing import NamedTuple
 
 from .contracts import Contract, Frozen, ServiceClass
@@ -109,17 +116,6 @@ class Workload(Frozen):
         setfield(self, "off", off)
 
 
-def _count_period(periods, period, d):
-    """Count one budget server with `period` in (d=1) or out (d=-1) of
-    `periods`; a period of None (no reservation) counts nothing."""
-    if period is not None:
-        n = periods.get(period, 0) + d
-        if n:
-            periods[period] = n
-        else:
-            del periods[period]
-
-
 def _on_before(w, n):
     """On-ticks of BURSTY shape `w` among phase-relative ticks [0, n); a
     running count, so differences give the on-ticks of any range."""
@@ -133,15 +129,7 @@ def _open(grant, left):
     return service is not _NULL and not (service is _RESBH and left == 0)
 
 
-def _app_pos(art, backlogged):
-    """The app's position at its leaf if it is runnable, else None."""
-    return art.seq if backlogged and _open(art.awarded, art.server_rem) else None
-
-
-def _node_pos(rt):
-    """The node's position at its parent if it is runnable, else None."""
-    node = rt.node
-    return node.node_id if rt.ready and _open(node.granted, rt.rem) else None
+_pos = attrgetter("pos")
 
 
 def _used(rt, key):
@@ -153,7 +141,7 @@ def _held(rt, cands):
     """The candidate whose quantum at a node is still running, or None."""
     if rt.active is not None:
         for c in cands:
-            if c[0] == rt.active[0]:
+            if c.key == rt.active[0]:
                 return c
     return None
 
@@ -278,21 +266,23 @@ class _Job:
 
 
 class _AppRT:
-    """Mutable per-application simulation state."""
+    """Mutable per-application simulation state. As a grant holder it has
+    the fields of `_NodeRT`: `key` is its app id, `pos` its deploy order
+    (its position at its leaf), `parent` its leaf's node id, `grant` its
+    award, `cap` and `rem` its budget server (None unless the award is a
+    reservation) and `since` its deploy tick, that of its first grant."""
 
-    def __init__(self, app_id, node_id, node_path, leaf_policy,
-                 requested, quantum, tick, workload, hard_capped, phase_offset):
-        self.app_id = app_id
-        self.node_id = node_id
+    def __init__(self, key, pos, leaf, node_path, requested, tick, workload,
+                 hard_capped, phase_offset):
+        self.key = key
+        self.pos = pos
+        self.parent = leaf.node_id
         self.node_path = node_path
-        self.leaf_policy = leaf_policy
+        self.leaf_policy = leaf.spec.policy.value
         self.requested = requested
-        # the award and its budget server, set by Simulation._sync_runtimes
-        self.awarded = None
-        self.server_cap = None
-        self.server_rem = None
-        self.quantum = quantum
-        self.deployed_at = tick
+        self.grant = self.cap = self.rem = None  # set by Simulation._serve
+        self.quantum = leaf.spec.quantum
+        self.since = tick
         self.undeployed_at = None
         self.workload = workload
         self.hard_capped = hard_capped
@@ -301,7 +291,6 @@ class _AppRT:
         self.pending = 0  # BURSTY backlog
         self.released_to = tick  # BURSTY on-ticks before this are in pending
         self.due = None  # the tick of its entry in the simulation's calendar
-        self.seq = 0  # deploy order
         self.service = 0
         self.backlog: list = []
         self._open = None  # start of the current backlog interval
@@ -324,18 +313,24 @@ class _AppRT:
 
 
 class _NodeRT:
-    """Budget server, runnable children and dispatch state for one node."""
+    """Budget server, runnable children and dispatch state for one node.
 
-    def __init__(self, grant_tick, node=None):
-        self.grant_tick = grant_tick
-        self.node = node  # its SchedulerNode; bound by Simulation._recheck if None
-        self.parent = None if node is None else node.parent
-        # runnable child node id or app id -> its attachment position (node
-        # id or app seq, both growing with attachment)
+    Its holder fields are those of `_AppRT`: `key` and `pos` are both its
+    node id (ids grow with attachment), `parent` its parent's id (None at
+    the root), `grant` its grant (None until the first; the root, which
+    holds the whole CPU, gets none), `cap` and `rem` its budget server (None
+    unless the grant is a reservation) and `since` the tick of its first
+    grant. It is backlogged while `ready`, which maps the key of each
+    runnable child to the child's holder, is not empty.
+    """
+
+    def __init__(self, node, since):
+        self.node = node  # its SchedulerNode
+        self.key = self.pos = node.node_id
+        self.parent = node.parent
+        self.grant = self.cap = self.rem = None
+        self.since = since
         self.ready = {}
-        self.period = None  # of its grant, if a reservation
-        self.cap = None  # reservation grants only
-        self.rem = None
         # stride: child node id or app id -> its pass times `scale`, the lcm
         # of the shares charged here, so a charge of n ticks adds
         # n * (scale // share) exactly
@@ -345,6 +340,9 @@ class _NodeRT:
         self.active = None  # (key, ticks used) for quantum continuity
         self.rr_last = None  # (key, position) that last held the round-robin turn
         self.alone = False  # the last stride/RR pick had no contender
+
+    def backlogged(self) -> bool:
+        return bool(self.ready)
 
 
 class Simulation:
@@ -361,9 +359,9 @@ class Simulation:
         self._art: dict[str, _AppRT] = {}
         self._retired: list[_AppRT] = []
         self._retired_ids: set[str] = set()
-        self._nrt = {Hierarchy.ROOT_ID: _NodeRT(0, self.h.node(Hierarchy.ROOT_ID))}
-        # period -> number of live budget servers (nodes and apps) with it
-        self._periods: dict[int, int] = {}
+        self._nrt = {Hierarchy.ROOT_ID: _NodeRT(self.h.node(Hierarchy.ROOT_ID), 0)}
+        # period -> {key: holder} of the live budget servers with that period
+        self._servers: dict[int, dict] = {}
         self._boundary = 0  # the first period boundary not before the decision
         # tick -> the live apps whose next release (PERIODIC) or next
         # on-tick with nothing pending (BURSTY) falls there; a heap of those
@@ -423,20 +421,17 @@ class Simulation:
         phase = 0
         if workload.kind is _BURSTY:
             phase = self.rng.randrange(workload.on + workload.off)
-        node = self.h.node(nid)
         art = _AppRT(
-            app_id=req.app_id,
-            node_id=nid,
+            key=req.app_id,
+            pos=len(self._art) + len(self._retired),
+            leaf=self.h.node(nid),
             node_path=self._path_name(nid),
-            leaf_policy=node.spec.policy.value,
             requested=req.request,
-            quantum=node.spec.quantum,
             tick=t,
             workload=workload,
             hard_capped=self._hard_capped(nid, decision.awarded),
             phase_offset=phase,
         )
-        art.seq = len(self._art) + len(self._retired)
         self._art[req.app_id] = art
         self._changed.add(art)
         if workload.kind is _PERIODIC:
@@ -446,10 +441,8 @@ class Simulation:
             self._schedule(art, t)  # what is pending at t comes in at t
         self._sync_runtimes(t, decision.grants)
         self._recheck(decision.grants)
-        self._emit(
-            t, _DEPLOY, app=req.app_id, node_id=nid,
-            node_path=art.node_path, detail=decision.outcome.value,
-        )
+        self._emit(t, _DEPLOY, app=req.app_id, node_id=nid,
+                   node_path=art.node_path, detail=decision.outcome.value)
 
     def _do_undeploy(self, t, app_id):
         art = self._art.get(app_id)
@@ -471,7 +464,7 @@ class Simulation:
         self._retired_ids.add(app_id)
         del self._art[app_id]
         # a leaf it unloaded has no app left, so leaves its parent's set too
-        self._mark(art.node_id, app_id, None)
+        self._mark(art, False)
         self._sync_runtimes(t, grants, art)
         self._recheck(grants)
         self._emit(t, _UNDEPLOY, app=app_id, node_path=art.node_path)
@@ -500,111 +493,96 @@ class Simulation:
         recompose. `grants` are the grants it set, the only ones that can
         have moved; `retired` is the app an undeploy took out, whose leaf
         goes too if the undeploy unloaded it. A node seen for the first time
-        gets its server here. A server keeps what is left of its budget,
-        capped at the new one.
+        gets its holder here.
 
         The engine learns of grants only from the composes of its own
         deploys and undeploys: code that changes `self.h` must leave the
         composing to them.
         """
-        periods = self._periods
+        nrt = self._nrt
         if retired is not None:
-            _count_period(periods, retired.awarded.period, -1)
-            if not self.h.has_node(retired.node_id):  # only its leaf can go
-                _count_period(periods, self._nrt.pop(retired.node_id).period, -1)
+            self._unfile(retired)
+            if not self.h.has_node(retired.parent):  # only its leaf can go
+                self._unfile(nrt.pop(retired.parent))
         for g in grants:
-            award = g.awarded
-            if isinstance(g.holder, str):  # an app
-                art = self._art[g.holder]
-                if art.awarded is not None:  # None until its first grant
-                    _count_period(periods, art.awarded.period, -1)
-                art.awarded = award
-                if award.is_reservation():
-                    left = art.server_rem
-                    art.server_rem = (award.budget if left is None
-                                      else min(left, award.budget))
-                    art.server_cap = award.budget
-            else:
-                rt = self._nrt.get(g.holder)
-                if rt is None:
-                    rt = self._nrt[g.holder] = _NodeRT(t, self.h.node(g.holder))
-                _count_period(periods, rt.period, -1)
-                rt.period = award.period  # None unless a reservation
-                if award.is_reservation():
-                    rt.rem = award.budget if rt.rem is None else min(rt.rem, award.budget)
-                    rt.cap = award.budget
-            _count_period(periods, award.period, 1)
+            key = g.holder
+            holder = self._art[key] if isinstance(key, str) else nrt.get(key)
+            if holder is None:
+                holder = nrt[key] = _NodeRT(self.h.node(key), t)
+            self._serve(holder, g.awarded)
+
+    def _serve(self, holder, grant):
+        """Give `holder` its new `grant`. A reservation's server keeps what
+        is left of its budget, capped at the new one, and is filed under its
+        period in `_servers`; any other grant has no server."""
+        if holder.grant is not None:
+            self._unfile(holder)
+        holder.grant = grant
+        if grant.period is None:
+            holder.cap = holder.rem = None
+            return
+        left = holder.rem
+        holder.cap = grant.budget
+        holder.rem = grant.budget if left is None else min(left, grant.budget)
+        self._servers.setdefault(grant.period, {})[holder.key] = holder
+
+    def _unfile(self, holder):
+        """Take `holder`'s server, if it has one, out of `_servers`."""
+        period = holder.grant.period
+        if period is not None:
+            filed = self._servers[period]
+            del filed[holder.key]
+            if not filed:
+                del self._servers[period]
 
     def _recheck(self, grants):
         """Re-check the holders of the grants a compose set: a grant can
-        open or close a child. A server made without its node is bound
-        here."""
+        open or close a child."""
         for g in grants:
-            holder = g.holder
-            if isinstance(holder, str):  # an app
-                art = self._art[holder]
-                self._mark(art.node_id, holder, _app_pos(art, art.backlogged()))
-            else:
-                rt = self._nrt[holder]
-                if rt.node is None:
-                    rt.node = self.h.node(holder)
-                    rt.parent = rt.node.parent
-                self._mark(rt.parent, holder, _node_pos(rt))
+            key = g.holder
+            holder = self._art[key] if isinstance(key, str) else self._nrt[key]
+            self._mark(holder, holder.backlogged())
 
-    def _mark(self, nid, key, pos):
-        """Record at node `nid` whether its child `key` is runnable: `pos`
-        is its attachment position if so, else None. A node whose ready set
-        fills or empties is re-checked at its parent, and so on up."""
-        while nid is not None:
-            rt = self._nrt[nid]
-            ready = rt.ready
-            if pos is None:
-                if ready.pop(key, None) is None or ready:
+    def _mark(self, holder, backlogged):
+        """Record at its parent whether `holder` is runnable: `backlogged`,
+        and its grant neither NULL nor a RESBH with no budget left. A node
+        whose ready set fills or empties is re-checked at its parent, and so
+        on up."""
+        while holder.parent is not None:
+            parent = self._nrt[holder.parent]
+            ready = parent.ready
+            if backlogged and _open(holder.grant, holder.rem):
+                if holder.key in ready:
                     return
-            elif key in ready:
-                return
-            else:
-                ready[key] = pos
+                ready[holder.key] = holder
                 if len(ready) > 1:
                     return
-            key, nid, pos = nid, rt.parent, _node_pos(rt)
+            elif ready.pop(holder.key, None) is None or ready:
+                return
+            holder, backlogged = parent, bool(ready)
 
     # ------------------------------------------------ phases of a decision tick
 
     def _first_boundary(self, t):
-        """The first multiple of a live period at or after `t`."""
-        return min((-(-t // period) * period for period in self._periods),
+        """The first multiple of a live period at or after `t`, tick 0 aside:
+        no server is granted before it, so none refills there."""
+        t = max(t, 1)
+        return min((-(-t // period) * period for period in self._servers),
                    default=self.horizon)
 
     def _replenish_phase(self, t):
-        """Refill node servers at multiples of their period, then app
-        servers; a server refilled from empty is re-checked."""
-        nrt = self._nrt
-        for nid in sorted(nrt):
-            rt = nrt[nid]
-            granted = rt.node.granted
-            if (
-                granted.is_reservation()
-                and t > rt.grant_tick
-                and t % granted.period == 0
-            ):
-                empty = rt.rem == 0
-                rt.rem = rt.cap
-                self._emit(
-                    t, _REPLENISH, node_id=nid,
-                    node_path=self._path_name(nid),
-                )
-                if empty:
-                    self._mark(rt.parent, nid, _node_pos(rt))
-        for art in self._art.values():
-            if art.server_cap is not None:
-                period = art.awarded.period
-                if t > art.deployed_at and t % period == 0:
-                    empty = art.server_rem == 0
-                    art.server_rem = art.server_cap  # app servers are silent
-                    if empty:
-                        self._mark(art.node_id, art.app_id,
-                                   _app_pos(art, art.backlogged()))
+        """Refill the servers filed under the periods that divide `t`, if
+        granted before `t`. Nodes get a REPLENISH row each, in id order; app
+        servers are silent. A server refilled from empty is re-checked."""
+        due = [holder for period, filed in self._servers.items() if t % period == 0
+               for holder in filed.values() if t > holder.since]
+        for nid in sorted(h.key for h in due if isinstance(h, _NodeRT)):
+            self._emit(t, _REPLENISH, node_id=nid, node_path=self._path_name(nid))
+        for holder in due:
+            empty = holder.rem == 0
+            holder.rem = holder.cap
+            if empty:
+                self._mark(holder, holder.backlogged())
 
     # ------------------------------------------------- calendar of app ticks
 
@@ -664,7 +642,7 @@ class Simulation:
         for art in self._changed:
             backlogged = art.backlogged()
             art.note_backlog(t, backlogged)
-            self._mark(art.node_id, art.app_id, _app_pos(art, backlogged))
+            self._mark(art, backlogged)
         self._changed.clear()
 
     # --------------------------------------------------------------- dispatch
@@ -674,7 +652,7 @@ class Simulation:
 
         Each node hands the CPU to one runnable child, so dispatch is one
         walk down from `node_id` to a leaf. The route holds
-        `(node id, kind, key, grant)` per node on the way; the kind is
+        `(node holder, kind, key, grant)` per node on the way; the kind is
         "stride" or "rr" where the pick keeps turn state at the node, else
         None.
         """
@@ -684,27 +662,19 @@ class Simulation:
             cands = self._candidates(rt)
             if not cands:
                 return None, route
-            (key, grant, _), kind = self._pick(rt, cands, tick)
-            route.append((node_id, kind, key, grant))
+            child, kind = self._pick(rt, cands, tick)
+            route.append((rt, kind, child.key, child.grant))
             if rt.node.is_leaf():
-                return key, route
-            node_id, rt = key, self._nrt[key]
+                return child.key, route
+            rt = child
 
     def _candidates(self, rt):
-        """The runnable children of a node (its `ready` set) as `(key,
-        grant, budget left)`, in attachment order. Budget left is None for
-        grants without a budget."""
+        """The runnable children of a node (the holders in its `ready`
+        set), in attachment order."""
         ready = rt.ready
-        keys = sorted(ready, key=ready.__getitem__) if len(ready) > 1 else ready
-        if rt.node.is_leaf():
-            arts = self._art
-            return [(key, arts[key].awarded, arts[key].server_rem) for key in keys]
-        out = []
-        for key in keys:
-            child = self._nrt[key]
-            grant = child.node.granted
-            out.append((key, grant, child.rem if grant.is_reservation() else None))
-        return out
+        if len(ready) > 1:
+            return sorted(ready.values(), key=_pos)
+        return list(ready.values())
 
     def _pick(self, rt, cands, t):
         """The candidate `node` runs at `t`, and the kind of its turn.
@@ -724,13 +694,13 @@ class Simulation:
         by identity (hashing an Enum member runs Python code).
         """
         fp = rt.node.spec.policy is _FIXED_PRIORITY
-        budgeted = [c for c in cands if c[2]]
+        budgeted = [c for c in cands if c.rem]
         if budgeted:
             if fp:
                 return budgeted[0], None
-            return min(budgeted, key=lambda c: (t // c[1].period + 1) * c[1].period), None
+            return min(budgeted, key=lambda c: (t // c.grant.period + 1) * c.grant.period), None
         for service in _AFTER_BUDGETED:
-            group = [c for c in cands if c[1].service is service]
+            group = [c for c in cands if c.grant.service is service]
             if group:
                 break
         if service is _PS:
@@ -744,7 +714,7 @@ class Simulation:
         first of equal ones. A key that joins the runnable set starts at the
         lowest pass of those that stayed, unless its own is higher."""
         rt.alone = len(cands) == 1
-        current = frozenset(c[0] for c in cands)
+        current = frozenset(c.key for c in cands)
         joined = current - rt.prev_runnable
         if joined:
             passes = rt.passes
@@ -752,7 +722,7 @@ class Simulation:
             for k in joined:
                 passes[k] = max(passes.get(k, floor), floor)
         rt.prev_runnable = current
-        return _held(rt, cands) or min(cands, key=lambda c: rt.passes[c[0]])
+        return _held(rt, cands) or min(cands, key=lambda c: rt.passes[c.key])
 
     def _rr_pick(self, rt, cands):
         """Round robin: the key still in its quantum, else the first key after
@@ -765,8 +735,7 @@ class Simulation:
         last = rt.rr_last
         # still a holder: live app and node ids are never reused
         if last is not None and (last[0] in self._art or last[0] in self._nrt):
-            ready = rt.ready
-            return next((c for c in cands if ready[c[0]] > last[1]), cands[0])
+            return next((c for c in cands if c.pos > last[1]), cands[0])
         return cands[0]
 
     # ------------------------------------------------------- stretch and charge
@@ -798,12 +767,10 @@ class Simulation:
             q, r = divmod(start - _on_before(w, start) + art.pending - 1, w.off)
             drained = q * (w.on + w.off) + (w.on + r if r else 0)
             end = min(end, max(t + 1, drained + art.phase_offset))
-        if art.server_rem:
-            end = min(end, t + art.server_rem)
-        nrt = self._nrt
-        for nid, kind, key, _ in route:  # the picked app's path
-            rt = nrt[nid]
-            if rt.rem and rt.node.granted.is_reservation():
+        if art.rem:
+            end = min(end, t + art.rem)
+        for rt, kind, key, _ in route:  # the picked app's path
+            if rt.rem:
                 end = min(end, t + rt.rem)
             if kind and not rt.alone:
                 end = min(end, t + rt.node.spec.quantum - _used(rt, key))
@@ -825,20 +792,16 @@ class Simulation:
             art.pending -= n
             if art.pending == 0:
                 self._next_on(art, t)
-        if art.server_rem is not None and art.server_rem > 0:
-            art.server_rem -= n  # app servers exhaust silently
+        if art.rem:
+            art.rem -= n  # app servers exhaust silently
 
-        nrt = self._nrt
-        for nid, kind, key, grant in route:  # the picked app's path
-            rt = nrt[nid]
-            if rt.rem and rt.node.granted.is_reservation():
+        for rt, kind, key, grant in route:  # the picked app's path
+            if rt.rem:
                 rt.rem -= n
                 if rt.rem == 0:
-                    self._emit(
-                        t, _BUDGET_EXHAUSTED, node_id=nid,
-                        node_path=self._path_name(nid),
-                    )
-                    self._mark(rt.parent, nid, _node_pos(rt))
+                    self._emit(t, _BUDGET_EXHAUSTED, node_id=rt.key,
+                               node_path=self._path_name(rt.key))
+                    self._mark(rt, rt.backlogged())
             if kind is None:
                 continue
             if kind == "stride":
@@ -849,7 +812,7 @@ class Simulation:
                     rt.passes = {k: p * m for k, p in rt.passes.items()}
                 rt.passes[key] += n * (rt.scale // share)
             else:
-                rt.rr_last = (key, rt.ready[key])
+                rt.rr_last = (key, rt.ready[key].pos)
             # a quantum that runs out hands the turn back; with no
             # contender the same key takes it again
             used = (_used(rt, key) + n) % rt.node.spec.quantum
@@ -858,12 +821,12 @@ class Simulation:
     def _deadline_phase(self, t):
         """Flag the jobs whose deadline is `t`: each is the newest job of a
         PERIODIC app that releases again at t + 1."""
-        for art in sorted(self._calendar.get(t + 1, ()), key=lambda a: a.seq):
+        for art in sorted(self._calendar.get(t + 1, ()), key=_pos):
             if art.workload.kind is _PERIODIC and art.jobs:
                 job = art.jobs[-1]
                 if job.deadline == t and not job.missed:
                     job.missed = True  # the job carries over, flagged once
-                    self._emit(t, _DEADLINE_MISS, app=art.app_id,
+                    self._emit(t, _DEADLINE_MISS, app=art.key,
                                node_path=art.node_path)
 
     # -------------------------------------------------------------- main loop
@@ -913,25 +876,22 @@ class Simulation:
         service = {}
         for art in list(self._art.values()) + self._retired:
             art.note_backlog(self.horizon, False)
-            info[art.app_id] = AppTraceInfo(
-                app_id=art.app_id,
-                node_id=art.node_id,
+            info[art.key] = AppTraceInfo(
+                app_id=art.key,
+                node_id=art.parent,
                 node_path=art.node_path,
                 leaf_policy=art.leaf_policy,
                 requested=art.requested,
-                awarded=art.awarded,
-                weight_ppm=(
-                    art.requested.share
-                    if art.requested.service is _PS
-                    else 0
-                ),
+                awarded=art.grant,
+                weight_ppm=(art.requested.share
+                            if art.requested.service is _PS else 0),
                 quantum=art.quantum,
-                deployed_at=art.deployed_at,
+                deployed_at=art.since,
                 undeployed_at=art.undeployed_at,
                 hard_capped=art.hard_capped,
                 backlog=art.backlog,
             )
-            service[art.app_id] = art.service
+            service[art.key] = art.service
         return Trace(
             horizon=self.horizon,
             events=self._events,

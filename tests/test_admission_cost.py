@@ -16,8 +16,14 @@ Each node keeps its runnable children, so a dispatch decision costs the same
 however many idle apps and idle leaves sit beside the path it takes: the
 backlog tests and candidate listings of the decisions are counted by
 wrapping `_AppRT.backlogged` and `Simulation._candidates`.
+
+The engine files each budget server under its period, so a period boundary
+costs only the servers it refills, however many servers of other periods
+are live: the lines run inside `Simulation._replenish_phase` are counted by
+a trace function set for the length of each call.
 """
 
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -30,7 +36,7 @@ from hiersched.deployment import (
     deploy,
     find_compatible_service,
 )
-from hiersched.engine import Simulation, Workload, WorkloadKind, _AppRT
+from hiersched.engine import EventKind, Simulation, Workload, WorkloadKind, _AppRT
 from hiersched.hierarchy import Hierarchy, new_hierarchy
 from helpers import edf_spec, rr_spec, stride_spec
 
@@ -221,3 +227,64 @@ def test_a_decision_costs_the_same_at_10_and_100_idle_apps(monkeypatch):
     large = dispatch_counts(monkeypatch, 100)
     assert len(small[0]) >= 5 and small[1] > 0 and small[2] > 0
     assert large == small
+
+
+def replenish_counts(monkeypatch, n_slow):
+    """Run 500 ticks of `n_slow` EDF leaves granted RESBH[1,1000], each
+    holding a RESBH[1,1000] app that never releases, beside one leaf granted
+    RESBH[5,10] that runs a CPU-bound RESBH[2,10] app. Returns the ticks at
+    which the replenish phase ran, the ticks of the REPLENISH rows, and the
+    lines run inside the phase."""
+    ticks = []
+    lines = [0]
+
+    def count(frame, event, arg):
+        if event == "line":
+            lines[0] += 1
+        return count
+
+    phase = Simulation._replenish_phase
+
+    def traced(self, t):
+        ticks.append(t)
+        outer = sys.gettrace()
+        sys.settrace(count)
+        try:
+            return phase(self, t)
+        finally:
+            sys.settrace(outer)
+
+    sim = Simulation(horizon=500)
+    slow = [sim.h.attach_scheduler(Hierarchy.ROOT_ID,
+                                   edf_spec(f"slow{i}", Contract.resbh(1, 1000)))
+            for i in range(n_slow)]
+    for i, nid in enumerate(slow):
+        sim.h.node(nid).tags.add(f"slow{i}")
+    # grant the empty leaves, and hand the grants to the engine as a deploy would
+    sim._sync_runtimes(0, sim.h.compose().grants)
+    never = Workload(WorkloadKind.PERIODIC, period=1000, wcet=1, offset=600)
+    for i in range(n_slow):
+        sim.deploy_at(0, DeploymentRequest(f"s{i}", f"slow{i}", Contract.resbh(1, 1000)),
+                      never)
+    sim.deploy_at(0, DeploymentRequest(
+        "fast", "", Contract.resbh(2, 10),
+        scheduler=edf_spec("fast", Contract.resbh(5, 10)),
+    ), Workload(WorkloadKind.CPU_BOUND))
+    with monkeypatch.context() as m:
+        m.setattr(Simulation, "_replenish_phase", traced)
+        trace = sim.run()
+    assert all(d.outcome is not Outcome.REJECTED for _, _, d in trace.decisions)
+    assert [sim.h.app_node(f"s{i}") for i in range(n_slow)] == slow
+    assert trace.per_app_service["fast"] == 100  # its own budget, 50 windows
+    replenished = [e.tick for e in trace.events if e.kind is EventKind.REPLENISH]
+    return ticks, replenished, lines[0]
+
+
+def test_a_period_boundary_costs_the_same_at_10_and_100_idle_servers(monkeypatch):
+    small = replenish_counts(monkeypatch, 10)
+    large = replenish_counts(monkeypatch, 100)
+    assert small[1] == list(range(10, 500, 10))  # the fast leaf's refills
+    assert small[2] > 0
+    assert large == small
+    # the phase runs only at those boundaries: at tick 0 none refills
+    assert small[0] == small[1]

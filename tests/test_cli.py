@@ -235,6 +235,17 @@ class TestRun:
         assert run(["--scenario", str(path), "--horizon", horizon]) == 2
         assert capsys.readouterr().err == "error: --horizon: must be >= 1\n"
 
+    def test_non_ascii_digit_in_a_contract_exits_two(self, tmp_path, capsys):
+        doc = json.loads(minimal())
+        doc["schedulers"][0]["request"] = "RESBH[\u00b2,10]"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: schedulers[0].request: expected integer, found '\u00b2' "
+            "(position 6)\n"
+        )
+
     def test_missing_and_malformed_files(self, tmp_path, capsys):
         assert run(["--scenario", str(tmp_path / "nope.json")]) == 2
         assert "cannot read scenario" in capsys.readouterr().err

@@ -77,6 +77,13 @@ def test_parse_tolerates_spaces():
         ("PS[0]", "share 0 outside", 3),
         ("PS[1000001]", "share 1000001 outside", 3),
         (f"RESBH[1,{MAX_PERIOD + 1}]", "exceeds", 8),
+        # digits other than ASCII 0-9: superscript two, Arabic-Indic three,
+        # fullwidth five
+        ("PS[\u00b2]", "expected integer, found '\u00b2'", 3),
+        ("RESBH[\u00b2,10]", "expected integer, found '\u00b2'", 6),
+        ("RESBH[\u0663,10]", "expected integer, found '\u0663'", 6),
+        ("RESBH[1,1\u0663]", "expected ',' or ']', found '\u0663'", 9),
+        ("PS[\uff15]", "expected integer, found '\uff15'", 3),
     ],
 )
 def test_parse_errors_point_at_offender(text, fragment, position):

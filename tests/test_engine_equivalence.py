@@ -28,9 +28,10 @@ run, so the test also asserts that enough runs rescale passes that are not
 all zero, and that enough charge a key at a share other than its last one.
 
 On the same scenarios, the engine's sync of budget servers, which applies
-only the grants each compose set, must leave every server, award and live
-period as `sync_reference.FullScanSimulation` does by walking the whole
-tree after every deploy and undeploy.
+only the grants each compose set, must leave every server and award, and
+the holders it files under each period, as
+`sync_reference.FullScanSimulation` does by walking the whole tree after
+every deploy and undeploy.
 """
 
 from collections import Counter
@@ -264,18 +265,17 @@ class Rescaling(engine.Simulation):
     def _do_undeploy(self, t, app_id):
         art = self._art.get(app_id)
         super()._do_undeploy(t, app_id)
-        if not self.h.has_node(art.node_id):
+        if not self.h.has_node(art.parent):
             self.unloads.append((t, art.node_path))
 
     def _charge_phase(self, t, n, picked, route):
         before = []
-        for nid, kind, key, grant in route:
+        for rt, kind, key, grant in route:
             if kind == "stride":
-                rt = self._nrt[nid]
                 before.append((rt, rt.scale, any(rt.passes.values())))
-                last = self._last_share.get((nid, key), grant.share)
+                last = self._last_share.get((rt.key, key), grant.share)
                 self.recharged += last != grant.share
-                self._last_share[nid, key] = grant.share
+                self._last_share[rt.key, key] = grant.share
         super()._charge_phase(t, n, picked, route)
         self.rescales += sum(live and rt.scale != scale for rt, scale, live in before)
 
@@ -328,20 +328,24 @@ class Recording:
         super()._sync_runtimes(t, grants, retired)
         self.states.append((
             t,
-            {nid: (rt.grant_tick, rt.cap, rt.rem) for nid, rt in self._nrt.items()},
-            {app: (art.awarded, art.server_cap, art.server_rem)
-             for app, art in self._art.items()},
-            set(self._periods),
+            {nid: (rt.since, rt.cap, rt.rem) for nid, rt in self._nrt.items()},
+            {app: (art.grant, art.cap, art.rem) for app, art in self._art.items()},
+            {period: set(filed) for period, filed in self._servers.items()},
         ))
 
 
 class Incremental(Recording, engine.Simulation):
     def _sync_runtimes(self, t, grants, retired=None):
         super()._sync_runtimes(t, grants, retired)
-        # the period counts are those of a recount, not only the same keys
-        servers = [rt.period for rt in self._nrt.values()]
-        servers += [art.awarded.period for art in self._art.values()]
-        assert self._periods == Counter(p for p in servers if p is not None)
+        # the registry files each live holder with a reservation grant, and
+        # only those, under its grant's period
+        live = {**self._nrt, **self._art}  # node ids are ints, app ids strs
+        assert all((h.cap is None) == (h.grant is None or h.grant.period is None)
+                   for h in live.values())
+        filed = {(period, key): holder for period, held in self._servers.items()
+                 for key, holder in held.items()}
+        assert filed == {(h.grant.period, key): h for key, h in live.items()
+                         if h.cap is not None}
 
 
 class FullScan(Recording, sync_reference.FullScanSimulation):
@@ -350,8 +354,9 @@ class FullScan(Recording, sync_reference.FullScanSimulation):
 
 def test_incremental_sync_matches_the_full_scan():
     """After every deploy and undeploy, each node's budget server (first
-    tick, cap, budget left), each live app's award and server, and the live
-    periods equal what the full scan of the tree gives; so does the trace."""
+    tick, cap, budget left), each live app's award and server, and the
+    holders filed under each live period equal what the full scan of the
+    tree gives; so does the trace."""
     seen = Counter()
 
     @settings(max_examples=300, deadline=None, derandomize=True)

@@ -1,4 +1,5 @@
-"""Pinned sha256 digests of the trace CSV and report of every shipped scenario.
+"""Pinned sha256 digests of the trace CSV and report of every shipped scenario,
+and of the benchmark's workloads at seed 1.
 
 A rerun compared with itself cannot notice that a refactor changed the
 output; these digests can. Any change to the simulator, the admission
@@ -46,6 +47,23 @@ GOLDEN = {
     ),
 }
 
+# bench/workloads.py at seed 1; the generator reads only bench/, so the
+# scenarios do not move with the code under test
+BENCH_GOLDEN = {
+    "long_horizon": (
+        "959debc6d2673ced48a1525a3d4a184e7c69f20a1c50c88f2ea50909b14cee1e",
+        "4fe7703138141d23eba5e44fef5b2f8aaa8efc1ddc5a43e74159d77465a77212",
+    ),
+    "mass_admission": (
+        "bb101f471200309c7728a6c05ae349ea302e5d86265e829ac3b1221c995bea78",
+        "b05d701ab91810ef8257bb35915407e80e2aed77959585a72065b6ffb6f664dd",
+    ),
+    "churn": (
+        "e5f46afd7f32b92092df077609b2f4f018d8e46f3c43736733e1bc7f8c192362",
+        "304ee83c3f0bc2334a239a8a87a8cd87155ff00a007b71f4fd37e10f4bdca237",
+    ),
+}
+
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -67,6 +85,26 @@ def test_golden_digests(name, tmp_path):
     ])
     assert code == 0
     assert (_sha256(trace), _sha256(report)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_GOLDEN))
+def test_bench_workload_digests(name, tmp_path):
+    scenario = tmp_path / f"{name}.json"
+    subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "workloads.py"),
+         "--workload", name, "--seed", "1", "--out", str(scenario)],
+        check=True, capture_output=True, timeout=120,
+    )
+    trace = tmp_path / "trace.csv"
+    report = tmp_path / "report.txt"
+    code = run([
+        "--scenario", str(scenario),
+        "--trace-out", str(trace),
+        "--report-out", str(report),
+        "--allow-reject",
+    ])
+    assert code == 0
+    assert (_sha256(trace), _sha256(report)) == BENCH_GOLDEN[name]
 
 
 def _run_module(tmp_path, *flags):
