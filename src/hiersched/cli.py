@@ -17,8 +17,12 @@ A scenario file looks like:
 
 Timeline ticks must be non-decreasing, every referenced scheduler must be
 declared, undeploys must name an app deployed earlier, and the horizon must
-lie strictly past the last timeline tick. Deploy entries may pin a parent
-scheduler by name with "parent"; otherwise new schedulers load at the root.
+lie strictly past the last timeline tick. New schedulers load at the root.
+A deploy entry may name a parent scheduler with "parent", but only a VIRTUAL
+scheduler can be a parent and no scenario can load one (it provides no
+service class, so every deploy naming one is rejected): "parent" never
+places a scheduler below the root, and a deploy that names a loaded leaf
+is rejected, one that names a scheduler not loaded yet stops the run.
 
 Exit status: 0 when the run is clean, 1 when the verifier found violations
 or any deployment was rejected (suppress the latter with --allow-reject),
@@ -138,6 +142,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(
             f"invalid JSON: {e.msg} (line {e.lineno}, column {e.colno})"
         ) from e
+    except ValueError as e:  # an integer past the interpreter's digit limit
+        raise ScenarioError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: expected a JSON object")
     horizon = _need(doc, "horizon", int, "scenario", minimum=1)
@@ -252,7 +258,7 @@ def run(argv=None) -> int:
     try:
         with open(args.scenario, encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read scenario: {e}", file=sys.stderr)
         return 2
 

@@ -221,7 +221,10 @@ def parse_contract(text: str) -> Contract:
             if i == start:
                 found = text[i] if i < len(text) else "<end>"
                 raise ContractError(f"expected integer, found {found!r}", i)
-            params.append((int(text[start:i]), start))
+            try:
+                params.append((int(text[start:i]), start))
+            except ValueError:  # past the interpreter's digit limit
+                raise ContractError(f"integer too long ({i - start} digits)", start) from None
             while i < len(text) and text[i] == " ":
                 i += 1
             if i < len(text) and text[i] == ",":

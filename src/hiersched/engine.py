@@ -3,8 +3,8 @@
 One CPU, advanced from one decision point to the next. A decision point is a
 tick where an input to dispatch can change: a timeline action, a period
 boundary of any budget server, a periodic release, an idle BURSTY app
-turning on, or, for the running app, the end of its job or of its pending
-work, the exhaustion of its own or a route node's budget, and the end of its
+turning on, or, for the running app, the end of its pending work, the
+exhaustion of its own or a route node's budget, and the end of its
 quantum where a contender waits. At a decision point timeline actions apply
 first, then reservation servers replenish, workloads release work, and the
 root dispatches exactly one application (or idles): each node on the way
@@ -50,7 +50,6 @@ import csv
 import heapq
 import io
 import random
-from collections import deque
 from enum import Enum
 from math import gcd
 from operator import attrgetter
@@ -256,21 +255,15 @@ class Trace:
         return out.getvalue()
 
 
-class _Job:
-    __slots__ = ("deadline", "remaining", "missed")
-
-    def __init__(self, deadline, remaining):
-        self.deadline = deadline
-        self.remaining = remaining
-        self.missed = False
-
-
 class _AppRT:
     """Mutable per-application simulation state. As a grant holder it has
     the fields of `_NodeRT`: `key` is its app id, `pos` its deploy order
     (its position at its leaf), `parent` its leaf's node id, `grant` its
     award, `cap` and `rem` its budget server (None unless the award is a
-    reservation) and `since` its deploy tick, that of its first grant."""
+    reservation) and `since` its deploy tick, that of its first grant.
+    `pending` is the work released and not yet run, 0 for CPU_BOUND, which
+    is always backlogged; `arrived` (BURSTY only) counts the phase-relative
+    on-ticks before the last tick `pending` was brought up to."""
 
     def __init__(self, key, pos, leaf, node_path, requested, tick, workload,
                  hard_capped, phase_offset):
@@ -287,22 +280,16 @@ class _AppRT:
         self.workload = workload
         self.hard_capped = hard_capped
         self.phase_offset = phase_offset
-        self.jobs: deque[_Job] = deque()
-        self.pending = 0  # BURSTY backlog
-        self.released_to = tick  # BURSTY on-ticks before this are in pending
+        self.pending = 0
+        if workload.kind is _BURSTY:
+            self.arrived = _on_before(workload, tick - phase_offset)
         self.due = None  # the tick of its entry in the simulation's calendar
         self.service = 0
         self.backlog: list = []
         self._open = None  # start of the current backlog interval
 
     def backlogged(self) -> bool:
-        # the charge pops each job it empties: every queued job has work left
-        kind = self.workload.kind
-        if kind is _CPU_BOUND:
-            return True
-        if kind is _PERIODIC:
-            return bool(self.jobs)
-        return self.pending > 0
+        return self.workload.kind is _CPU_BOUND or self.pending > 0
 
     def note_backlog(self, tick, backlogged):
         if backlogged and self._open is None:
@@ -357,8 +344,7 @@ class Simulation:
         self.decisions: list = []
         self._timeline: dict[int, list] = {}
         self._art: dict[str, _AppRT] = {}
-        self._retired: list[_AppRT] = []
-        self._retired_ids: set[str] = set()
+        self._retired: dict[str, _AppRT] = {}  # app id -> runtime, in retire order
         self._nrt = {Hierarchy.ROOT_ID: _NodeRT(self.h.node(Hierarchy.ROOT_ID), 0)}
         # period -> {key: holder} of the live budget servers with that period
         self._servers: dict[int, dict] = {}
@@ -401,7 +387,7 @@ class Simulation:
     def _do_deploy(self, t, req, workload):
         if req.app_id in self._art:
             raise EngineError(f"app id {req.app_id!r} already live at tick {t}")
-        if req.app_id in self._retired_ids:
+        if req.app_id in self._retired:
             raise EngineError(f"app id {req.app_id!r} reused after undeploy")
         if isinstance(req.target_parent, str):
             # scenarios name the parent scheduler; resolve once it exists
@@ -460,8 +446,7 @@ class Simulation:
             due.remove(art)
             if not due:
                 del self._calendar[art.due]
-        self._retired.append(art)
-        self._retired_ids.add(app_id)
+        self._retired[app_id] = art
         del self._art[app_id]
         # a leaf it unloaded has no app left, so leaves its parent's set too
         self._mark(art, False)
@@ -608,10 +593,9 @@ class Simulation:
 
     def _accrue(self, art, until):
         """Add the BURSTY on-ticks before `until` to what `art` has pending."""
-        w = art.workload
-        art.pending += (_on_before(w, until - art.phase_offset)
-                        - _on_before(w, art.released_to - art.phase_offset))
-        art.released_to = until
+        arrived = _on_before(art.workload, until - art.phase_offset)
+        art.pending += arrived - art.arrived
+        art.arrived = arrived
 
     def _next_on(self, art, t):
         """Put a BURSTY app with nothing pending in the calendar at its
@@ -630,7 +614,7 @@ class Simulation:
             self._changed.add(art)
             w = art.workload
             if w.kind is _PERIODIC:
-                art.jobs.append(_Job(deadline=t + w.period - 1, remaining=w.wcet))
+                art.pending += w.wcet
                 self._schedule(art, t + w.period)
             else:
                 self._accrue(art, t + 1)
@@ -748,9 +732,9 @@ class Simulation:
         running app keeps its work, its budgets and, where it has
         contenders, its quantum. No deadline falls before the last tick.
         """
-        # the calendar holds the next release of every PERIODIC app (the
-        # newest job's deadline is the tick before it, and older unmet jobs
-        # have missed already) and the on-edge of every idle BURSTY app
+        # the calendar holds the next release of every PERIODIC app (its
+        # newest job is due the tick before it) and the on-edge of every
+        # idle BURSTY app
         end = min(self.horizon, next_action, self._next_due(), self._boundary)
         if picked is None:
             return end
@@ -758,13 +742,13 @@ class Simulation:
         art = self._art[picked]
         w = art.workload
         if w.kind is _PERIODIC:
-            end = min(end, t + art.jobs[0].remaining)
+            end = min(end, t + art.pending)
         elif w.kind is _BURSTY:
             # after this tick's charge, pending drops by one on each off-tick:
             # the stretch ends with the charge that empties it
             self._accrue(art, t + 1)
             start = t + 1 - art.phase_offset
-            q, r = divmod(start - _on_before(w, start) + art.pending - 1, w.off)
+            q, r = divmod(start - art.arrived + art.pending - 1, w.off)
             drained = q * (w.on + w.off) + (w.on + r if r else 0)
             end = min(end, max(t + 1, drained + art.phase_offset))
         if art.rem:
@@ -783,10 +767,7 @@ class Simulation:
         self._changed.add(art)
         w = art.workload
         if w.kind is _PERIODIC:
-            job = art.jobs[0]
-            job.remaining -= n
-            if job.remaining == 0:
-                art.jobs.popleft()
+            art.pending -= n
         elif w.kind is _BURSTY:
             self._accrue(art, t + 1)
             art.pending -= n
@@ -819,15 +800,12 @@ class Simulation:
             rt.active = (key, used) if used else None
 
     def _deadline_phase(self, t):
-        """Flag the jobs whose deadline is `t`: each is the newest job of a
-        PERIODIC app that releases again at t + 1."""
+        """Flag the PERIODIC apps that release again at t + 1 with work
+        pending: work runs in release order, so theirs includes the newest
+        job's, due at `t`. Each tick ends a stretch at most once."""
         for art in sorted(self._calendar.get(t + 1, ()), key=_pos):
-            if art.workload.kind is _PERIODIC and art.jobs:
-                job = art.jobs[-1]
-                if job.deadline == t and not job.missed:
-                    job.missed = True  # the job carries over, flagged once
-                    self._emit(t, _DEADLINE_MISS, app=art.key,
-                               node_path=art.node_path)
+            if art.workload.kind is _PERIODIC and art.pending:
+                self._emit(t, _DEADLINE_MISS, app=art.key, node_path=art.node_path)
 
     # -------------------------------------------------------------- main loop
 
@@ -874,7 +852,7 @@ class Simulation:
     def _finish(self) -> Trace:
         info = {}
         service = {}
-        for art in list(self._art.values()) + self._retired:
+        for art in [*self._art.values(), *self._retired.values()]:
             art.note_backlog(self.horizon, False)
             info[art.key] = AppTraceInfo(
                 app_id=art.key,

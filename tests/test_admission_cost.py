@@ -21,6 +21,10 @@ The engine files each budget server under its period, so a period boundary
 costs only the servers it refills, however many servers of other periods
 are live: the lines run inside `Simulation._replenish_phase` are counted by
 a trace function set for the length of each call.
+
+A BURSTY app keeps the count of on-ticks it has taken in, so bringing its
+pending work up to date costs one on-tick count, not two: the calls to
+`engine._on_before` are counted per dispatch.
 """
 
 import sys
@@ -29,6 +33,7 @@ from fractions import Fraction
 
 import pytest
 
+from hiersched import engine
 from hiersched.contracts import Contract
 from hiersched.deployment import (
     DeploymentRequest,
@@ -288,3 +293,25 @@ def test_a_period_boundary_costs_the_same_at_10_and_100_idle_servers(monkeypatch
     assert large == small
     # the phase runs only at those boundaries: at tick 0 none refills
     assert small[0] == small[1]
+
+
+def test_a_bursty_app_counts_its_on_ticks_once_per_accrual(monkeypatch):
+    calls = Counter()
+
+    def counting(name, function):
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+        return counted
+
+    sim = Simulation(horizon=100, seed=0)
+    sim.deploy_at(0, DeploymentRequest(
+        "burst", "", Contract.be(), scheduler=rr_spec("rr", Contract.be()),
+    ), Workload(WorkloadKind.BURSTY, on=5, off=5))
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_on_before", counting("_on_before", engine._on_before))
+        m.setattr(Simulation, "dispatch", counting("dispatch", Simulation.dispatch))
+        trace = sim.run()
+    assert trace.per_app_service["burst"] == 50
+    assert calls["dispatch"] == 60
+    assert calls["_on_before"] < 3 * calls["dispatch"]

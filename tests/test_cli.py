@@ -253,6 +253,30 @@ class TestRun:
         bad.write_text("{broken")
         assert run(["--scenario", str(bad)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b'{"horizon": 10}\xff')
+        assert run(["--scenario", str(binary)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: cannot read scenario: 'utf-8' codec can't decode byte 0xff"
+        )
+
+    def test_integer_past_the_digit_limit_in_the_json_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"horizon": 1' + "0" * 5000 + "}")
+        assert run(["--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON: ") and "digits" in err
+
+    def test_integer_past_the_digit_limit_in_a_contract_exits_two(self, tmp_path,
+                                                                  capsys):
+        doc = json.loads(minimal())
+        doc["timeline"][0]["request"] = "PS[1" + "0" * 5000 + "]"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: timeline[0].request: integer too long (5001 digits) (position 3)\n"
+        )
 
     @pytest.mark.parametrize("key", ["schedulers", "timeline"])
     @pytest.mark.parametrize("value", [5, "abc", {"tick": 0}],

@@ -155,6 +155,26 @@ class TestHardReservations:
         assert trace.app_info["dm"].backlog == [(0, 300)]
         assert trace.app_info["dm"].hard_capped is True
 
+    def test_queued_jobs_drain_once_the_hog_leaves(self):
+        # the hog is first in priority order and takes every tick until it
+        # leaves at 35; by then four jobs of 4 ticks each are queued
+        sim = Simulation(horizon=100)
+        deploy(sim, 0, "hog", "batch", Contract.be(), cpu_bound(),
+               scheduler=fp_spec("fp0", Contract.be()))
+        deploy(sim, 0, "p", "batch", Contract.be(), periodic(10, 4))
+        sim.undeploy_at(35, "hog")
+        trace = sim.run()
+        # 16 pending at 35, 11 left at 39 and 5 at 49; the queue empties at
+        # 59, before the release at 60, and every later job meets its deadline
+        assert ticks(trace, EventKind.DEADLINE_MISS, app="p") == [9, 19, 29, 39, 49]
+        assert trace.per_app_service == {"hog": 35, "p": 40}
+        assert ticks(trace, EventKind.RUN, app="p") == (
+            list(range(35, 59)) + [t for k in (60, 70, 80, 90) for t in range(k, k + 4)]
+        )
+        assert trace.app_info["p"].backlog == [
+            (0, 59), (60, 64), (70, 74), (80, 84), (90, 94),
+        ]
+
 
 class TestSoftReservations:
     def test_soft_budget_overflows_into_slack(self):
