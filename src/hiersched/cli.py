@@ -142,7 +142,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(
             f"invalid JSON: {e.msg} (line {e.lineno}, column {e.colno})"
         ) from e
-    except ValueError as e:  # an integer past the interpreter's digit limit
+    except (ValueError, RecursionError) as e:
+        # past the interpreter's limit on integer digits or on nesting depth
         raise ScenarioError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: expected a JSON object")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .contracts import Contract, Frozen, format_contract, satisfies
+from .contracts import Contract, Frozen, ServiceClass, format_contract, satisfies
 from .hierarchy import Hierarchy, HierarchyError, SchedulerSpec
 
 
@@ -31,6 +31,13 @@ class RejectReason(Enum):
 
 class DeploymentError(Exception):
     pass
+
+
+# what a supplied scheduler may ask its parent for: ALL is the root's alone,
+# and a NULL grant would never run the app (a tuple: a set would hash the
+# Enum member in Python code)
+_SCHEDULER_ASKS = (ServiceClass.RESBH, ServiceClass.RESBS, ServiceClass.PS,
+                   ServiceClass.BE)
 
 
 class DeploymentRequest(Frozen):
@@ -160,11 +167,12 @@ def _validate(h, req) -> str | None:
         return "empty app_id"
     if h.app_node(req.app_id) is not None:
         return f"app {req.app_id!r} already deployed"
-    if req.scheduler is not None and req.request.service not in req.scheduler.provides:
-        return (
-            f"scheduler {req.scheduler.name!r} does not provide "
-            f"{req.request.service.value}"
-        )
+    if req.scheduler is not None:
+        name, asks = req.scheduler.name, req.scheduler.parent_request.service
+        if req.request.service not in req.scheduler.provides:
+            return f"scheduler {name!r} does not provide {req.request.service.value}"
+        if asks not in _SCHEDULER_ASKS:
+            return f"scheduler {name!r} asks its parent for {asks.value}"
     if req.target_parent is not None:
         try:
             parent = h.node(req.target_parent)

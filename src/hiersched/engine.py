@@ -21,11 +21,12 @@ NULL nor a spent RESBH. An event re-checks only the holders it can flip
 refills, the holders of a compose's grants, a leaving app and the leaf it
 unloads), and a set that fills or empties re-checks its node at the
 parent, so no pick looks into a subtree. That pick holds until
-the next decision point, so the whole stretch is charged at once: service,
-work, budgets and quantum use move by its length, stride passes by its
-length over the share, kept exact as integers (`_NodeRT.scale`). The
-stretch goes into the trace as one RUN or IDLE segment (start, end, app);
-budget exhaustion and deadline misses are rows at the tick they happen.
+the next decision point, so the whole stretch is charged at once: work,
+budgets and quantum use move by its length, stride passes by its length
+over the share, kept exact as integers (`_NodeRT.scale`). The stretch goes
+into the trace as one RUN or IDLE segment (start, end, app), from which
+`_finish` sums each app's service and the idle ticks; budget exhaustion and
+deadline misses are rows at the tick they happen.
 `Trace.to_csv` expands the segments to one row per tick, byte for byte what
 a tick-by-tick loop writes (tests/engine_reference.py keeps one). Per
 decision, only the apps that can have changed are touched: a calendar holds
@@ -256,35 +257,31 @@ class Trace:
 
 
 class _AppRT:
-    """Mutable per-application simulation state. As a grant holder it has
-    the fields of `_NodeRT`: `key` is its app id, `pos` its deploy order
-    (its position at its leaf), `parent` its leaf's node id, `grant` its
-    award, `cap` and `rem` its budget server (None unless the award is a
-    reservation) and `since` its deploy tick, that of its first grant.
-    `pending` is the work released and not yet run, 0 for CPU_BOUND, which
-    is always backlogged; `arrived` (BURSTY only) counts the phase-relative
-    on-ticks before the last tick `pending` was brought up to."""
+    """Mutable per-application simulation state. `info` is its trace record
+    as fixed at deploy; an undeploy sets its `undeployed_at`. As a grant
+    holder it has the fields of `_NodeRT`: `key` is its app id, `pos` its
+    deploy order (its position at its leaf), `parent` its leaf's node id,
+    `grant` its award, `cap` and `rem` its budget server (None unless the
+    award is a reservation) and `since` its deploy tick, that of its first
+    grant. `pending` is the work released and not yet run, 0 for CPU_BOUND,
+    which is always backlogged; `arrived` (BURSTY only) counts the
+    phase-relative on-ticks before the last tick `pending` was brought up
+    to."""
 
-    def __init__(self, key, pos, leaf, node_path, requested, tick, workload,
-                 hard_capped, phase_offset):
-        self.key = key
+    def __init__(self, info, pos, workload, phase_offset):
+        self.info = info
+        self.key = info.app_id
         self.pos = pos
-        self.parent = leaf.node_id
-        self.node_path = node_path
-        self.leaf_policy = leaf.spec.policy.value
-        self.requested = requested
+        self.parent = info.node_id
+        self.node_path = info.node_path
         self.grant = self.cap = self.rem = None  # set by Simulation._serve
-        self.quantum = leaf.spec.quantum
-        self.since = tick
-        self.undeployed_at = None
+        self.since = info.deployed_at
         self.workload = workload
-        self.hard_capped = hard_capped
         self.phase_offset = phase_offset
         self.pending = 0
         if workload.kind is _BURSTY:
-            self.arrived = _on_before(workload, tick - phase_offset)
+            self.arrived = _on_before(workload, self.since - phase_offset)
         self.due = None  # the tick of its entry in the simulation's calendar
-        self.service = 0
         self.backlog: list = []
         self._open = None  # start of the current backlog interval
 
@@ -357,7 +354,6 @@ class Simulation:
         self._changed: set[_AppRT] = set()  # whose backlog may have flipped
         self._events: list[SimEvent] = []  # every row but RUN and IDLE
         self._segments: list = []  # (start, end, app or None), in tick order
-        self._idle = 0
         self._done = False
 
     # -------------------------------------------------------------- timeline
@@ -404,20 +400,18 @@ class Simulation:
             self._emit(t, _DEPLOY, app=req.app_id, detail=detail)
             return
         nid = decision.node_id
+        leaf, request = self.h.node(nid), req.request
+        info = AppTraceInfo(  # `awarded` and `backlog` are set by _finish
+            app_id=req.app_id, node_id=nid, node_path=self._path_name(nid),
+            leaf_policy=leaf.spec.policy.value, requested=request, awarded=None,
+            weight_ppm=request.share if request.service is _PS else 0,
+            quantum=leaf.spec.quantum, deployed_at=t, undeployed_at=None,
+            hard_capped=self._hard_capped(nid, decision.awarded), backlog=None,
+        )
         phase = 0
         if workload.kind is _BURSTY:
             phase = self.rng.randrange(workload.on + workload.off)
-        art = _AppRT(
-            key=req.app_id,
-            pos=len(self._art) + len(self._retired),
-            leaf=self.h.node(nid),
-            node_path=self._path_name(nid),
-            requested=req.request,
-            tick=t,
-            workload=workload,
-            hard_capped=self._hard_capped(nid, decision.awarded),
-            phase_offset=phase,
-        )
+        art = _AppRT(info, len(self._art) + len(self._retired), workload, phase)
         self._art[req.app_id] = art
         self._changed.add(art)
         if workload.kind is _PERIODIC:
@@ -426,7 +420,6 @@ class Simulation:
         elif workload.kind is _BURSTY:
             self._schedule(art, t)  # what is pending at t comes in at t
         self._sync_runtimes(t, decision.grants)
-        self._recheck(decision.grants)
         self._emit(t, _DEPLOY, app=req.app_id, node_id=nid,
                    node_path=art.node_path, detail=decision.outcome.value)
 
@@ -439,7 +432,7 @@ class Simulation:
         except DeploymentError as e:  # a recompose that failed
             raise EngineError(str(e)) from e
         art.note_backlog(t, False)
-        art.undeployed_at = t
+        art.info = art.info._replace(undeployed_at=t)
         self._changed.discard(art)
         if art.due is not None:
             due = self._calendar[art.due]
@@ -451,7 +444,6 @@ class Simulation:
         # a leaf it unloaded has no app left, so leaves its parent's set too
         self._mark(art, False)
         self._sync_runtimes(t, grants, art)
-        self._recheck(grants)
         self._emit(t, _UNDEPLOY, app=app_id, node_path=art.node_path)
 
     def _hard_capped(self, leaf_id, awarded):
@@ -474,11 +466,12 @@ class Simulation:
         return "/".join(reversed(names))
 
     def _sync_runtimes(self, t, grants, retired=None):
-        """Bring the budget servers in line with a deploy's or an undeploy's
+        """Bring the holders in line with a deploy's or an undeploy's
         recompose. `grants` are the grants it set, the only ones that can
         have moved; `retired` is the app an undeploy took out, whose leaf
-        goes too if the undeploy unloaded it. A node seen for the first time
-        gets its holder here.
+        goes too if the undeploy unloaded it. Each grant's holder (made here
+        for a node seen for the first time) is served, then re-checked at its
+        parent once all are: a grant can open or close a child.
 
         The engine learns of grants only from the composes of its own
         deploys and undeploys: code that changes `self.h` must leave the
@@ -489,12 +482,16 @@ class Simulation:
             self._unfile(retired)
             if not self.h.has_node(retired.parent):  # only its leaf can go
                 self._unfile(nrt.pop(retired.parent))
+        served = []
         for g in grants:
             key = g.holder
             holder = self._art[key] if isinstance(key, str) else nrt.get(key)
             if holder is None:
                 holder = nrt[key] = _NodeRT(self.h.node(key), t)
             self._serve(holder, g.awarded)
+            served.append(holder)
+        for holder in served:
+            self._mark(holder, holder.backlogged())
 
     def _serve(self, holder, grant):
         """Give `holder` its new `grant`. A reservation's server keeps what
@@ -519,14 +516,6 @@ class Simulation:
             del filed[holder.key]
             if not filed:
                 del self._servers[period]
-
-    def _recheck(self, grants):
-        """Re-check the holders of the grants a compose set: a grant can
-        open or close a child."""
-        for g in grants:
-            key = g.holder
-            holder = self._art[key] if isinstance(key, str) else self._nrt[key]
-            self._mark(holder, holder.backlogged())
 
     def _mark(self, holder, backlogged):
         """Record at its parent whether `holder` is runnable: `backlogged`,
@@ -763,7 +752,6 @@ class Simulation:
     def _charge_phase(self, t, n, picked, route):
         """Charge `picked` for the `n` ticks ending with tick `t`."""
         art = self._art[picked]
-        art.service += n
         self._changed.add(art)
         w = art.workload
         if w.kind is _PERIODIC:
@@ -835,9 +823,7 @@ class Simulation:
             end = self._stretch_end(
                 t, picked, route, actions[-1] if actions else self.horizon
             )
-            if picked is None:
-                self._idle += end - t
-            else:
+            if picked is not None:
                 self._charge_phase(end - 1, end - t, picked, route)
             segs = self._segments
             if segs and segs[-1][1] == t and segs[-1][2] == picked:
@@ -851,30 +837,21 @@ class Simulation:
 
     def _finish(self) -> Trace:
         info = {}
-        service = {}
         for art in [*self._art.values(), *self._retired.values()]:
             art.note_backlog(self.horizon, False)
-            info[art.key] = AppTraceInfo(
-                app_id=art.key,
-                node_id=art.parent,
-                node_path=art.node_path,
-                leaf_policy=art.leaf_policy,
-                requested=art.requested,
-                awarded=art.grant,
-                weight_ppm=(art.requested.share
-                            if art.requested.service is _PS else 0),
-                quantum=art.quantum,
-                deployed_at=art.since,
-                undeployed_at=art.undeployed_at,
-                hard_capped=art.hard_capped,
-                backlog=art.backlog,
-            )
-            service[art.key] = art.service
+            info[art.key] = art.info._replace(awarded=art.grant, backlog=art.backlog)
+        service = dict.fromkeys(info, 0)  # an app that never ran has 0
+        idle = 0
+        for start, end, app in self._segments:
+            if app is None:
+                idle += end - start
+            else:
+                service[app] += end - start
         return Trace(
             horizon=self.horizon,
             events=self._events,
             per_app_service=service,
-            idle_ticks=self._idle,
+            idle_ticks=idle,
             app_info=info,
             decisions=self.decisions,
             segments=self._segments,

@@ -165,17 +165,16 @@ class FeasibilityResult(NamedTuple):
 
 
 class _Stage:
-    """What one compose computed, applied only if it succeeds."""
+    """What one compose computed, applied only if it succeeds. Each award
+    is staged once, as a Grant in `grants`."""
 
-    __slots__ = ("dirty", "nodes", "apps", "factors", "grants", "visited")
+    __slots__ = ("dirty", "nodes", "factors", "grants")
 
     def __init__(self, dirty):
         self.dirty = dirty  # changed node ids and their ancestors
-        self.nodes = {}  # node id -> (grant, degraded)
-        self.apps = {}  # app id -> (award, degraded)
+        self.nodes = {}  # node id -> its new grant, for its children's settle
         self.factors = {}  # node id -> its new factor
         self.grants = []  # Grant, in tree order
-        self.visited = []  # SchedulerNode
 
 
 _ROOT_SPEC = SchedulerSpec(
@@ -362,27 +361,28 @@ class Hierarchy:
         return dirty
 
     def _apply(self, stage):
-        """Write a successful compose into the tree and clear its marks."""
+        """Write a successful compose into the tree and clear its marks. It
+        settled every node in `_changed`, the only ones with fresh holders."""
         nodes = self._nodes
-        for nid, (granted, degraded) in stage.nodes.items():
-            node = nodes[nid]
-            if granted != node.granted:
-                parent = nodes[node.parent]
-                parent.used += _allotted(granted) - _allotted(node.granted)
-                node.granted = granted
-            node.degraded = degraded
-        for app_id, (awarded, degraded) in stage.apps.items():
-            nid, slot = self._apps[app_id]
-            if awarded != slot.awarded:
-                leaf = nodes[nid]
-                leaf.used += _allotted(awarded) - _allotted(slot.awarded)
-                slot.awarded = awarded
-            slot.degraded = degraded
+        for g in stage.grants:
+            new = g.awarded
+            if isinstance(g.holder, str):
+                nid, slot = self._apps[g.holder]
+                if new != slot.awarded:
+                    nodes[nid].used += _allotted(new) - _allotted(slot.awarded)
+                    slot.awarded = new
+                slot.degraded = g.degraded
+            else:
+                node = nodes[g.holder]
+                if new != node.granted:
+                    nodes[node.parent].used += _allotted(new) - _allotted(node.granted)
+                    node.granted = new
+                node.degraded = g.degraded
         for nid, factor in stage.factors.items():
             nodes[nid].factor = factor
-        for n in stage.visited:
-            n.fresh.clear()
-            self._changed.discard(n.node_id)
+        for nid in self._changed:
+            nodes[nid].fresh.clear()
+        self._changed.clear()
 
     def _settle(self, node, granted, regrant, stage):
         """Settle one node under `granted`, then the children that need it.
@@ -392,7 +392,6 @@ class Hierarchy:
         unchanged passes its checks as it did then and keeps its awards, so
         only its dirty children are visited.
         """
-        stage.visited.append(node)
         nid = node.node_id
         leaf = node.is_leaf()
         if regrant or nid in self._changed:
@@ -425,7 +424,6 @@ class Hierarchy:
                 else:
                     awards.append(Grant(holder, req, req, False))
             shaped = granted.is_reservation()
-            staged = stage.apps if leaf else stage.nodes
             for g in awards:
                 req = g.requested
                 if shaped and req.is_reservation() and not satisfies(granted, req):
@@ -433,16 +431,17 @@ class Hierarchy:
                         g.holder, f"supply shape: {granted} does not satisfy {req}"
                     )
                 stage.grants.append(g)
-                staged[g.holder] = (g.awarded, g.degraded)
+                if not leaf:
+                    stage.nodes[g.holder] = g.awarded
 
         if leaf:
             return None
         for cid in node.children:
             child = self._nodes[cid]
-            given = stage.nodes.get(cid)  # (grant, degraded) if settled above
-            moved = given is not None and given[0] != child.granted
+            given = stage.nodes.get(cid)  # its new grant, if settled above
+            moved = given is not None and given != child.granted
             if moved or cid in stage.dirty:
-                grant = given[0] if moved else child.granted
+                grant = given if moved else child.granted
                 rej = self._settle(child, grant, moved, stage)
                 if rej is not None:
                     return rej

@@ -13,6 +13,7 @@ import bisect
 import heapq
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .contracts import Contract, ServiceClass
@@ -128,14 +129,13 @@ def check_reservation(trace: Trace, app_id: str, grant: Contract,
 
 class _ShareLeaf(NamedTuple):
     """What the share checks of one leaf have in common: its share-holders
-    (the peers), their RUN segments as `_runners` gives them with the start
-    of each, and the leaf's pieces. A piece is a maximal [start, end) range
-    in which the set of backlogged peers is the same and not empty, carried
-    as (start, end, that set, its summed weight)."""
+    (the peers), their RUN segments as `_runners` gives them, and the leaf's
+    pieces. A piece is a maximal [start, end) range in which the set of
+    backlogged peers is the same and not empty, carried as (start, end, that
+    set, its summed weight)."""
 
     peers: dict
     runners: list
-    starts: list
     pieces: list
 
 
@@ -181,8 +181,7 @@ def _share_leaf(trace: Trace, node_path: str) -> _ShareLeaf:
         start = t if present else None
     if start is not None:
         pieces.append((start, horizon, frozenset(present), weight))
-    runners = _runners(trace.segments, peers)
-    return _ShareLeaf(peers, runners, [r[0] for r in runners], pieces)
+    return _ShareLeaf(peers, _runners(trace.segments, peers), pieces)
 
 
 def _runners(segments, apps):
@@ -246,14 +245,14 @@ def _check_share(leaf, app_id, share_ppm, quantum):
         raise VerifyError("share_ppm must be positive")
     if quantum < 0:
         raise VerifyError("quantum must be >= 0")
-    runners, starts = leaf.runners, leaf.starts
+    runners = leaf.runners
     out = []
     for start, end, members, weight in leaf.pieces:
         if app_id not in members:
             continue
         limit = quantum * len(members) * weight
         lag = group = obs = 0  # lag = obs * weight - share_ppm * group
-        k = max(bisect.bisect_right(starts, start) - 1, 0)
+        k = max(bisect.bisect_right(runners, start, key=itemgetter(0)) - 1, 0)
         while k < len(runners) and runners[k][0] < end:
             a, b, runner = runners[k]
             k += 1

@@ -192,6 +192,45 @@ class TestRun:
             "violations=0 conservation=ok",
         ]
 
+    @pytest.mark.parametrize("doc, lines", [
+        (  # admitted, `y` got 40 ticks of its 60 in every window
+            {"horizon": 300, "seed": 0,
+             "schedulers": [
+                 {"name": "a", "policy": "EDF_RESERVATION", "request": "RESBH[60,100]"},
+                 {"name": "b", "policy": "EDF_RESERVATION", "request": "ALL"},
+             ],
+             "timeline": [
+                 {"tick": 0, "action": "deploy", "app": "x", "class": "c",
+                  "request": "RESBH[60,100]", "scheduler": "a",
+                  "workload": {"kind": "CPU_BOUND"}},
+                 {"tick": 0, "action": "deploy", "app": "y", "class": "d",
+                  "request": "RESBH[60,100]", "scheduler": "b",
+                  "workload": {"kind": "CPU_BOUND"}},
+             ]},
+            ["deploy tick=0 app=x outcome=LOADED_NEW node=1 awarded=RESBH[60,100]",
+             "deploy tick=0 app=y outcome=REJECTED reason=INVALID_REQUEST "
+             "detail=\"scheduler 'b' asks its parent for ALL\""],
+        ),
+        (  # admitted, `z` never ran and the CPU idled
+            {"horizon": 50, "seed": 0,
+             "schedulers": [{"name": "r", "policy": "ROUND_ROBIN", "request": "NULL"}],
+             "timeline": [
+                 {"tick": 0, "action": "deploy", "app": "z", "class": "c",
+                  "request": "BE", "scheduler": "r", "workload": {"kind": "CPU_BOUND"}},
+             ]},
+            ["deploy tick=0 app=z outcome=REJECTED reason=INVALID_REQUEST "
+             "detail=\"scheduler 'r' asks its parent for NULL\""],
+        ),
+    ], ids=["all_leaf", "null_leaf"])
+    def test_a_scheduler_asking_for_all_or_null_is_rejected(self, tmp_path, capsys,
+                                                             doc, lines):
+        path = tmp_path / "ask.json"
+        path.write_text(json.dumps(doc))
+        assert run(["--scenario", str(path), "--allow-reject"]) == 0
+        assert capsys.readouterr().out.splitlines() == lines + [
+            "violations=0 conservation=ok"
+        ]
+
     def test_reruns_are_byte_identical(self, tmp_path):
         outs = []
         for i in range(2):
@@ -266,6 +305,13 @@ class TestRun:
         assert run(["--scenario", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid JSON: ") and "digits" in err
+
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert run(["--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON: ") and "recursion" in err
 
     def test_integer_past_the_digit_limit_in_a_contract_exits_two(self, tmp_path,
                                                                   capsys):

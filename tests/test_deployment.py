@@ -199,6 +199,19 @@ def test_deploy_decision_record_lines():
             ),
             "unknown target parent",
         ),
+        (
+            lambda h: DeploymentRequest(
+                "v", "x", Contract.resbh(1, 100),
+                scheduler=edf_spec("edf1", Contract.all_cpu()),
+            ),
+            "scheduler 'edf1' asks its parent for ALL",
+        ),
+        (
+            lambda h: DeploymentRequest(
+                "v", "x", Contract.be(), scheduler=rr_spec("rr", Contract.null()),
+            ),
+            "scheduler 'rr' asks its parent for NULL",
+        ),
     ],
 )
 def test_deploy_invalid_requests(req, fragment):

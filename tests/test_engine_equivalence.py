@@ -4,16 +4,18 @@
 scenarios (EDF, FIXED_PRIORITY, ROUND_ROBIN and STRIDE leaves under the root
 or under a VIRTUAL node holding a reservation, share, best-effort or ALL
 grant; RESBH, RESBS, PS, BE and, for schedulers, ALL requests, oversized
-ones included; PERIODIC, CPU_BOUND and BURSTY work; quanta 1-10; deploys
-and undeploys mid-run; a large share that degrades the others while it
-stays; a soft reservation running on slack; any seed) both must produce the
-same CSV, service, idle count, per-app facts (backlog intervals included)
-and decisions, and the RUN/IDLE segments of the new trace must expand
-(`helpers.rows`) to the reference's per-tick rows. The examples are derandomized,
-so every run checks the same scenarios, and the test asserts that enough of
-them reach deadline misses, budget exhaustion, idle ticks, soft-reservation
-slack, degraded grants, the departure of a degrading app and a scheduler
-granted ALL running, so that agreement is not agreement on empty traces.
+ones included, a scheduler that asks for ALL being attached before the
+timeline, since a deploy may not supply one; PERIODIC, CPU_BOUND and BURSTY
+work; quanta 1-10; deploys and undeploys mid-run; a large share that
+degrades the others while it stays; a soft reservation running on slack; any
+seed) both must produce the same CSV, service, idle count, per-app facts
+(backlog intervals included) and decisions, and the RUN/IDLE segments of the
+new trace must expand (`helpers.rows`) to the reference's per-tick rows. The
+examples are derandomized, so every run checks the same scenarios, and the
+test asserts that enough of them reach deadline misses, budget exhaustion,
+idle ticks, soft-reservation slack, degraded grants, the departure of a
+degrading app and a scheduler granted ALL running, so that agreement is not
+agreement on empty traces.
 
 The engine keeps each node's runnable children up to date as events flip
 them, so the test also asserts that enough runs see a node run out of
@@ -45,7 +47,7 @@ from hiersched import engine
 from hiersched.contracts import Contract, ServiceClass
 from hiersched.deployment import DeploymentRequest, Outcome, deploy, undeploy
 from hiersched.engine import EventKind, Workload, WorkloadKind
-from hiersched.hierarchy import Hierarchy, PolicyKind, new_hierarchy
+from hiersched.hierarchy import PolicyKind, new_hierarchy
 
 from helpers import edf_spec, fp_spec, rows, rr_spec, stride_spec, virtual_spec
 
@@ -92,6 +94,7 @@ def workloads(draw):
 def scenarios(draw):
     horizon = draw(st.integers(1, 160))
     mid = draw(st.one_of(st.none(), contracts(SCHEDULER_REQUESTS)))
+    loaded = [] if mid is None else [(virtual_spec("mid", mid), None)]
     specs = []
     for i in range(draw(st.integers(1, 4))):
         policy = draw(st.sampled_from(sorted(SPECS, key=lambda p: p.value)))
@@ -99,13 +102,16 @@ def scenarios(draw):
         spec = SPECS[policy](f"s{i}", request, quantum=draw(st.integers(1, 10)))
         parent = "mid" if mid is not None and draw(st.booleans()) else None
         specs.append((spec, parent))
+        if request.service is ServiceClass.ALL:
+            loaded.append((spec, parent))
     timeline = []
     for k in range(draw(st.integers(1, 7))):
         tick = draw(st.integers(0, horizon - 1))
         spec, parent = draw(st.sampled_from(specs))
         provided = sorted(spec.provides, key=lambda c: c.value)
         request = draw(contracts(provided or [ServiceClass.BE]))
-        scheduler = spec if draw(st.integers(0, 3)) else None
+        supplied = draw(st.integers(0, 3)) and (spec, parent) not in loaded
+        scheduler = spec if supplied else None  # one asking for ALL is loaded
         timeline.append((tick, "deploy", DeploymentRequest(
             f"a{k}", draw(st.sampled_from(["x", "y"])), request,
             scheduler=scheduler, target_parent=parent if scheduler else None,
@@ -144,15 +150,20 @@ def scenarios(draw):
             scheduler=edf_spec("soft", Contract.resbs(2 * budget, period)),
         ), Workload(WorkloadKind.CPU_BOUND)))
     timeline.sort(key=lambda e: e[0])  # stable: same-tick order is kept
-    return horizon, draw(st.integers(0, 5)), mid, admitted_undeploys(mid, timeline)
+    return horizon, draw(st.integers(0, 5)), loaded, admitted_undeploys(loaded, timeline)
 
 
-def admitted_undeploys(mid, timeline):
+def load(h, loaded):
+    """Attach the (spec, parent name) schedulers a scenario loads up front."""
+    for spec, parent in loaded:
+        h.attach_scheduler(h.find_node_by_name(parent or "root"), spec)
+
+
+def admitted_undeploys(loaded, timeline):
     """The timeline without undeploys of apps that admission refused, found
     by replaying it through deploy/undeploy, as a scenario would be written."""
     h = new_hierarchy()
-    if mid is not None:
-        h.attach_scheduler(Hierarchy.ROOT_ID, virtual_spec("mid", mid))
+    load(h, loaded)
     live, kept = set(), []
     for entry in timeline:
         if entry[1] == "deploy":
@@ -170,10 +181,9 @@ def admitted_undeploys(mid, timeline):
     return kept
 
 
-def simulate(sim_class, horizon, seed, mid, timeline):
+def simulate(sim_class, horizon, seed, loaded, timeline):
     sim = sim_class(horizon=horizon, seed=seed)
-    if mid is not None:
-        sim.h.attach_scheduler(Hierarchy.ROOT_ID, virtual_spec("mid", mid))
+    load(sim.h, loaded)
     for tick, action, *args in timeline:
         if action == "deploy":
             sim.deploy_at(tick, *args)
@@ -201,12 +211,10 @@ def slack_run(trace):
     return False
 
 
-def all_granted_ran(mid, timeline, trace):
+def all_granted_ran(loaded, trace):
     """Some app ran below a scheduler that asked for, and so holds, ALL."""
-    names = {"mid"} if mid is not None and mid.service is ServiceClass.ALL else set()
-    names |= {entry[2].scheduler.name for entry in timeline
-              if entry[1] == "deploy" and entry[2].scheduler is not None
-              and entry[2].scheduler.parent_request.service is ServiceClass.ALL}
+    names = {spec.name for spec, _ in loaded
+             if spec.parent_request.service is ServiceClass.ALL}
     return any(e.kind is EventKind.RUN and names & set(e.node_path.split("/"))
                for e in trace.events)
 
@@ -300,7 +308,7 @@ def test_next_event_engine_matches_the_tick_loop():
         seen["restored"] += any(  # a squeezing app leaves: the others grow back
             d.outcome is Outcome.DEGRADED and old.app_info[app].undeployed_at is not None
             for _, app, d in old.decisions)
-        seen["all"] += all_granted_ran(case[2], case[3], old)
+        seen["all"] += all_granted_ran(case[2], old)
         seen["rescaled"] += sim.rescales > 0
         seen["recharged"] += sim.recharged > 0
         seen["refilled"] += refilled_after_exhaustion(old)

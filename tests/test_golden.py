@@ -1,5 +1,5 @@
 """Pinned sha256 digests of the trace CSV and report of every shipped scenario,
-and of the benchmark's workloads at seed 1.
+and of the benchmark's workloads at seeds 1 and 7.
 
 A rerun compared with itself cannot notice that a refactor changed the
 output; these digests can. Any change to the simulator, the admission
@@ -47,20 +47,32 @@ GOLDEN = {
     ),
 }
 
-# bench/workloads.py at seed 1; the generator reads only bench/, so the
-# scenarios do not move with the code under test
+# bench/workloads.py at seeds 1 and 7; the generator reads only bench/, so
+# the scenarios do not move with the code under test
 BENCH_GOLDEN = {
-    "long_horizon": (
+    ("long_horizon", 1): (
         "959debc6d2673ced48a1525a3d4a184e7c69f20a1c50c88f2ea50909b14cee1e",
         "4fe7703138141d23eba5e44fef5b2f8aaa8efc1ddc5a43e74159d77465a77212",
     ),
-    "mass_admission": (
+    ("mass_admission", 1): (
         "bb101f471200309c7728a6c05ae349ea302e5d86265e829ac3b1221c995bea78",
         "b05d701ab91810ef8257bb35915407e80e2aed77959585a72065b6ffb6f664dd",
     ),
-    "churn": (
+    ("churn", 1): (
         "e5f46afd7f32b92092df077609b2f4f018d8e46f3c43736733e1bc7f8c192362",
         "304ee83c3f0bc2334a239a8a87a8cd87155ff00a007b71f4fd37e10f4bdca237",
+    ),
+    ("long_horizon", 7): (
+        "f7b26296096c0a96b4683a361b65fd2ce4c1946dbfa6f9feede7340c42c4e86a",
+        "7bd0d6bb06596cdb1ae201e302d9586ba0c14c1cdc4b015733ae3a79b022f724",
+    ),
+    ("mass_admission", 7): (
+        "397ed45f9b4c87ccd07c52188b9805eaaa80af6cd3f2ee02fd12273d51f1fcc1",
+        "e0ff8b091c9743d57a722c0f867352d2ab82abbb4c1b8e956ac795a84f710597",
+    ),
+    ("churn", 7): (
+        "9a02aca71930de87a7639fd458a906b30351adc9ee1afa1f1d31172162f7f3fe",
+        "f6f4e18dbfd12d278a432052d3c91d29bbb07614ca440f78cfb7c6c2f940018f",
     ),
 }
 
@@ -87,12 +99,15 @@ def test_golden_digests(name, tmp_path):
     assert (_sha256(trace), _sha256(report)) == GOLDEN[name]
 
 
-@pytest.mark.parametrize("name", sorted(BENCH_GOLDEN))
-def test_bench_workload_digests(name, tmp_path):
+# the seed-1 cases keep the bare workload names they were first pinned under
+@pytest.mark.parametrize("name, seed", sorted(BENCH_GOLDEN), ids=[
+    name if seed == 1 else f"{name}-seed{seed}" for name, seed in sorted(BENCH_GOLDEN)
+])
+def test_bench_workload_digests(name, seed, tmp_path):
     scenario = tmp_path / f"{name}.json"
     subprocess.run(
         [sys.executable, str(ROOT / "bench" / "workloads.py"),
-         "--workload", name, "--seed", "1", "--out", str(scenario)],
+         "--workload", name, "--seed", str(seed), "--out", str(scenario)],
         check=True, capture_output=True, timeout=120,
     )
     trace = tmp_path / "trace.csv"
@@ -104,7 +119,7 @@ def test_bench_workload_digests(name, tmp_path):
         "--allow-reject",
     ])
     assert code == 0
-    assert (_sha256(trace), _sha256(report)) == BENCH_GOLDEN[name]
+    assert (_sha256(trace), _sha256(report)) == BENCH_GOLDEN[name, seed]
 
 
 def _run_module(tmp_path, *flags):
