@@ -4,8 +4,10 @@ One CPU, advanced from one decision point to the next. A decision point is a
 tick where an input to dispatch can change: a timeline action, a period
 boundary of any budget server, a periodic release, an idle BURSTY app
 turning on, or, for the running app, the end of its pending work, the
-exhaustion of its own or a route node's budget, and the end of its
-quantum where a contender waits. At a decision point timeline actions apply
+exhaustion of its own or a route node's budget, and the end of a quantum
+where the turn passes to a contender: at a round-robin node always, at a
+stride node only where the running key would lose the next turn, which the
+passes fix in advance. At a decision point timeline actions apply
 first, then reservation servers replenish, workloads release work, and the
 root dispatches exactly one application (or idles): each node on the way
 picks one runnable child by a single precedence rule (`Simulation._pick`),
@@ -137,6 +139,17 @@ def _used(rt, key):
     return rt.active[1] if rt.active is not None and rt.active[0] == key else 0
 
 
+def _quanta_won(rt, key, share, left):
+    """The whole quanta `key` keeps winning at stride node `rt` after the
+    `left` ticks of its current one: its pass grows by its step per tick,
+    the contenders' stand still, and it wins while below them (or level
+    with a later `pos`). Counted at the scale the charge will use."""
+    m = share // gcd(rt.scale, share)
+    step, passes, pos = rt.scale * m // share, rt.passes, rt.ready[key].pos
+    bar = min(passes[c.key] * m + (pos < c.pos) for c in rt.contenders if c.key != key)
+    return max(0, (bar - passes[key] * m - left * step - 1) // (rt.quantum * step) + 1)
+
+
 def _held(rt, cands):
     """The candidate whose quantum at a node is still running, or None."""
     if rt.active is not None:
@@ -230,7 +243,10 @@ class Trace:
         out = io.StringIO()
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["tick", "event", "app", "node_path", "detail"])
-        rows, i = self.events, 0
+        rows, i, n = self.events, 0, len(self.events)
+        # the first tick whose RUN or IDLE row each row comes before; taken
+        # once per row, as hashing an Enum member for `_RANK` runs Python
+        after = [e.tick + (_RANK[e.kind] > 2) for e in rows]
         tails = {None: _csv_line(["", "IDLE", "", "", ""])}
         for start, end, app in self.segments:
             tail = tails.get(app)
@@ -242,13 +258,11 @@ class Trace:
             t = start
             while t < end:
                 # the rows that come before the RUN or IDLE row of tick t
-                while i < len(rows) and (rows[i].tick, _RANK[rows[i].kind]) <= (t, 2):
+                while i < n and after[i] <= t:
                     e = rows[i]
                     w.writerow([e.tick, e.kind.value, e.app, e.node_path, e.detail])
                     i += 1
-                stop = end
-                if i < len(rows):
-                    stop = min(end, rows[i].tick + (_RANK[rows[i].kind] > 2))
+                stop = min(end, after[i]) if i < n else end
                 out.write(tail.join(map(str, range(t, stop))) + tail)
                 t = stop
         for e in rows[i:]:
@@ -309,18 +323,20 @@ class _NodeRT:
     """
 
     def __init__(self, node, since):
-        self.node = node  # its SchedulerNode
         self.key = self.pos = node.node_id
         self.parent = node.parent
+        self.leaf, self.quantum = node.is_leaf(), node.spec.quantum
+        self.fp = node.spec.policy is _FIXED_PRIORITY  # a FIXED_PRIORITY leaf
         self.grant = self.cap = self.rem = None
         self.since = since
         self.ready = {}
+        self.cands = None  # `ready`'s holders by pos, kept until it changes
         # stride: child node id or app id -> its pass times `scale`, the lcm
         # of the shares charged here, so a charge of n ticks adds
         # n * (scale // share) exactly
         self.passes = {}
         self.scale = 1
-        self.prev_runnable = frozenset()
+        self.contenders = []  # the candidates of the last stride pick, by pos
         self.active = None  # (key, ticks used) for quantum continuity
         self.rr_last = None  # (key, position) that last held the round-robin turn
         self.alone = False  # the last stride/RR pick had no contender
@@ -529,9 +545,10 @@ class Simulation:
                 if holder.key in ready:
                     return
                 ready[holder.key] = holder
-                if len(ready) > 1:
-                    return
-            elif ready.pop(holder.key, None) is None or ready:
+            elif ready.pop(holder.key, None) is None:
+                return
+            parent.cands = None
+            if len(ready) > (holder.key in ready):  # neither filled nor emptied
                 return
             holder, backlogged = parent, bool(ready)
 
@@ -573,12 +590,6 @@ class Simulation:
             heapq.heappush(self._due_ticks, tick)
         else:
             due.append(art)
-
-    def _next_due(self):
-        ticks = self._due_ticks
-        while ticks and ticks[0] not in self._calendar:
-            heapq.heappop(ticks)  # its apps left
-        return ticks[0] if ticks else self.horizon
 
     def _accrue(self, art, until):
         """Add the BURSTY on-ticks before `until` to what `art` has pending."""
@@ -632,22 +643,16 @@ class Simulation:
         route: list = []
         rt = self._nrt[node_id]
         while True:
-            cands = self._candidates(rt)
+            if rt.cands is None:  # sorted again only once `ready` moved
+                rt.cands = sorted(rt.ready.values(), key=_pos)
+            cands = rt.cands
             if not cands:
                 return None, route
             child, kind = self._pick(rt, cands, tick)
             route.append((rt, kind, child.key, child.grant))
-            if rt.node.is_leaf():
+            if rt.leaf:
                 return child.key, route
             rt = child
-
-    def _candidates(self, rt):
-        """The runnable children of a node (the holders in its `ready`
-        set), in attachment order."""
-        ready = rt.ready
-        if len(ready) > 1:
-            return sorted(ready.values(), key=_pos)
-        return list(ready.values())
 
     def _pick(self, rt, cands, t):
         """The candidate `node` runs at `t`, and the kind of its turn.
@@ -666,16 +671,19 @@ class Simulation:
         candidate has a place in it. The classes are tested in this order
         by identity (hashing an Enum member runs Python code).
         """
-        fp = rt.node.spec.policy is _FIXED_PRIORITY
-        budgeted = [c for c in cands if c.rem]
-        if budgeted:
-            if fp:
-                return budgeted[0], None
-            return min(budgeted, key=lambda c: (t // c.grant.period + 1) * c.grant.period), None
-        for service in _AFTER_BUDGETED:
-            group = [c for c in cands if c.grant.service is service]
-            if group:
-                break
+        fp = rt.fp
+        if len(cands) == 1:  # no class to scan for
+            group, service = cands, None if cands[0].rem else cands[0].grant.service
+        else:
+            budgeted = [c for c in cands if c.rem]
+            if budgeted:
+                if fp or len(budgeted) == 1:
+                    return budgeted[0], None
+                return min(budgeted, key=lambda c: (t // c.grant.period + 1) * c.grant.period), None
+            for service in _AFTER_BUDGETED:
+                group = [c for c in cands if c.grant.service is service]
+                if group:
+                    break
         if service is _PS:
             return self._stride_pick(rt, group), "stride"
         if service is _BE and not fp:
@@ -685,16 +693,19 @@ class Simulation:
     def _stride_pick(self, rt, cands):
         """Stride: the key still in its quantum, else the lowest pass, the
         first of equal ones. A key that joins the runnable set starts at the
-        lowest pass of those that stayed, unless its own is higher."""
+        lowest pass of those that stayed, unless its own is higher. Holders
+        are never reused, so the same list of them means no key joined."""
         rt.alone = len(cands) == 1
-        current = frozenset(c.key for c in cands)
-        joined = current - rt.prev_runnable
-        if joined:
+        if cands != rt.contenders:
+            current = {c.key for c in cands}
+            stayed = current.intersection(c.key for c in rt.contenders)
             passes = rt.passes
-            floor = min((passes[k] for k in current - joined), default=0)
-            for k in joined:
+            floor = min((passes[k] for k in stayed), default=0)
+            for k in current - stayed:
                 passes[k] = max(passes.get(k, floor), floor)
-        rt.prev_runnable = current
+            rt.contenders = cands
+        if rt.alone:
+            return cands[0]
         return _held(rt, cands) or min(cands, key=lambda c: rt.passes[c.key])
 
     def _rr_pick(self, rt, cands):
@@ -719,12 +730,17 @@ class Simulation:
         Until then the pick made at `t` stands: no period boundary, timeline
         action or release falls inside, no idle BURSTY app turns on, and the
         running app keeps its work, its budgets and, where it has
-        contenders, its quantum. No deadline falls before the last tick.
+        contenders, its turn: a stride quantum end is a decision point only
+        where the running key would lose the next turn (`_quanta_won`). No
+        deadline falls before the last tick.
         """
         # the calendar holds the next release of every PERIODIC app (its
         # newest job is due the tick before it) and the on-edge of every
         # idle BURSTY app
-        end = min(self.horizon, next_action, self._next_due(), self._boundary)
+        ticks = self._due_ticks
+        while ticks and ticks[0] not in self._calendar:
+            heapq.heappop(ticks)  # its apps left
+        end = min(self.horizon, next_action, self._boundary, ticks[0] if ticks else self.horizon)
         if picked is None:
             return end
 
@@ -740,29 +756,36 @@ class Simulation:
             q, r = divmod(start - art.arrived + art.pending - 1, w.off)
             drained = q * (w.on + w.off) + (w.on + r if r else 0)
             end = min(end, max(t + 1, drained + art.phase_offset))
-        if art.rem:
-            end = min(end, t + art.rem)
-        for rt, kind, key, _ in route:  # the picked app's path
-            if rt.rem:
-                end = min(end, t + rt.rem)
+        if art.rem and art.rem < end - t:
+            end = t + art.rem
+        for rt, kind, key, grant in route:  # the picked app's path
+            if rt.rem and rt.rem < end - t:
+                end = t + rt.rem
             if kind and not rt.alone:
-                end = min(end, t + rt.node.spec.quantum - _used(rt, key))
+                left = rt.quantum - _used(rt, key)
+                if kind == "stride":
+                    left += rt.quantum * _quanta_won(rt, key, grant.share, left)
+                if left < end - t:
+                    end = t + left
         return end
 
     def _charge_phase(self, t, n, picked, route):
         """Charge `picked` for the `n` ticks ending with tick `t`."""
         art = self._art[picked]
-        self._changed.add(art)
         w = art.workload
-        if w.kind is _PERIODIC:
-            art.pending -= n
-        elif w.kind is _BURSTY:
-            self._accrue(art, t + 1)
+        # only work or an own budget running out flips the app's state
+        if w.kind is not _CPU_BOUND:
+            if w.kind is _BURSTY:
+                self._accrue(art, t + 1)
             art.pending -= n
             if art.pending == 0:
-                self._next_on(art, t)
+                self._changed.add(art)
+                if w.kind is _BURSTY:
+                    self._next_on(art, t)
         if art.rem:
             art.rem -= n  # app servers exhaust silently
+            if art.rem == 0:
+                self._changed.add(art)
 
         for rt, kind, key, grant in route:  # the picked app's path
             if rt.rem:
@@ -784,7 +807,7 @@ class Simulation:
                 rt.rr_last = (key, rt.ready[key].pos)
             # a quantum that runs out hands the turn back; with no
             # contender the same key takes it again
-            used = (_used(rt, key) + n) % rt.node.spec.quantum
+            used = (_used(rt, key) + n) % rt.quantum
             rt.active = (key, used) if used else None
 
     def _deadline_phase(self, t):
@@ -818,7 +841,8 @@ class Simulation:
                 self._boundary = self._first_boundary(t + 1)
             if t in self._calendar:
                 self._release_phase(t)
-            self._record_backlog(t)
+            if self._changed:
+                self._record_backlog(t)
             picked, route = self.dispatch(Hierarchy.ROOT_ID, t)
             end = self._stretch_end(
                 t, picked, route, actions[-1] if actions else self.horizon

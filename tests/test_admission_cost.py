@@ -14,8 +14,8 @@ leaf walks only the leaves that offer the requested class.
 
 Each node keeps its runnable children, so a dispatch decision costs the same
 however many idle apps and idle leaves sit beside the path it takes: the
-backlog tests and candidate listings of the decisions are counted by
-wrapping `_AppRT.backlogged` and `Simulation._candidates`.
+backlog tests and the per-node picks of the decisions are counted by
+wrapping `_AppRT.backlogged` and `Simulation._pick`.
 
 The engine files each budget server under its period, so a period boundary
 costs only the servers it refills, however many servers of other periods
@@ -25,6 +25,10 @@ a trace function set for the length of each call.
 A BURSTY app keeps the count of on-ticks it has taken in, so bringing its
 pending work up to date costs one on-tick count, not two: the calls to
 `engine._on_before` are counted per dispatch.
+
+A stride pick holds for every further quantum its key would win, so a quantum
+end is a decision only where the turn passes: the root dispatches are
+counted against the RUN segments.
 """
 
 import sys
@@ -187,7 +191,7 @@ def dispatch_counts(monkeypatch, n_idle):
     """Run a CPU-bound app on an EDF leaf beside `n_idle` PERIODIC apps
     whose first release falls past the horizon, under a root that also holds
     `n_idle` empty RR leaves. Returns the decisions after tick 0, and the
-    `backlogged` and `_candidates` calls made from the end of the tick-0
+    `backlogged` and `_pick` calls made from the end of the tick-0
     dispatch on."""
     calls = Counter()
     decisions = []
@@ -219,12 +223,12 @@ def dispatch_counts(monkeypatch, n_idle):
         sim.deploy_at(0, DeploymentRequest(f"p{i}", "", Contract.resbh(1, 1000)), never)
     with monkeypatch.context() as m:
         m.setattr(_AppRT, "backlogged", counting(_AppRT, "backlogged"))
-        m.setattr(Simulation, "_candidates", counting(Simulation, "_candidates"))
+        m.setattr(Simulation, "_pick", counting(Simulation, "_pick"))
         trace = sim.run()
     assert all(d.outcome is not Outcome.REJECTED for _, _, d in trace.decisions)
     assert len(sim.h.node(sim.h.find_node_by_name("main")).apps) == n_idle + 1
     assert trace.per_app_service["runner"] == 150  # the leaf's budget, 3 windows
-    return decisions[1:], calls["backlogged"], calls["_candidates"]
+    return decisions[1:], calls["backlogged"], calls["_pick"]
 
 
 def test_a_decision_costs_the_same_at_10_and_100_idle_apps(monkeypatch):
@@ -315,3 +319,32 @@ def test_a_bursty_app_counts_its_on_ticks_once_per_accrual(monkeypatch):
     assert trace.per_app_service["burst"] == 50
     assert calls["dispatch"] == 60
     assert calls["_on_before"] < 3 * calls["dispatch"]
+
+
+@pytest.mark.parametrize("order", [("hi", "lo"), ("lo", "hi")], ids="-".join)
+def test_a_stride_pick_holds_while_its_key_keeps_winning(monkeypatch, order):
+    """Shares 2:1 on a STRIDE leaf with quantum 5: `hi` wins two quanta in a
+    row, one decision for both. Equal passes go to the first deployed, so
+    the order moves the runs by a quantum: 41 runs, or 40."""
+    shares = {"hi": Contract.ps(200_000), "lo": Contract.ps(100_000)}
+    sim = Simulation(horizon=300)
+    leaf = stride_spec("st", Contract.ps(600_000), quantum=5)
+    for app in order:
+        sim.deploy_at(0, DeploymentRequest(app, "", shares[app],
+                                           scheduler=leaf if app == order[0] else None),
+                      Workload(WorkloadKind.CPU_BOUND))
+    dispatched = Counter()
+    dispatch = Simulation.dispatch
+
+    def counted(self, node_id, tick):
+        dispatched[node_id] += 1
+        return dispatch(self, node_id, tick)
+
+    with monkeypatch.context() as m:
+        m.setattr(Simulation, "dispatch", counted)
+        trace = sim.run()
+    assert all(d.outcome is not Outcome.REJECTED for _, _, d in trace.decisions)
+    assert trace.per_app_service == {"hi": 200, "lo": 100}
+    runs = [s for s in trace.segments if s[2] is not None]
+    assert len(runs) == len(trace.segments) == (41 if order[0] == "hi" else 40)
+    assert dispatched == {Hierarchy.ROOT_ID: len(runs)}

@@ -1,5 +1,5 @@
 """Pinned sha256 digests of the trace CSV and report of every shipped scenario,
-and of the benchmark's workloads at seeds 1 and 7.
+and of the benchmark's workloads at seeds 1, 3 and 7.
 
 A rerun compared with itself cannot notice that a refactor changed the
 output; these digests can. Any change to the simulator, the admission
@@ -47,7 +47,7 @@ GOLDEN = {
     ),
 }
 
-# bench/workloads.py at seeds 1 and 7; the generator reads only bench/, so
+# bench/workloads.py at seeds 1, 3 and 7; the generator reads only bench/, so
 # the scenarios do not move with the code under test
 BENCH_GOLDEN = {
     ("long_horizon", 1): (
@@ -61,6 +61,18 @@ BENCH_GOLDEN = {
     ("churn", 1): (
         "e5f46afd7f32b92092df077609b2f4f018d8e46f3c43736733e1bc7f8c192362",
         "304ee83c3f0bc2334a239a8a87a8cd87155ff00a007b71f4fd37e10f4bdca237",
+    ),
+    ("long_horizon", 3): (
+        "728a7569fcbf23bf898e99713fecac54186734325c96c607d46217c139e5d6e8",
+        "31cd94ee63119737875eb3197987c33f6a2d91e9cbc43a8e582d17a31825dbec",
+    ),
+    ("mass_admission", 3): (
+        "4e62de02a13a80b68d70bbce0ebb23fbaa3f38d74ebe38c13033d330bc7ae122",
+        "20af17e441f6566b96103aa03b16026a5ded55a8c5a44d01f9fd393b0e62469b",
+    ),
+    ("churn", 3): (
+        "11d136a1fb90f64f58264cae8dec085f3d37767bea0e6fd5b4f6fbcfa5b2fd45",
+        "6147ff07453f71ecee01b9045e088f4253c578e4df024849694254871916e536",
     ),
     ("long_horizon", 7): (
         "f7b26296096c0a96b4683a361b65fd2ce4c1946dbfa6f9feede7340c42c4e86a",
