@@ -17,7 +17,9 @@ A scenario file looks like:
 
 Timeline ticks must be non-decreasing, every referenced scheduler must be
 declared, undeploys must name an app deployed earlier, and the horizon must
-lie strictly past the last timeline tick. New schedulers load at the root.
+lie strictly past the last timeline tick. An undeploy of an app whose deploy
+was rejected is a no-op, traced as an UNDEPLOY row with detail NOT_ADMITTED.
+New schedulers load at the root.
 A deploy entry may name a parent scheduler with "parent", but only a VIRTUAL
 scheduler can be a parent and no scenario can load one (it provides no
 service class, so every deploy naming one is rejected): "parent" never
@@ -281,8 +283,7 @@ def run(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    grants = {app: info.awarded for app, info in trace.app_info.items()}
-    report = build_report(trace, grants)
+    report = build_report(trace)
     report_text = "\n".join(_decision_lines(trace) + [report.to_text()])
 
     try:

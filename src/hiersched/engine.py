@@ -220,9 +220,11 @@ def _csv_line(fields) -> str:
 
 class Trace:
     """What a run did. RUN and IDLE are run-length `segments`: `(start, end,
-    app)` covers ticks [start, end), `app` None for idle, in tick order.
-    `events` holds every other row, in the order the CSV writes them.
-    `decisions` holds (tick, app_id, DeploymentDecision) in timeline order."""
+    app)` covers ticks [start, end), `app` None for idle. A run's segments
+    are non-empty and disjoint and tile [0, horizon) in tick order, which is
+    what `hiersched.verify` reads them as. `events` holds every other row,
+    in the order the CSV writes them. `decisions` holds (tick, app_id,
+    DeploymentDecision) in timeline order."""
 
     __slots__ = ("horizon", "events", "per_app_service", "idle_ticks",
                  "app_info", "decisions", "segments")
@@ -358,6 +360,7 @@ class Simulation:
         self._timeline: dict[int, list] = {}
         self._art: dict[str, _AppRT] = {}
         self._retired: dict[str, _AppRT] = {}  # app id -> runtime, in retire order
+        self._rejected: set[str] = set()  # app ids whose last deploy was rejected
         self._nrt = {Hierarchy.ROOT_ID: _NodeRT(self.h.node(Hierarchy.ROOT_ID), 0)}
         # period -> {key: holder} of the live budget servers with that period
         self._servers: dict[int, dict] = {}
@@ -414,7 +417,9 @@ class Simulation:
         if decision.outcome is Outcome.REJECTED:
             detail = f"{decision.outcome.value}:{decision.reason.value}"
             self._emit(t, _DEPLOY, app=req.app_id, detail=detail)
+            self._rejected.add(req.app_id)
             return
+        self._rejected.discard(req.app_id)
         nid = decision.node_id
         leaf, request = self.h.node(nid), req.request
         info = AppTraceInfo(  # `awarded` and `backlog` are set by _finish
@@ -442,7 +447,12 @@ class Simulation:
     def _do_undeploy(self, t, app_id):
         art = self._art.get(app_id)
         if art is None:
-            raise EngineError(f"undeploy of unknown app {app_id!r} at tick {t}")
+            if app_id not in self._rejected:
+                raise EngineError(f"undeploy of unknown app {app_id!r} at tick {t}")
+            # nothing was admitted, so nothing leaves; only the row records it
+            self._rejected.remove(app_id)
+            self._emit(t, _UNDEPLOY, app=app_id, detail="NOT_ADMITTED")
+            return
         try:
             grants = _undeploy(self.h, app_id)
         except DeploymentError as e:  # a recompose that failed

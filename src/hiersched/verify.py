@@ -5,12 +5,18 @@ scheduler's internal state: reservations must see their budget in every
 aligned window they spent fully backlogged, hard reservations must never
 exceed it, proportional shares must track their relative weight within a
 bounded lag, and every tick must be accounted for exactly once.
+
+The checks read the trace as the engine writes it: RUN and IDLE segments
+that are non-empty, disjoint, in tick order and inside [0, horizon).
+`check_share`, `check_conservation` and `build_report` refuse any other
+trace with a `VerifyError` that names the first tick at fault; a tick that
+no segment covers is a NON_CONSERVING violation, not an error.
+`check_reservation` counts each segment on its own and takes any trace.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
@@ -65,6 +71,29 @@ class GuaranteeReport(NamedTuple):
 
 def _sort_key(v: Violation):
     return (v.app_id, v.window[0], v.window[1], v.kind.value)
+
+
+def _segments(trace: Trace) -> list:
+    """`trace.segments`, once they are known to be non-empty, disjoint, in
+    tick order and inside [0, horizon). The first segment that breaks this
+    raises `VerifyError` naming the tick at fault: its start, or for one
+    past the horizon the first tick past it."""
+    end = 0  # where the last good segment ends
+    for s, e, app in trace.segments:
+        if s < 0 or e > trace.horizon:
+            at = s if s < 0 else max(s, trace.horizon)
+            fault = f"lies outside the horizon [0,{trace.horizon})"
+        elif s >= e:
+            at, fault = s, f"is empty ([{s},{e}))"
+        elif s < end:
+            at, fault = s, f"overlaps or precedes the segment ending at {end}"
+        else:
+            end = e
+            continue
+        raise VerifyError(
+            f"{'IDLE' if app is None else 'RUN'} segment at tick {at} {fault}"
+        )
+    return trace.segments
 
 
 def _ticks_below(spans, points):
@@ -129,10 +158,10 @@ def check_reservation(trace: Trace, app_id: str, grant: Contract,
 
 class _ShareLeaf(NamedTuple):
     """What the share checks of one leaf have in common: its share-holders
-    (the peers), their RUN segments as `_runners` gives them, and the leaf's
-    pieces. A piece is a maximal [start, end) range in which the set of
-    backlogged peers is the same and not empty, carried as (start, end, that
-    set, its summed weight)."""
+    (the peers), their RUN segments in tick order (the runners), and the
+    leaf's pieces. A piece is a maximal [start, end) range in which the set
+    of backlogged peers is the same and not empty, carried as (start, end,
+    that set, its summed weight)."""
 
     peers: dict
     runners: list
@@ -142,7 +171,7 @@ class _ShareLeaf(NamedTuple):
 def _share_leaf(trace: Trace, node_path: str) -> _ShareLeaf:
     """Build the `_ShareLeaf` of `node_path` in one sweep over its peers'
     backlog endpoints, clipped to [0, horizon): the backlogged set can change
-    only there. Rows outside the horizon fall outside every piece."""
+    only there. The trace's segments must have passed `_segments`."""
     peers = {
         i.app_id: i for i in trace.app_info.values()
         if i.node_path == node_path and i.weight_ppm > 0
@@ -179,37 +208,8 @@ def _share_leaf(trace: Trace, node_path: str) -> _ShareLeaf:
                 present.add(p)
                 weight += peers[p].weight_ppm
         start = t if present else None
-    if start is not None:
-        pieces.append((start, horizon, frozenset(present), weight))
-    return _ShareLeaf(peers, _runners(trace.segments, peers), pieces)
-
-
-def _runners(segments, apps):
-    """The RUN segments of `apps`, made disjoint, as (start, end, app) in
-    tick order. Where segments overlap, the one listed last holds the tick.
-
-    A simulation's segments are disjoint already; overlapping ones (from
-    hand-built traces) are resolved by a sweep over their endpoints with a
-    heap of the open segments, latest listed on top."""
-    segs = [g for g in segments if g[2] in apps and g[0] < g[1]]
-    if all(a[1] <= b[0] for a, b in zip(segs, segs[1:])):
-        return segs
-    points = sorted({p for g in segs for p in g[:2]})
-    order = sorted(range(len(segs)), key=lambda k: segs[k][0])
-    heap, out, j = [], [], 0
-    for x, nxt in zip(points, points[1:]):
-        while j < len(order) and segs[order[j]][0] <= x:
-            heapq.heappush(heap, -order[j])
-            j += 1
-        while heap and segs[-heap[0]][1] <= x:
-            heapq.heappop(heap)
-        if heap:
-            app = segs[-heap[0]][2]
-            if out and out[-1][1] == x and out[-1][2] == app:
-                out[-1] = (out[-1][0], nxt, app)
-            else:
-                out.append((x, nxt, app))
-    return out
+    runners = [g for g in trace.segments if g[2] in peers]
+    return _ShareLeaf(peers, runners, pieces)
 
 
 def check_share(trace: Trace, app_id: str, share_ppm: int, quantum: int) -> list:
@@ -219,8 +219,9 @@ def check_share(trace: Trace, app_id: str, share_ppm: int, quantum: int) -> list
     set of backlogged share-holders on its leaf (the members) stays
     constant, the app's service must track its relative weight of the
     members' service within quantum * (number of members) ticks. One
-    violation is reported per such run. A `share_ppm` of zero or less and
-    a negative `quantum` are refused.
+    violation is reported per such run. A `share_ppm` of zero or less, a
+    negative `quantum` and a trace whose segments overlap, are out of order,
+    are empty or leave [0, horizon) are refused.
 
     Nothing walks the horizon. The runs are the leaf's pieces that hold the
     app (`_share_leaf`). Within a run the lag moves only while a member
@@ -233,6 +234,7 @@ def check_share(trace: Trace, app_id: str, share_ppm: int, quantum: int) -> list
     info = trace.app_info.get(app_id)
     if info is None:
         raise VerifyError(f"trace has no app {app_id!r}")
+    _segments(trace)
     return _check_share(_share_leaf(trace, info.node_path), app_id, share_ppm,
                         quantum)
 
@@ -286,83 +288,36 @@ def check_conservation(trace: Trace) -> list:
     """Single-CPU accounting: exactly one RUN or IDLE per tick, and no idling
     while an application that nothing hard-caps is backlogged.
 
-    One sweep over the segment endpoints gives the ranges of ticks with the
-    same number of rows and of IDLE rows; a segment reaching outside
-    [0, horizon) is an error.
+    The segments tile [0, horizon) but for gaps, or the trace is refused
+    (`_segments`), so one walk over them finds each gap, a window of ticks
+    with no row (expected 1, observed 0), and each idle stretch inside the
+    merged backlog of the apps that nothing hard-caps (expected 0, observed
+    1). Gaps come first, then idle stretches, each in tick order.
     """
-    edges = {}  # tick -> [net change of rows, net change of IDLE rows]
-    for s, e, app in trace.segments:
-        if s >= e:
-            continue
-        if s < 0 or e > trace.horizon:
-            raise VerifyError(
-                f"{'IDLE' if app is None else 'RUN'} row at tick "
-                f"{s if s < 0 else max(s, trace.horizon)} lies outside "
-                f"the horizon [0,{trace.horizon})"
-            )
-        for t, d in ((s, 1), (e, -1)):
-            at = edges.setdefault(t, [0, 0])
-            at[0] += d
-            at[1] += d if app is None else 0
-    rows = idle = 0
-    pieces = []  # (start, end, rows, IDLE rows), covering [0, horizon)
-    cuts = sorted(set(edges) | {0, trace.horizon})
-    for a, b in zip(cuts, cuts[1:]):
-        if a in edges:
-            rows += edges[a][0]
-            idle += edges[a][1]
-        pieces.append((a, b, rows, idle))
-
-    out = []
-    miscounted = []  # maximal windows of ticks without exactly one row
-    for a, b, n, _ in pieces:
-        if n == 1:
-            continue
-        if miscounted and miscounted[-1][1] == a:
-            miscounted[-1][1] = b
-        else:
-            miscounted.append([a, b, n])
-    for a, b, n in miscounted:
-        out.append(Violation(ViolationKind.NON_CONSERVING, "", (a, b), 1, n))
-
     free = _merge(sorted(
         iv for i in trace.app_info.values() if not i.hard_capped
-        for iv in i.backlog
+        for iv in i.backlog if iv[0] < iv[1]
     ))
-    wasted = []
-    j = 0
-    for a, b, _, n in pieces:
-        while n and j < len(free) and a < b:
-            s, e = free[j]
-            if e <= a:
-                j += 1
-                continue
-            if s >= b:
-                break
-            lo, hi = max(a, s), min(b, e)
-            if lo < hi:
-                _extend_wasted(wasted, lo, hi, n)
-            a = max(a, hi)
-    for a, b in wasted:
-        out.append(Violation(ViolationKind.NON_CONSERVING, "", (a, b), 0, 1))
-    return out
-
-
-def _extend_wasted(windows, a, b, n):
-    """Add the idle ticks [a, b), each with `n` IDLE rows, to `windows`.
-
-    A tick's first row continues the window that ends at it; each further
-    row of that tick opens a window of its own, and the last one opened is
-    the window the next tick continues."""
-    if n == 1:
-        if windows and windows[-1][1] == a:
-            windows[-1] = (windows[-1][0], b)
-        else:
-            windows.append((a, b))
-        return
-    for t in range(a, b):
-        _extend_wasted(windows, t, t + 1, 1)
-        windows.extend([(t, t + 1)] * (n - 1))
+    gaps, wasted = [], []
+    end = j = 0
+    for s, e, app in _segments(trace) + [(trace.horizon, trace.horizon, "")]:
+        if end < s:
+            gaps.append(Violation(ViolationKind.NON_CONSERVING, "", (end, s), 1, 0))
+        end = e
+        if app is not None:
+            continue
+        while j < len(free) and free[j][1] <= s:
+            j += 1
+        k = j
+        while k < len(free) and free[k][0] < e:
+            a, b = max(free[k][0], s), min(free[k][1], e)
+            if wasted and wasted[-1][1] == a:
+                wasted[-1] = (wasted[-1][0], b)
+            else:
+                wasted.append((a, b))
+            k += 1
+    return gaps + [Violation(ViolationKind.NON_CONSERVING, "", w, 0, 1)
+                   for w in wasted]
 
 
 def _merge(intervals):
@@ -375,19 +330,20 @@ def _merge(intervals):
     return merged
 
 
-def build_report(trace: Trace, grants: dict) -> GuaranteeReport:
-    """Check every grant against the trace and fold in conservation.
+def build_report(trace: Trace) -> GuaranteeReport:
+    """Check every app's grant against the trace and fold in conservation.
 
-    `grants` maps app id to the contract the deployment awarded it.
-    BE and NULL grants promise nothing, so nothing is checked for them.
+    An app's grant is `trace.app_info[app].awarded`, the last award the run
+    gave it, checked over the whole horizon: a window that a mid-run regrant
+    splits is held to that final award. BE and NULL grants promise nothing,
+    so nothing is checked for them. A trace whose segments overlap, are out
+    of order, are empty or leave [0, horizon) is refused (`_segments`).
     """
-    violations = []
+    conservation = check_conservation(trace)  # refuses a malformed trace
+    violations = list(conservation)
     leaves = {}  # node path -> _ShareLeaf, built for its first PS grant
-    for app_id in sorted(grants):
-        grant = grants[app_id]
-        info = trace.app_info.get(app_id)
-        if info is None:
-            raise VerifyError(f"grant references app {app_id!r} absent from trace")
+    for app_id, info in sorted(trace.app_info.items()):
+        grant = info.awarded
         if grant.is_reservation():
             violations += check_reservation(trace, app_id, grant, info.backlog)
         elif grant.service is ServiceClass.PS:
@@ -395,8 +351,6 @@ def build_report(trace: Trace, grants: dict) -> GuaranteeReport:
             if leaf is None:
                 leaf = leaves[info.node_path] = _share_leaf(trace, info.node_path)
             violations += _check_share(leaf, app_id, info.weight_ppm, info.quantum)
-    conservation = check_conservation(trace)
-    violations += conservation
     return GuaranteeReport(
         violations=tuple(sorted(violations, key=_sort_key)),
         conservation_ok=not conservation,

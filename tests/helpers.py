@@ -81,8 +81,10 @@ def trace_from_rows(horizon, rows, infos=()):
 
 def rows(trace):
     """The trace as per-tick rows in CSV order, RUN rows carrying the app's
-    node, as the engine wrote them before segments. Rows of one tick keep
-    the order of their segments, so the last listed segment's row is last."""
+    node, as the engine wrote them before segments. An engine's segments
+    tile the horizon, so each tick gets one RUN or IDLE row. A hand-made
+    trace may have several at a tick, or none; rows of one tick keep the
+    order of their segments."""
     ticks = []
     for start, end, app in trace.segments:
         info = trace.app_info.get(app)

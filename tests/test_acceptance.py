@@ -133,12 +133,11 @@ def test_criterion_3_hard_windows_exact_over_long_run():
                     "gets exactly the rest"):
         scenario = parse_scenario((SCENARIOS / "hard_guarantees.json").read_text())
         trace = run_scenario(scenario)
-        grants = {a: i.awarded for a, i in trace.app_info.items()}
-        report = build_report(trace, grants)
+        report = build_report(trace)
         assert report.ok
         assert report.conservation_ok
 
-        windows = {a: [0] * (trace.horizon // 100) for a in grants}
+        windows = {a: [0] * (trace.horizon // 100) for a in trace.app_info}
         for start, end, app in trace.segments:
             for t in range(start, end):
                 if app is not None:
@@ -246,8 +245,7 @@ def test_criterion_5_hard_guarantees_survive_randomized_churn():
             # the award recorded at admission is still the award at the end
             assert trace.app_info[app].awarded == award
 
-        grants = {a: i.awarded for a, i in trace.app_info.items()}
-        report = build_report(trace, grants)
+        report = build_report(trace)
         assert report.conservation_ok
         hard_violations = [v for v in report.violations if v.app_id in hard_awards]
         assert hard_violations == []
@@ -341,8 +339,7 @@ def test_criterion_8_stride_shares_split_exactly_two_to_one():
             assert abs(got["big"] - elapsed * 2 / 3) <= bound
             assert abs(got["small"] - elapsed * 1 / 3) <= bound
 
-        grants = {a: i.awarded for a, i in trace.app_info.items()}
-        assert build_report(trace, grants).ok
+        assert build_report(trace).ok
 
 
 def test_criterion_9_every_scenario_replays_byte_identical(tmp_path):

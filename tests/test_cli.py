@@ -122,6 +122,34 @@ class TestParse:
             assert sc.horizon > 0
 
 
+# A soft leaf shared by `s` (and `s2`), and a hard app `h` deployed at tick
+# 300 and undeployed at 600. In EPOCHS, `s` holds all of the soft leaf, so
+# the shape check rejects `h`. In EPOCHS2, `h` is admitted and squeezes the
+# soft leaf to half its ask until it leaves.
+EPOCHS = {
+    "horizon": 1000, "seed": 0,
+    "schedulers": [
+        {"name": "soft", "policy": "EDF_RESERVATION", "request": "RESBS[60,100]"},
+        {"name": "hard", "policy": "EDF_RESERVATION", "request": "RESBH[70,100]"},
+    ],
+    "timeline": [
+        {"tick": 0, "action": "deploy", "app": "s", "class": "c",
+         "request": "RESBS[60,100]", "scheduler": "soft",
+         "workload": {"kind": "CPU_BOUND"}},
+        {"tick": 300, "action": "deploy", "app": "h", "class": "d",
+         "request": "RESBH[70,100]", "scheduler": "hard",
+         "workload": {"kind": "CPU_BOUND"}},
+        {"tick": 600, "action": "undeploy", "app": "h"},
+    ],
+}
+EPOCHS2 = dict(EPOCHS, timeline=[
+    {"tick": 0, "action": "deploy", "app": app, "class": "c",
+     "request": "RESBS[30,100]", "scheduler": "soft",
+     "workload": {"kind": "CPU_BOUND"}}
+    for app in ("s", "s2")
+] + EPOCHS["timeline"][1:])
+
+
 class TestRun:
     def test_stride_scenario_clean_run(self, tmp_path, capsys):
         trace_out = tmp_path / "trace.csv"
@@ -230,6 +258,31 @@ class TestRun:
         assert capsys.readouterr().out.splitlines() == lines + [
             "violations=0 conservation=ok"
         ]
+
+    def test_undeploy_of_a_rejected_app_is_recorded(self, tmp_path, capsys):
+        path = tmp_path / "epochs.json"
+        path.write_text(json.dumps(EPOCHS))
+        trace_out = tmp_path / "trace.csv"
+        assert run(["--scenario", str(path), "--trace-out", str(trace_out),
+                    "--allow-reject"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "deploy tick=0 app=s outcome=LOADED_NEW node=1 awarded=RESBS[60,100]",
+            "deploy tick=300 app=h outcome=REJECTED reason=INFEASIBLE detail="
+            "'rejected at s: supply shape: RESBS[30,100] does not satisfy "
+            "RESBS[60,100]'",
+            "violations=0 conservation=ok",
+        ]
+        assert "600,UNDEPLOY,h,,NOT_ADMITTED" in trace_out.read_text().splitlines()
+        assert run(["--scenario", str(path)]) == 1  # the rejection alone fails it
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP items 1a/2: the verifier holds `s` and `s2` to their final "
+        "award while `h` squeezes them, 300-600"))
+    def test_a_squeeze_that_ends_is_no_violation(self, tmp_path, capsys):
+        path = tmp_path / "epochs2.json"
+        path.write_text(json.dumps(EPOCHS2))
+        run(["--scenario", str(path)])
+        assert "violations=0 conservation=ok" in capsys.readouterr().out.splitlines()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         outs = []

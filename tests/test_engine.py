@@ -283,6 +283,38 @@ class TestTimeline:
         assert "orphan" not in trace.per_app_service
         assert trace.idle_ticks == 10
 
+    def test_undeploy_of_a_rejected_app_is_a_traced_no_op(self):
+        sim = Simulation(horizon=10)
+        deploy(sim, 0, "orphan", "web", Contract.be(), cpu_bound())
+        sim.undeploy_at(5, "orphan")
+        trace = sim.run()
+        assert [(e.tick, e.kind, e.app, e.detail) for e in trace.events] == [
+            (0, EventKind.DEPLOY, "orphan", "REJECTED:NO_SERVICE_NO_SCHEDULER"),
+            (5, EventKind.UNDEPLOY, "orphan", "NOT_ADMITTED"),
+        ]
+        assert trace.app_info == {}
+        assert trace.segments == [(0, 10, None)]
+
+    def test_second_undeploy_of_a_rejected_app_is_refused(self):
+        sim = Simulation(horizon=10)
+        deploy(sim, 0, "orphan", "web", Contract.be(), cpu_bound())
+        sim.undeploy_at(5, "orphan")
+        sim.undeploy_at(6, "orphan")
+        with pytest.raises(EngineError, match="unknown app 'orphan' at tick 6"):
+            sim.run()
+
+    def test_undeploy_of_an_app_admitted_after_a_rejection(self):
+        # rejected, then admitted under the same id: the first undeploy
+        # removes the app, and a second one finds nothing to undo
+        sim = Simulation(horizon=10)
+        deploy(sim, 0, "x", "batch", Contract.be(), cpu_bound())
+        deploy(sim, 1, "x", "batch", Contract.be(), cpu_bound(),
+               scheduler=rr_spec("rr0", Contract.be()))
+        sim.undeploy_at(3, "x")
+        sim.undeploy_at(5, "x")
+        with pytest.raises(EngineError, match="unknown app 'x' at tick 5"):
+            sim.run()
+
     def test_app_id_reuse_is_refused(self):
         sim = Simulation(horizon=50)
         deploy(sim, 0, "x", "batch", Contract.be(), cpu_bound(),

@@ -10,12 +10,13 @@ work; quanta 1-10; deploys and undeploys mid-run; a large share that
 degrades the others while it stays; a soft reservation running on slack; any
 seed) both must produce the same CSV, service, idle count, per-app facts
 (backlog intervals included) and decisions, and the RUN/IDLE segments of the
-new trace must expand (`helpers.rows`) to the reference's per-tick rows. The
-examples are derandomized, so every run checks the same scenarios, and the
-test asserts that enough of them reach deadline misses, budget exhaustion,
-idle ticks, soft-reservation slack, degraded grants, the departure of a
-degrading app and a scheduler granted ALL running, so that agreement is not
-agreement on empty traces.
+new trace must expand (`helpers.rows`) to the reference's per-tick rows and
+tile [0, horizon) in tick order without an empty segment, which is what
+`hiersched.verify` takes for granted. The examples are derandomized, so
+every run checks the same scenarios, and the test asserts that enough of
+them reach deadline misses, budget exhaustion, idle ticks, soft-reservation
+slack, degraded grants, the departure of a degrading app and a scheduler
+granted ALL running, so that agreement is not agreement on empty traces.
 
 The engine keeps each node's runnable children up to date as events flip
 them, so the test also asserts that enough runs see a node run out of
@@ -299,6 +300,10 @@ def test_next_event_engine_matches_the_tick_loop():
         assert digest(new) == digest(old)
         # the reference writes a row per tick; the segments expand to them
         assert rows(new) == old.events
+        # and tile [0, horizon) in tick order, none empty, as the verifier needs
+        ends = [0] + [e for _, e, _ in new.segments]
+        assert [s for s, _, _ in new.segments] == ends[:-1] and ends[-1] == new.horizon
+        assert all(s < e for s, e, _ in new.segments)
         kinds = {e.kind for e in old.events}
         for kind in (EventKind.DEADLINE_MISS, EventKind.BUDGET_EXHAUSTED,
                      EventKind.IDLE, EventKind.REPLENISH, EventKind.UNDEPLOY):

@@ -221,8 +221,8 @@ class TestConservation:
             SimEvent(1, EventKind.IDLE),
         ]
         trace = trace_from_rows(2, events, [])
-        got = check_conservation(trace)
-        assert [(v.window, v.observed) for v in got] == [((0, 1), 2)]
+        with pytest.raises(VerifyError, match="tick 0 "):
+            check_conservation(trace)
 
     def test_missing_tick(self):
         trace = trace_from_rows(2, [SimEvent(0, EventKind.IDLE)], [])
@@ -269,18 +269,48 @@ class TestConservation:
         assert check_conservation(trace) == []
 
 
+class TestMalformedSegments:
+    """Segments that overlap, are out of order, are empty or leave [0,
+    horizon) never come from the engine; the checks that read the trace as
+    a tiling refuse them, naming the first tick at fault."""
+
+    CASES = {  # segments over a horizon of 4, and the tick at fault
+        "out_of_order": ([(2, 4, "a"), (0, 2, None)], 0),
+        "overlapping": ([(0, 3, "a"), (2, 4, None)], 2),
+        "empty": ([(0, 2, "a"), (2, 2, None), (2, 4, None)], 2),
+        "before_tick_zero": ([(-1, 4, "a")], -1),
+        "past_the_horizon": ([(0, 2, "a"), (2, 5, None)], 4),
+    }
+    CHECKS = {
+        "check_share": lambda trace: check_share(trace, "a", 500000, quantum=1),
+        "check_conservation": check_conservation,
+        "build_report": build_report,
+    }
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refused_naming_the_tick(self, case, check):
+        segments, tick = self.CASES[case]
+        trace = trace_from_rows(4, [], [ps_info("a", 500000, [(0, 4)])])
+        trace.segments = segments
+        with pytest.raises(VerifyError, match=f"tick {tick} "):
+            self.CHECKS[check](trace)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reservation_counts_each_segment(self, case):
+        trace = trace_from_rows(4, [], [ps_info("a", 500000, [(0, 4)])])
+        trace.segments = self.CASES[case][0]
+        got = check_reservation(trace, "a", Contract.resbh(1, 4), [(0, 4)])
+        assert [v.kind for v in got] == [ViolationKind.OVER_CAP]
+
+
 class TestReport:
     def test_empty_trace_reports_clean(self):
         trace = Simulation(horizon=20).run()
-        report = build_report(trace, {})
+        report = build_report(trace)
         assert report.ok
         assert report.conservation_ok
         assert report.to_text() == "violations=0 conservation=ok\n"
-
-    def test_grant_for_unknown_app_is_refused(self):
-        trace = Simulation(horizon=5).run()
-        with pytest.raises(VerifyError, match="absent"):
-            build_report(trace, {"ghost": Contract.resbh(1, 10)})
 
     def test_single_deficit_report_text(self):
         trace = hard_solo_trace()
@@ -290,7 +320,7 @@ class TestReport:
             lambda e: e.kind is EventKind.RUN and e.tick in victim,
             lambda e: SimEvent(e.tick, EventKind.IDLE),
         )
-        report = build_report(trace, {"hard": Contract.resbh(10, 100)})
+        report = build_report(trace)
         assert not report.ok
         assert report.conservation_ok
         assert report.to_text() == (
@@ -309,8 +339,7 @@ class TestReport:
                Workload(WorkloadKind.CPU_BOUND),
                scheduler=rr_spec("rr0", Contract.be()))
         trace = sim.run()
-        grants = {a: trace.app_info[a].awarded for a in trace.app_info}
-        report = build_report(trace, grants)
+        report = build_report(trace)
         assert report.ok
         assert report.conservation_ok
 
@@ -321,5 +350,5 @@ class TestReport:
             lambda e: e.kind is EventKind.RUN and e.tick in {400, 201},
             lambda e: SimEvent(e.tick, EventKind.IDLE),
         )
-        report = build_report(trace, {"hard": Contract.resbh(10, 100)})
+        report = build_report(trace)
         assert [v.window for v in report.violations] == [(200, 300), (400, 500)]

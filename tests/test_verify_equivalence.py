@@ -1,12 +1,24 @@
 """The sweeping verifier gives the same answers as the tick-walking one.
 
-`verify_reference` keeps the earlier checks unchanged. On random small
-traces (one or two leaves, up to five apps, weights including 0, backlogs
-touching tick 0 and the horizon, IDLE ticks, RUN rows by non-peers and
-strangers, several rows at one tick, segments of several ticks overlapping
-them, stray rows outside the horizon, and `share_ppm` overrides) every `check_*` result and every report must agree field for
-field. The reference reads the trace as per-tick rows (`helpers.rows`). The shipped scenarios all verify clean, so the
-test also asserts that the generated traces do produce LAG_EXCEEDED.
+`verify_reference` keeps the earlier checks unchanged. Random small traces
+have one or two leaves, up to five apps, weights including 0, backlogs
+touching tick 0 and the horizon, IDLE ticks, ticks no row covers, RUN rows
+by non-peers and strangers, segments of several ticks, and `share_ppm`
+overrides. Each app's `awarded` is its drawn grant. The traces are drawn
+well formed, as the engine writes them: at most one RUN or IDLE row per
+tick, and segments in tick order without overlap, inside the horizon. On
+them every `check_*` result and every report must agree with the reference
+field for field; the reference reads the trace as per-tick rows
+(`helpers.rows`) and gets the grants as `{app: info.awarded}`.
+
+About half the traces also get a copy made malformed on purpose, by a
+duplicate row, an overlapping or out-of-order segment, or stray rows
+outside the horizon. On that copy `check_share`, `check_conservation` and
+`build_report` must refuse the trace, while `check_reservation`, which
+counts each segment on its own, must still agree with the reference. The
+shipped scenarios all verify clean, so the test also asserts that the
+traces do produce LAG_EXCEEDED, and that enough malformed copies are
+refused.
 
 `build_report` builds each share leaf once for every holder it checks
 there. On traces with two STRIDE leaves of three or four share-holders
@@ -16,6 +28,7 @@ and it must sweep each leaf once.
 """
 
 from collections import Counter
+from itertools import groupby
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,10 +36,10 @@ from hypothesis import strategies as st
 import verify_reference as ref
 from hiersched import verify
 from hiersched.contracts import Contract, ServiceClass
-from hiersched.engine import AppTraceInfo, EventKind, SimEvent, Trace
+from hiersched.engine import AppTraceInfo, Trace
 from hiersched.verify import VerifyError, ViolationKind
 
-from helpers import rows, trace_from_rows
+from helpers import rows
 
 PATHS = ("root/a", "root/b")
 
@@ -67,11 +80,15 @@ def grants(draw, weight):
 WEIGHTS = [0, 1, 100_000, 250_000, 333_333, 1_000_000]
 
 
+# how a copy of the trace is made malformed
+MALFORMED = ["duplicate", "overlap", "order", "stray"]
+
+
 @st.composite
 def cases(draw, holders=0):
-    """A trace, its grants, whether it has stray rows, and check_share
+    """A well-formed trace, a malformed copy of it or None, and check_share
     overrides. With `holders`, both leaves get `holders` or one more
-    share-holders each, every one granted PS, and no stray rows."""
+    share-holders each, every one granted PS, and there is no copy."""
     horizon = draw(st.integers(1, 40))
     if holders:
         paths = PATHS
@@ -80,87 +97,134 @@ def cases(draw, holders=0):
         paths = PATHS[:draw(st.integers(1, 2))]
         placed = [None] * draw(st.integers(1, 5))
     n = len(placed)
-    infos, grant_of = [], {}
+    infos = []
     for k, path in enumerate(placed):
-        app = f"a{k}"
         weight = draw(st.sampled_from(WEIGHTS[1:] if holders else WEIGHTS))
         path = path or draw(st.sampled_from(paths))
         infos.append(AppTraceInfo(
-            app_id=app, node_id=1 + PATHS.index(path),
-            node_path=path, leaf_policy="STRIDE",
-            requested=Contract.be(), awarded=Contract.be(), weight_ppm=weight,
-            quantum=draw(st.integers(0, 2)), deployed_at=0, undeployed_at=None,
-            hard_capped=draw(st.booleans()), backlog=draw(backlogs(horizon)),
+            app_id=f"a{k}", node_id=1 + PATHS.index(path),
+            node_path=path, leaf_policy="STRIDE", requested=Contract.be(),
+            awarded=Contract.ps(weight) if holders else draw(grants(weight)),
+            weight_ppm=weight, quantum=draw(st.integers(0, 2)), deployed_at=0,
+            undeployed_at=None, hard_capped=draw(st.booleans()),
+            backlog=draw(backlogs(horizon)),
         ))
-        grant_of[app] = Contract.ps(weight) if holders else draw(grants(weight))
-    # IDLE (None) or RUN by an app or a stranger; one or two rows a tick,
-    # and one tick in ten anything from none to three
-    row = st.one_of(st.just(None), st.sampled_from([f"a{k}" for k in range(n)] + ["ghost"]))
-    events = []
-    for t in range(horizon):
-        rows = (st.lists(row, min_size=1, max_size=2) if draw(st.integers(0, 9))
-                else st.lists(row, max_size=3))
-        for who in draw(rows):
-            events.append(SimEvent(t, EventKind.IDLE) if who is None
-                          else SimEvent(t, EventKind.RUN, app=who, node_path=paths[0]))
-    stray = not holders and draw(st.booleans())
-    if stray:
-        events = ([SimEvent(-1, EventKind.RUN, app="a0")] + events
-                  + [SimEvent(horizon, EventKind.RUN, app="a0")])
-    trace = trace_from_rows(horizon, events, infos)
-    # longer segments, overlapping the rows above, anywhere in the list
-    for _ in range(draw(st.integers(0, 3))):
+    # RUN by an app (at least half the rows), IDLE (None) or RUN by a
+    # stranger: a one-tick row at every tick but one in ten, then up to five
+    # stretches of up to eight ticks, each one segment over the rows it
+    # replaces. A cell is the (start, row) of the segment that holds its tick.
+    apps = [f"a{k}" for k in range(n)]
+    row = st.one_of(st.sampled_from(apps), st.sampled_from([None, "ghost"] + apps))
+    cells = [(t, draw(row)) if draw(st.integers(0, 9)) else None for t in range(horizon)]
+    for _ in range(draw(st.integers(0, 5))):
         start = draw(st.integers(0, horizon - 1))
         end = draw(st.integers(start + 1, min(horizon, start + 8)))
-        at = draw(st.integers(0, len(trace.segments)))
-        trace.segments.insert(at, (start, end, draw(row)))
+        cells[start:end] = [(start, draw(row))] * (end - start)
+    segments = []
+    t = 0
+    for cell, ticks in groupby(cells):
+        end = t + len(list(ticks))
+        if cell is not None:
+            segments.append((t, end, cell[1]))
+        t = end
+    trace = Trace(horizon, [], {}, sum(e - s for s, e, app in segments if app is None),
+                  {i.app_id: i for i in infos}, [], segments)
+    malformed = None
+    if not holders and draw(st.booleans()):
+        how = draw(st.sampled_from(MALFORMED))
+        bad = list(segments)
+        if how == "duplicate" and bad:
+            # a second row at a tick a segment already covers, just after it
+            i = draw(st.integers(0, len(bad) - 1))
+            t = draw(st.integers(bad[i][0], bad[i][1] - 1))
+            bad.insert(i + 1, (t, t + 1, draw(row)))
+        elif how == "overlap" and bad:
+            # a segment that starts inside another one, anywhere in the list
+            s, e, _ = bad[draw(st.integers(0, len(bad) - 1))]
+            start = draw(st.integers(s, e - 1))
+            end = draw(st.integers(start + 1, min(horizon, start + 8)))
+            bad.insert(draw(st.integers(0, len(bad))), (start, end, draw(row)))
+        elif how == "order" and len(bad) > 1:
+            i = draw(st.integers(0, len(bad) - 2))
+            bad[i:i + 2] = bad[i + 1], bad[i]
+        else:  # stray rows, also where too few segments allow the others
+            bad = [(-1, 0, "a0")] + bad + [(horizon, horizon + 1, "a0")]
+        malformed = Trace(horizon, [], {}, trace.idle_ticks, trace.app_info, [], bad)
     overrides = draw(st.lists(st.tuples(
         st.sampled_from([i.app_id for i in infos]),
         st.integers(-1, 1_000_000),
     ), max_size=3))
-    return trace, grant_of, stray, overrides
+    return trace, malformed, overrides
+
+
+def old(trace):
+    """The trace as the reference reads it: RUN and IDLE as per-tick rows."""
+    return Trace(trace.horizon, rows(trace), trace.per_app_service,
+                 trace.idle_ticks, trace.app_info, trace.decisions)
+
+
+def reservations_agree(trace):
+    old_trace = old(trace)
+    for app, info in trace.app_info.items():
+        args = (app, info.awarded, info.backlog)
+        assert (outcome(verify.check_reservation, trace, *args)
+                == outcome(ref.check_reservation, old_trace, *args))
+
+
+def refused(check, *args):
+    got = outcome(check, *args)
+    return got[0] == "error" and "segment at tick" in got[1]
 
 
 def test_sweep_matches_the_tick_walk():
-    lag_cases = []
+    lag_cases, refusals = [], []
 
     @settings(max_examples=250, deadline=None)
     @given(cases())
     def compare(case):
-        trace, grant_of, stray, overrides = case
-        # the reference reads RUN and IDLE as per-tick rows
-        old_trace = Trace(trace.horizon, rows(trace), trace.per_app_service,
-                          trace.idle_ticks, trace.app_info, trace.decisions)
+        trace, malformed, overrides = case
+        old_trace = old(trace)
+        reservations_agree(trace)
         fired = False
         for app, info in trace.app_info.items():
-            old = outcome(ref.check_share, old_trace, app, info.weight_ppm, info.quantum)
+            old_share = outcome(ref.check_share, old_trace, app, info.weight_ppm,
+                                info.quantum)
             assert outcome(verify.check_share, trace, app, info.weight_ppm,
-                           info.quantum) == old
-            fired |= old[0] == "ok" and any(
-                f[0] is ViolationKind.LAG_EXCEEDED for f in old[1])
-            grant = grant_of[app]
-            assert (outcome(verify.check_reservation, trace, app, grant, info.backlog)
-                    == outcome(ref.check_reservation, old_trace, app, grant, info.backlog))
+                           info.quantum) == old_share
+            fired |= old_share[0] == "ok" and any(
+                f[0] is ViolationKind.LAG_EXCEEDED for f in old_share[1])
         for app, share_ppm in overrides:
             quantum = trace.app_info[app].quantum
             assert (outcome(verify.check_share, trace, app, share_ppm, quantum)
                     == outcome(ref.check_share, old_trace, app, share_ppm, quantum))
         lag_cases.append(fired)
-        if stray:
-            return  # the old conservation check crashes or miscounts on these
+        assert (outcome(verify.check_conservation, trace)
+                == outcome(ref.check_conservation, old_trace))
+        grant_of = {app: info.awarded for app, info in trace.app_info.items()}
         try:
-            old = ref.build_report(old_trace, grant_of)
+            old_report = ref.build_report(old_trace, grant_of)
         except VerifyError as e:
-            assert outcome(verify.build_report, trace, grant_of) == ("error", str(e))
-            return
-        new = verify.build_report(trace, grant_of)
-        assert new.to_text() == old.to_text()
-        assert new.conservation_ok == old.conservation_ok
-        assert [fields(v) for v in new.violations] == [fields(v) for v in old.violations]
+            assert outcome(verify.build_report, trace) == ("error", str(e))
+        else:
+            new = verify.build_report(trace)
+            assert new.to_text() == old_report.to_text()
+            assert new.conservation_ok == old_report.conservation_ok
+            assert ([fields(v) for v in new.violations]
+                    == [fields(v) for v in old_report.violations])
+        refusals.append(malformed is not None)
+        if malformed is not None:
+            reservations_agree(malformed)
+            assert refused(verify.check_conservation, malformed)
+            assert refused(verify.build_report, malformed)
+            for app, info in malformed.app_info.items():
+                assert refused(verify.check_share, malformed, app, info.weight_ppm,
+                               info.quantum)
 
     compare()
     # the comparison is worth something only if the old check fires often
     assert sum(lag_cases) >= len(lag_cases) // 10
+    # and the refusal only if malformed copies come up often
+    assert sum(refusals) >= len(refusals) // 10
 
 
 def test_one_sweep_per_leaf_matches_the_per_app_checks(monkeypatch):
@@ -177,15 +241,15 @@ def test_one_sweep_per_leaf_matches_the_per_app_checks(monkeypatch):
     @settings(max_examples=150, deadline=None)
     @given(cases(holders=3))
     def compare(case):
-        trace, grant_of, _, _ = case
-        old_trace = Trace(trace.horizon, rows(trace), trace.per_app_service,
-                          trace.idle_ticks, trace.app_info, trace.decisions)
+        trace, _, _ = case
         built.clear()
-        new = verify.build_report(trace, grant_of)
+        new = verify.build_report(trace)
         assert built == Counter(PATHS)  # each leaf swept once
-        old = ref.build_report(old_trace, grant_of)
-        assert new.to_text() == old.to_text()
-        assert [fields(v) for v in new.violations] == [fields(v) for v in old.violations]
+        grant_of = {app: info.awarded for app, info in trace.app_info.items()}
+        old_report = ref.build_report(old(trace), grant_of)
+        assert new.to_text() == old_report.to_text()
+        assert ([fields(v) for v in new.violations]
+                == [fields(v) for v in old_report.violations])
         per_app = sorted(
             (v for app, info in trace.app_info.items()
              for v in verify.check_share(trace, app, info.weight_ppm, info.quantum)),
