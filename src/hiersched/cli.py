@@ -26,14 +26,20 @@ service class, so every deploy naming one is rejected): "parent" never
 places a scheduler below the root, and a deploy that names a loaded leaf
 is rejected, one that names a scheduler not loaded yet stops the run.
 
+Flags: --scenario FILE (required), --trace-out FILE, --report-out FILE,
+--seed N, --horizon N and --allow-reject, each value given as `--flag value`
+or `--flag=value`; a repeated flag keeps its last value. They are read by a
+plain loop over argv, not argparse, which with gettext and locale would cost
+every run a few milliseconds of start-up; abbreviated flags are not taken.
+--help prints the usage to stdout and exits 0.
+
 Exit status: 0 when the run is clean, 1 when the verifier found violations
 or any deployment was rejected (suppress the latter with --allow-reject),
-2 for unusable input.
+2 for unusable input, a usage error included (usage to stderr).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from typing import NamedTuple
@@ -235,31 +241,75 @@ def _decision_lines(trace) -> list:
     ]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="hiersched",
-        description="Run a scheduler scenario and verify its guarantees.",
-    )
-    p.add_argument("--scenario", required=True, help="scenario JSON file")
-    p.add_argument("--trace-out", help="write the event trace CSV here")
-    p.add_argument("--report-out", help="write the decision+guarantee report here")
-    p.add_argument("--seed", type=int, help="override the scenario seed")
-    p.add_argument("--horizon", type=int, help="override the scenario horizon")
-    p.add_argument(
-        "--allow-reject", action="store_true",
-        help="rejected deployments do not fail the run",
-    )
-    return p
+_USAGE = """\
+usage: hiersched [-h] --scenario SCENARIO [--trace-out TRACE_OUT]
+                 [--report-out REPORT_OUT] [--seed SEED] [--horizon HORIZON]
+                 [--allow-reject]
+"""
+
+_HELP = _USAGE + """
+Run a scheduler scenario and verify its guarantees.
+
+options:
+  -h, --help            show this help message and exit
+  --scenario SCENARIO   scenario JSON file
+  --trace-out TRACE_OUT
+                        write the event trace CSV here
+  --report-out REPORT_OUT
+                        write the decision+guarantee report here
+  --seed SEED           override the scenario seed
+  --horizon HORIZON     override the scenario horizon
+  --allow-reject        rejected deployments do not fail the run
+"""
+
+_FLAGS = ("--scenario", "--trace-out", "--report-out", "--seed", "--horizon")
+
+
+def _parse_args(argv) -> dict:
+    """The flags of `argv`, keyed by name, with --seed and --horizon as
+    ints; a repeated flag keeps its last value. A flag's value follows it
+    as `--flag value` or `--flag=value`; in the first form it may not start
+    with "-" unless it is a negative integer. Raises ValueError with the
+    message for anything else."""
+    args = {}
+    rest = iter(argv)
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        if arg == "--allow-reject":
+            value = True
+        elif flag not in _FLAGS:
+            raise ValueError(f"unrecognized argument: {arg}")
+        elif not eq:
+            value = next(rest, None)
+            if value is None or value[:1] == "-" and not value[1:].isdigit():
+                raise ValueError(f"argument {flag}: expected one argument")
+        if flag in ("--seed", "--horizon"):
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(
+                    f"argument {flag}: invalid int value: {value!r}"
+                ) from None
+        args[flag] = value
+    if "--scenario" not in args:
+        raise ValueError("the following arguments are required: --scenario")
+    return args
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_HELP, end="")
+        return 0
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+        args = _parse_args(argv)
+    except ValueError as e:
+        print(f"{_USAGE}hiersched: error: {e}", file=sys.stderr)
+        return 2
+    seed, horizon = args.get("--seed"), args.get("--horizon")
 
     try:
-        with open(args.scenario, encoding="utf-8") as f:
+        with open(args["--scenario"], encoding="utf-8") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read scenario: {e}", file=sys.stderr)
@@ -267,17 +317,17 @@ def run(argv=None) -> int:
 
     try:
         scenario = parse_scenario(text)
-        if args.seed is not None:
-            scenario = scenario._replace(seed=args.seed)
-        if args.horizon is not None:
-            if args.horizon < 1:
+        if seed is not None:
+            scenario = scenario._replace(seed=seed)
+        if horizon is not None:
+            if horizon < 1:
                 raise ScenarioError("--horizon: must be >= 1")
-            if scenario.timeline and args.horizon <= scenario.timeline[-1].tick:
+            if scenario.timeline and horizon <= scenario.timeline[-1].tick:
                 raise ScenarioError(
                     "--horizon: must exceed the last timeline tick "
                     f"({scenario.timeline[-1].tick})"
                 )
-            scenario = scenario._replace(horizon=args.horizon)
+            scenario = scenario._replace(horizon=horizon)
         trace = run_scenario(scenario)
     except (ScenarioError, EngineError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -287,11 +337,11 @@ def run(argv=None) -> int:
     report_text = "\n".join(_decision_lines(trace) + [report.to_text()])
 
     try:
-        if args.trace_out:
-            with open(args.trace_out, "w", encoding="utf-8", newline="") as f:
+        if args.get("--trace-out"):
+            with open(args["--trace-out"], "w", encoding="utf-8", newline="") as f:
                 f.write(trace.to_csv())
-        if args.report_out:
-            with open(args.report_out, "w", encoding="utf-8", newline="") as f:
+        if args.get("--report-out"):
+            with open(args["--report-out"], "w", encoding="utf-8", newline="") as f:
                 f.write(report_text)
     except OSError as e:
         print(f"error: cannot write output: {e}", file=sys.stderr)
@@ -301,7 +351,7 @@ def run(argv=None) -> int:
     rejected = any(
         d.outcome is Outcome.REJECTED for _, _, d in trace.decisions
     )
-    if report.ok and (args.allow_reject or not rejected):
+    if report.ok and (args.get("--allow-reject") or not rejected):
         return 0
     return 1
 

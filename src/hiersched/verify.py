@@ -12,11 +12,18 @@ that are non-empty, disjoint, in tick order and inside [0, horizon).
 trace with a `VerifyError` that names the first tick at fault; a tick that
 no segment covers is a NON_CONSERVING violation, not an error.
 `check_reservation` counts each segment on its own and takes any trace.
+
+The share check walks each piece of a share leaf once, for all the leaf's
+holders at once (`_check_shares`): a heap keeps, per holder, the group tick
+at which its lag would pass the bound if it did not run again, which stays
+fixed until it runs. A leaf costs O(segments * log holders), not a walk
+per holder.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
@@ -223,64 +230,104 @@ def check_share(trace: Trace, app_id: str, share_ppm: int, quantum: int) -> list
     negative `quantum` and a trace whose segments overlap, are out of order,
     are empty or leave [0, horizon) are refused.
 
-    Nothing walks the horizon. The runs are the leaf's pieces that hold the
-    app (`_share_leaf`). Within a run the lag moves only while a member
-    runs, by the same step on each tick of one RUN segment, so the first
-    tick at which it leaves the bound is found per segment in closed form,
-    in integers: |obs * W - share_ppm * group| > tolerance * W, W being the
-    members' summed weight. The lag is also tested at the run's first tick.
-    `build_report` builds each leaf once for all the apps it checks there.
+    The runs are the leaf's pieces that hold the app (`_share_leaf`), and
+    the check is `_check_shares` with this one holder: the same walk, one
+    per piece, that `build_report` makes for all of a leaf's PS holders at
+    once. Its heap keeps the group tick at which each holder's lag would
+    pass the bound, fixed until that holder runs again; with all holders
+    the walk costs O(segments * log holders) per leaf.
     """
     info = trace.app_info.get(app_id)
     if info is None:
         raise VerifyError(f"trace has no app {app_id!r}")
     _segments(trace)
-    return _check_share(_share_leaf(trace, info.node_path), app_id, share_ppm,
-                        quantum)
+    leaf = _share_leaf(trace, info.node_path)
+    return _check_shares(leaf, {app_id: _share_terms(leaf, app_id, share_ppm, quantum)})
 
 
-def _check_share(leaf, app_id, share_ppm, quantum):
-    """`check_share` of `app_id` against its leaf, built."""
+def _share_terms(leaf, app_id, share_ppm, quantum):
+    """(share_ppm, quantum) of a holder `_check_shares` checks on `leaf`,
+    once they are known to be usable."""
     if app_id not in leaf.peers:
         raise VerifyError(f"app {app_id!r} holds no share on its leaf")
     if share_ppm <= 0:
         raise VerifyError("share_ppm must be positive")
     if quantum < 0:
         raise VerifyError("quantum must be >= 0")
+    return share_ppm, quantum
+
+
+def _check_shares(leaf, holders):
+    """The lag check of `check_share` for every holder of `holders`, a dict
+    app -> (share_ppm, quantum), in one walk over each piece of `leaf`.
+
+    Within a piece of W summed weight, a holder's lag, obs * W - share_ppm
+    * group for its own service obs and the members' service group, moves
+    only while a member runs: up by W - share_ppm per tick of its own, down
+    by share_ppm per tick of another's. So from the last tick it ran, the
+    group tick at which it would fall below -limit (limit = quantum *
+    members * W) is fixed until it runs again. Those ticks are kept in a
+    heap; an entry made stale by a later run of its holder is skipped. Each
+    member RUN segment pops the ticks it reaches, each a violation, and
+    finds the runner's own crossing in closed form, in integers. A holder
+    leaves the walk at its first violation in the piece, and the piece's
+    walk ends once none is left. Each runner segment is visited once per
+    piece it overlaps, so a leaf costs O(segments * log holders) besides
+    one heap entry per holder and piece.
+    """
     runners = leaf.runners
     out = []
     for start, end, members, weight in leaf.pieces:
-        if app_id not in members:
-            continue
-        limit = quantum * len(members) * weight
-        lag = group = obs = 0  # lag = obs * weight - share_ppm * group
-        k = max(bisect.bisect_right(runners, start, key=itemgetter(0)) - 1, 0)
-        while k < len(runners) and runners[k][0] < end:
+        n = len(members)
+        live = {}  # holder -> (lag, group tick of that lag, obs, due tick)
+        heap = []
+        for app in holders.keys() & members:
+            share_ppm, quantum = holders[app]
+            due = quantum * n * weight // share_ppm + 1
+            live[app] = (0, 0, 0, due)
+            heap.append((due, app))
+        heapq.heapify(heap)
+        group = 0
+        k = bisect.bisect_right(runners, start, key=itemgetter(1))
+        while live and k < len(runners) and runners[k][0] < end:
             a, b, runner = runners[k]
             k += 1
-            a, b = max(a, start), min(b, end)
-            if b <= a or runner not in members:
+            if runner not in members:
                 continue
-            mine = runner == app_id
-            step = weight - share_ppm if mine else -share_ppm
-            # ticks of this segment until the lag first leaves the bound
-            if step > 0:
-                j = (limit - lag) // step + 1
-            elif step < 0:
-                j = (limit + lag) // -step + 1
-            else:
-                j = b - a + 1
-            if j <= b - a:
-                group += j
-                obs += j if mine else 0
-                out.append(Violation(
-                    ViolationKind.LAG_EXCEEDED, app_id, (start, a + j),
-                    Fraction(share_ppm, weight) * group, obs,
-                ))
-                break
-            lag += step * (b - a)
-            group += b - a
-            obs += b - a if mine else 0
+            a, b = max(a, start), min(b, end)
+            top = group + b - a
+            while heap and heap[0][0] <= top:
+                due, app = heapq.heappop(heap)
+                if app != runner and app in live and live[app][3] == due:
+                    out.append(Violation(
+                        ViolationKind.LAG_EXCEEDED, app, (start, a + due - group),
+                        Fraction(holders[app][0], weight) * due, live.pop(app)[2],
+                    ))
+            if runner in live:
+                share_ppm, quantum = holders[runner]
+                limit = quantum * n * weight
+                lag, at, obs, _ = live[runner]
+                lag -= share_ppm * (group - at)
+                step = weight - share_ppm
+                # ticks of this segment until the lag first leaves the bound
+                if step > 0:
+                    j = (limit - lag) // step + 1
+                elif step < 0:
+                    j = (limit + lag) // -step + 1
+                else:
+                    j = b - a + 1
+                if j <= b - a:
+                    del live[runner]
+                    out.append(Violation(
+                        ViolationKind.LAG_EXCEEDED, runner, (start, a + j),
+                        Fraction(share_ppm, weight) * (group + j), obs + j,
+                    ))
+                else:
+                    lag += step * (b - a)
+                    due = top + (limit + lag) // share_ppm + 1
+                    live[runner] = (lag, top, obs + b - a, due)
+                    heapq.heappush(heap, (due, runner))
+            group = top
     return out
 
 
@@ -338,19 +385,27 @@ def build_report(trace: Trace) -> GuaranteeReport:
     splits is held to that final award. BE and NULL grants promise nothing,
     so nothing is checked for them. A trace whose segments overlap, are out
     of order, are empty or leave [0, horizon) is refused (`_segments`).
+
+    Each share leaf is built once and checked in one pass for all its PS
+    holders (`_check_shares`): one walk per piece, a heap of the group ticks
+    at which each holder's lag would pass the bound, O(segments * log
+    holders) per leaf. A holder that cannot be checked is refused in app
+    order, before any leaf is walked.
     """
     conservation = check_conservation(trace)  # refuses a malformed trace
     violations = list(conservation)
-    leaves = {}  # node path -> _ShareLeaf, built for its first PS grant
+    leaves = {}  # node path -> its _ShareLeaf and {PS holder: (share_ppm, quantum)}
     for app_id, info in sorted(trace.app_info.items()):
         grant = info.awarded
         if grant.is_reservation():
             violations += check_reservation(trace, app_id, grant, info.backlog)
         elif grant.service is ServiceClass.PS:
-            leaf = leaves.get(info.node_path)
-            if leaf is None:
-                leaf = leaves[info.node_path] = _share_leaf(trace, info.node_path)
-            violations += _check_share(leaf, app_id, info.weight_ppm, info.quantum)
+            if info.node_path not in leaves:
+                leaves[info.node_path] = _share_leaf(trace, info.node_path), {}
+            leaf, holders = leaves[info.node_path]
+            holders[app_id] = _share_terms(leaf, app_id, info.weight_ppm, info.quantum)
+    for leaf, holders in leaves.values():
+        violations += _check_shares(leaf, holders)
     return GuaranteeReport(
         violations=tuple(sorted(violations, key=_sort_key)),
         conservation_ok=not conservation,

@@ -29,6 +29,10 @@ pending work up to date costs one on-tick count, not two: the calls to
 A stride pick holds for every further quantum its key would win, so a quantum
 end is a decision only where the turn passes: the root dispatches are
 counted against the RUN segments.
+
+The verifier checks all share-holders of a leaf in one walk per piece, so it
+visits each runner segment once per piece it overlaps, however many holders
+the piece has: the visits are counted by the unpacking of each segment.
 """
 
 import sys
@@ -37,7 +41,7 @@ from fractions import Fraction
 
 import pytest
 
-from hiersched import engine
+from hiersched import engine, verify
 from hiersched.contracts import Contract
 from hiersched.deployment import (
     DeploymentRequest,
@@ -348,3 +352,49 @@ def test_a_stride_pick_holds_while_its_key_keeps_winning(monkeypatch, order):
     runs = [s for s in trace.segments if s[2] is not None]
     assert len(runs) == len(trace.segments) == (41 if order[0] == "hi" else 40)
     assert dispatched == {Hierarchy.ROOT_ID: len(runs)}
+
+
+class Visited(tuple):
+    """A runner segment that counts each time it is unpacked."""
+
+    count = 0
+
+    def __iter__(self):
+        Visited.count += 1
+        return super().__iter__()
+
+
+def share_visits(monkeypatch, n):
+    """Run 600 ticks of `n` BURSTY holders of one STRIDE leaf, then count the
+    runner segments `build_report` visits, and the runner segments that
+    overlap each piece of the leaf, summed."""
+    sim = Simulation(horizon=600)
+    spec = stride_spec("st", Contract.ps(1_000_000), quantum=2)
+    for i in range(n):
+        sim.deploy_at(0, DeploymentRequest(
+            f"p{i}", "", Contract.ps(1_000_000 // n), scheduler=spec,
+        ), Workload(WorkloadKind.BURSTY, on=5 + i % 7, off=20 + i % 11))
+    trace = sim.run()
+    assert all(d.outcome is not Outcome.REJECTED for _, _, d in trace.decisions)
+    leaf = verify._share_leaf(trace, trace.app_info["p0"].node_path)
+    assert max(len(members) for _, _, members, _ in leaf.pieces) > n // 2
+    share_leaf = verify._share_leaf
+
+    def counted(trace, node_path):
+        built = share_leaf(trace, node_path)
+        return built._replace(runners=[Visited(g) for g in built.runners])
+
+    Visited.count = 0
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_share_leaf", counted)
+        verify.build_report(trace)
+    overlaps = sum(s < end and e > start for start, end, _, _ in leaf.pieces
+                   for s, e, _ in leaf.runners)
+    return Visited.count, overlaps
+
+
+@pytest.mark.parametrize("n", [5, 50])
+def test_a_share_leaf_costs_one_walk_per_piece_at_5_and_50_holders(monkeypatch, n):
+    visits, overlaps = share_visits(monkeypatch, n)
+    assert visits > 0
+    assert visits <= overlaps

@@ -395,6 +395,89 @@ class TestRun:
         capsys.readouterr()
 
 
+FLAGS = ("--scenario", "--trace-out", "--report-out", "--seed", "--horizon",
+         "--allow-reject")
+
+
+class TestArgs:
+    def usage_error(self, capsys, argv, message):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage: hiersched ")
+        assert lines[-1] == f"hiersched: error: {message}"
+
+    def test_help_lists_every_flag_on_stdout(self, capsys):
+        for flag in ("--help", "-h"):
+            assert run(["--scenario", "x.json", flag]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert captured.out.startswith("usage: hiersched ")
+            for name in FLAGS:
+                assert f"  {name}" in captured.out
+
+    def test_a_value_may_follow_an_equals_sign(self, tmp_path, capsys):
+        report = tmp_path / "r.txt"
+        code = run([f"--scenario={SCENARIOS / 'stride.json'}",
+                    f"--report-out={report}", "--seed=-4"])
+        assert code == 0
+        assert report.read_text() == capsys.readouterr().out
+
+    def test_the_last_of_a_repeated_flag_wins(self, tmp_path, capsys):
+        first, last = tmp_path / "first.txt", tmp_path / "last.txt"
+        code = run(["--scenario", str(tmp_path / "missing.json"),
+                    "--report-out", str(first),
+                    "--scenario", str(SCENARIOS / "stride.json"),
+                    "--report-out", str(last), "--horizon", "5", "--horizon=1000"])
+        assert code == 0
+        assert not first.exists()
+        assert last.read_text().endswith("violations=0 conservation=ok\n")
+
+    def test_scenario_is_required(self, capsys):
+        self.usage_error(capsys, ["--seed", "1"],
+                         "the following arguments are required: --scenario")
+
+    @pytest.mark.parametrize("flag", FLAGS[:5])
+    def test_a_flag_without_its_value(self, capsys, flag):
+        self.usage_error(capsys, ["--scenario", "x.json", flag],
+                         f"argument {flag}: expected one argument")
+        self.usage_error(capsys, [flag, "--allow-reject", "--scenario", "x.json"],
+                         f"argument {flag}: expected one argument")
+
+    @pytest.mark.parametrize("flag", ["--seed", "--horizon"])
+    @pytest.mark.parametrize("value", ["x", "1.5", "", "--3"])
+    def test_a_non_integer_seed_or_horizon(self, capsys, flag, value):
+        self.usage_error(capsys, ["--scenario", "x.json", f"{flag}={value}"],
+                         f"argument {flag}: invalid int value: {value!r}")
+
+    @pytest.mark.parametrize("arg", ["--bogus", "--scen", "--allow-reject=1",
+                                     "stray", "-s"])
+    def test_an_unknown_flag_or_a_stray_argument(self, capsys, arg):
+        self.usage_error(capsys, ["--scenario", "x.json", arg],
+                         f"unrecognized argument: {arg}")
+
+    def test_a_run_loads_no_argument_parser(self, tmp_path):
+        """argparse brings gettext and locale with it, some 4 ms of every
+        start; none of the three may come back through the CLI."""
+        show = "import sys; print(' '.join(sorted(sys.modules)))"
+        run_cli = ("import sys; from hiersched import cli; "
+                   "code = cli.run(['--scenario', sys.argv[1]]); "
+                   f"{show}; sys.exit(code)")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        loaded = []
+        for code in (show, run_cli):
+            done = subprocess.run(
+                [sys.executable, "-c", code, str(SCENARIOS / "stride.json")],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            loaded.append(set(done.stdout.splitlines()[-1].split()))
+        base, after = loaded
+        assert "hiersched.cli" in after - base
+        assert not {"argparse", "gettext", "locale"} & (after - base)
+
+
 class TestBenchWraps:
     """bench/traced.py wraps package names by attribute; a rename or removal
     of one of them breaks the benchmark's traced runs."""

@@ -179,7 +179,7 @@ def refused(check, *args):
 def test_sweep_matches_the_tick_walk():
     lag_cases, refusals = [], []
 
-    @settings(max_examples=250, deadline=None)
+    @settings(max_examples=250, deadline=None, derandomize=True)
     @given(cases())
     def compare(case):
         trace, malformed, overrides = case
@@ -238,7 +238,7 @@ def test_one_sweep_per_leaf_matches_the_per_app_checks(monkeypatch):
     monkeypatch.setattr(verify, "_share_leaf", counted)
     lag_cases = []
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     @given(cases(holders=3))
     def compare(case):
         trace, _, _ = case
