@@ -261,14 +261,14 @@ def _check_shares(leaf, holders):
     """The lag check of `check_share` for every holder of `holders`, a dict
     app -> (share_ppm, quantum), in one walk over each piece of `leaf`.
 
-    Within a piece of W summed weight, a holder's lag, obs * W - share_ppm
-    * group for its own service obs and the members' service group, moves
-    only while a member runs: up by W - share_ppm per tick of its own, down
-    by share_ppm per tick of another's. So from the last tick it ran, the
-    group tick at which it would fall below -limit (limit = quantum *
-    members * W) is fixed until it runs again. Those ticks are kept in a
-    heap; an entry made stale by a later run of its holder is skipped. Each
-    member RUN segment pops the ticks it reaches, each a violation, and
+    Within a piece of W summed weight, a holder's lag is obs * W - share_ppm
+    * group, for its own service obs and the members' service group: it
+    rises only while the holder runs and falls while another member does.
+    So the group tick at which it would fall below -limit (limit = quantum *
+    members * W), (obs * W + limit) // share_ppm + 1, is fixed until the
+    holder runs again. Those ticks are kept in a heap with the obs they were
+    taken at, and an entry whose holder has run since is skipped as stale.
+    Each member RUN segment pops the ticks it reaches, each a violation, and
     finds the runner's own crossing in closed form, in integers. A holder
     leaves the walk at its first violation in the piece, and the piece's
     walk ends once none is left. Each runner segment is visited once per
@@ -279,17 +279,13 @@ def _check_shares(leaf, holders):
     out = []
     for start, end, members, weight in leaf.pieces:
         n = len(members)
-        live = {}  # holder -> (lag, group tick of that lag, obs, due tick)
-        heap = []
-        for app in holders.keys() & members:
-            share_ppm, quantum = holders[app]
-            due = quantum * n * weight // share_ppm + 1
-            live[app] = (0, 0, 0, due)
-            heap.append((due, app))
+        obs = dict.fromkeys(holders.keys() & members, 0)  # holder -> its ticks
+        heap = [(holders[app][1] * n * weight // holders[app][0] + 1, app, 0)
+                for app in obs]
         heapq.heapify(heap)
         group = 0
         k = bisect.bisect_right(runners, start, key=itemgetter(1))
-        while live and k < len(runners) and runners[k][0] < end:
+        while obs and k < len(runners) and runners[k][0] < end:
             a, b, runner = runners[k]
             k += 1
             if runner not in members:
@@ -297,17 +293,17 @@ def _check_shares(leaf, holders):
             a, b = max(a, start), min(b, end)
             top = group + b - a
             while heap and heap[0][0] <= top:
-                due, app = heapq.heappop(heap)
-                if app != runner and app in live and live[app][3] == due:
+                due, app, seen = heapq.heappop(heap)
+                if app != runner and obs.get(app) == seen:
+                    del obs[app]
                     out.append(Violation(
                         ViolationKind.LAG_EXCEEDED, app, (start, a + due - group),
-                        Fraction(holders[app][0], weight) * due, live.pop(app)[2],
+                        Fraction(holders[app][0], weight) * due, seen,
                     ))
-            if runner in live:
+            if runner in obs:
                 share_ppm, quantum = holders[runner]
                 limit = quantum * n * weight
-                lag, at, obs, _ = live[runner]
-                lag -= share_ppm * (group - at)
+                lag = obs[runner] * weight - share_ppm * group
                 step = weight - share_ppm
                 # ticks of this segment until the lag first leaves the bound
                 if step > 0:
@@ -317,16 +313,15 @@ def _check_shares(leaf, holders):
                 else:
                     j = b - a + 1
                 if j <= b - a:
-                    del live[runner]
                     out.append(Violation(
                         ViolationKind.LAG_EXCEEDED, runner, (start, a + j),
-                        Fraction(share_ppm, weight) * (group + j), obs + j,
+                        Fraction(share_ppm, weight) * (group + j), obs.pop(runner) + j,
                     ))
                 else:
-                    lag += step * (b - a)
-                    due = top + (limit + lag) // share_ppm + 1
-                    live[runner] = (lag, top, obs + b - a, due)
-                    heapq.heappush(heap, (due, runner))
+                    obs[runner] += b - a
+                    heapq.heappush(heap, (
+                        (obs[runner] * weight + limit) // share_ppm + 1, runner, obs[runner],
+                    ))
             group = top
     return out
 
