@@ -143,6 +143,15 @@ def _workload(obj, where):
         raise ScenarioError(f"{where}.workload: {e}") from e
 
 
+def _check_past(horizon, timeline, where):
+    """Refuse a `horizon` that does not lie past the last `timeline` tick;
+    the message starts with `where`."""
+    if timeline and horizon <= timeline[-1].tick:
+        raise ScenarioError(
+            f"{where}: must exceed the last timeline tick ({timeline[-1].tick})"
+        )
+
+
 def parse_scenario(text: str) -> Scenario:
     try:
         doc = json.loads(text)
@@ -223,11 +232,7 @@ def parse_scenario(text: str) -> Scenario:
         else:
             raise ScenarioError(f"{where}.action: unknown action {action!r}")
 
-    if entries and horizon <= entries[-1].tick:
-        raise ScenarioError(
-            f"scenario.horizon: must exceed the last timeline tick "
-            f"({entries[-1].tick})"
-        )
+    _check_past(horizon, entries, "scenario.horizon")
     return Scenario(
         horizon=horizon, seed=seed, schedulers=schedulers,
         timeline=tuple(entries),
@@ -322,11 +327,7 @@ def run(argv=None) -> int:
         if horizon is not None:
             if horizon < 1:
                 raise ScenarioError("--horizon: must be >= 1")
-            if scenario.timeline and horizon <= scenario.timeline[-1].tick:
-                raise ScenarioError(
-                    "--horizon: must exceed the last timeline tick "
-                    f"({scenario.timeline[-1].tick})"
-                )
+            _check_past(horizon, scenario.timeline, "--horizon")
             scenario = scenario._replace(horizon=horizon)
         trace = run_scenario(scenario)
     except (ScenarioError, EngineError) as e:

@@ -49,14 +49,16 @@ class ContractError(ValueError):
         self.position = position
 
 
+_setfield = object.__setattr__  # bound once: `_set` calls it per field
+
+
 class Frozen:
     """Base of the package's immutable value types.
 
     A subclass lists its `_fields`, in the order its constructor takes them,
-    and sets each once in `__init__` with `object.__setattr__`. Instances
-    compare and hash by the field values, print as `Name(field=value, ...)`,
-    refuse any later assignment or deletion, and copy with changes through
-    `_replace`.
+    and sets them all once in `__init__` with `_set`. Instances compare and
+    hash by the field values, print as `Name(field=value, ...)`, refuse any
+    later assignment or deletion, and copy with changes through `_replace`.
     """
 
     __slots__ = ()
@@ -65,6 +67,11 @@ class Frozen:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._values = attrgetter(*cls._fields)  # the field values, as a tuple
+
+    def _set(self, *values):
+        """Set the fields to `values`, in `_fields` order; for `__init__`."""
+        for field, value in zip(self._fields, values):
+            _setfield(self, field, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -107,35 +114,10 @@ class Contract(Frozen):
 
     def __init__(self, service: ServiceClass, budget: int | None = None,
                  period: int | None = None, share: int | None = None):
-        setfield = object.__setattr__
-        setfield(self, "service", service)
-        setfield(self, "budget", budget)
-        setfield(self, "period", period)
-        setfield(self, "share", share)
-        s = service
-        if s in RESERVATION_CLASSES:
-            if not isinstance(self.budget, int) or not isinstance(self.period, int):
-                raise ContractError(f"{s.value} needs integer budget and period")
-            if self.budget < 1:
-                raise ContractError("budget must be positive")
-            if self.period > MAX_PERIOD:
-                raise ContractError(f"period exceeds {MAX_PERIOD}")
-            if self.budget > self.period:
-                raise ContractError(
-                    f"budget {self.budget} exceeds period {self.period}"
-                )
-            if self.share is not None:
-                raise ContractError(f"{s.value} takes no share")
-        elif s is ServiceClass.PS:
-            if not isinstance(self.share, int):
-                raise ContractError("PS needs an integer share")
-            if not 0 < self.share <= PPM:
-                raise ContractError(f"share {self.share} outside (0, {PPM}]")
-            if self.budget is not None or self.period is not None:
-                raise ContractError("PS takes no budget/period")
-        else:
-            if self.budget is not None or self.period is not None or self.share is not None:
-                raise ContractError(f"{s.value} takes no parameters")
+        self._set(service, budget, period, share)
+        fault = _fault(service, budget, period, share)
+        if fault is not None:
+            raise ContractError(fault[0])
 
     # constructors used throughout the package and tests
     @classmethod
@@ -178,14 +160,36 @@ class Contract(Frozen):
             return Fraction(1)
         return Fraction(0)
 
-    def slack(self) -> int:
-        # worst-case supply delay driver: period - budget
-        if not self.is_reservation():
-            raise ContractError(f"{self.service.value} has no slack")
-        return self.period - self.budget
-
     def __str__(self) -> str:
         return format_contract(self)
+
+
+def _fault(service, budget, period, share):
+    """What is wrong with a contract's parameters, or None if nothing is:
+    (message, index of the parameter at fault in the class's text form,
+    `budget` and `share` 0, `period` 1). Faults that no text form can
+    carry, a non-integer or a parameter the class does not take, give 0."""
+    if service in RESERVATION_CLASSES:
+        if not isinstance(budget, int) or not isinstance(period, int):
+            return f"{service.value} needs integer budget and period", 0
+        if budget < 1:
+            return "budget must be positive", 0
+        if period > MAX_PERIOD:
+            return f"period {period} exceeds {MAX_PERIOD}", 1
+        if budget > period:
+            return f"budget {budget} exceeds period {period}", 0
+        if share is not None:
+            return f"{service.value} takes no share", 0
+    elif service is ServiceClass.PS:
+        if not isinstance(share, int):
+            return "PS needs an integer share", 0
+        if not 0 < share <= PPM:
+            return f"share {share} outside (0, {PPM}]", 0
+        if budget is not None or period is not None:
+            return "PS takes no budget/period", 0
+    elif budget is not None or period is not None or share is not None:
+        return f"{service.value} takes no parameters", 0
+    return None
 
 
 _CLASS_NAMES = {c.value: c for c in ServiceClass}
@@ -248,21 +252,15 @@ def parse_contract(text: str) -> Contract:
     if i != len(text):
         raise ContractError(f"trailing garbage {text[i:]!r}", i)
 
+    budget = period = share = None
     if service in RESERVATION_CLASSES:
-        (budget, bpos), (period, ppos) = params
-        if budget < 1:
-            raise ContractError("budget must be positive", bpos)
-        if period > MAX_PERIOD:
-            raise ContractError(f"period {period} exceeds {MAX_PERIOD}", ppos)
-        if budget > period:
-            raise ContractError(f"budget {budget} exceeds period {period}", bpos)
-        return Contract(service, budget=budget, period=period)
-    if service is ServiceClass.PS:
-        share, spos = params[0]
-        if not 0 < share <= PPM:
-            raise ContractError(f"share {share} outside (0, {PPM}]", spos)
-        return Contract(service, share=share)
-    return Contract(service)
+        budget, period = (value for value, _ in params)
+    elif service is ServiceClass.PS:
+        share = params[0][0]
+    fault = _fault(service, budget, period, share)
+    if fault is not None:
+        raise ContractError(fault[0], params[fault[1]][1])
+    return Contract(service, budget, period, share)
 
 
 def format_contract(c: Contract) -> str:
@@ -288,7 +286,7 @@ def _reservation_dominates(p: Contract, r: Contract) -> bool:
     (2+k)*s_p <= (2 + floor(k*x_p/x_r))*s_r for all k >= 0, which is periodic
     in k with period x_r.
     """
-    sp, sr = p.slack(), r.slack()
+    sp, sr = p.period - p.budget, r.period - r.budget
     if sp > sr:
         return False
     if utilization(p) < utilization(r):

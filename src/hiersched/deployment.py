@@ -51,12 +51,7 @@ class DeploymentRequest(Frozen):
     def __init__(self, app_id: str, app_class: str, request: Contract,
                  scheduler: SchedulerSpec | None = None,
                  target_parent: int | None = None):
-        setfield = object.__setattr__
-        setfield(self, "app_id", app_id)
-        setfield(self, "app_class", app_class)
-        setfield(self, "request", request)
-        setfield(self, "scheduler", scheduler)
-        setfield(self, "target_parent", target_parent)
+        self._set(app_id, app_class, request, scheduler, target_parent)
 
 
 class DeploymentDecision(NamedTuple):

@@ -109,13 +109,7 @@ class Workload(Frozen):
         elif kind is _BURSTY:
             if on is None or off is None or on < 1 or off < 1:
                 raise EngineError("BURSTY needs on > 0 and off > 0")
-        setfield = object.__setattr__
-        setfield(self, "kind", kind)
-        setfield(self, "period", period)
-        setfield(self, "wcet", wcet)
-        setfield(self, "offset", offset)
-        setfield(self, "on", on)
-        setfield(self, "off", off)
+        self._set(kind, period, wcet, offset, on, off)
 
 
 def _on_before(w, n):
@@ -321,12 +315,14 @@ class _NodeRT:
     holds the whole CPU, gets none), `cap` and `rem` its budget server (None
     unless the grant is a reservation) and `since` the tick of its first
     grant. It is backlogged while `ready`, which maps the key of each
-    runnable child to the child's holder, is not empty.
+    runnable child to the child's holder, is not empty. `path` is the
+    node's `SchedulerNode.path`, which its REPLENISH and BUDGET_EXHAUSTED
+    rows name.
     """
 
     def __init__(self, node, since):
         self.key = self.pos = node.node_id
-        self.parent = node.parent
+        self.parent, self.path = node.parent, node.path
         self.leaf, self.quantum = node.is_leaf(), node.spec.quantum
         self.fp = node.spec.policy is _FIXED_PRIORITY  # a FIXED_PRIORITY leaf
         self.grant = self.cap = self.rem = None
@@ -423,7 +419,7 @@ class Simulation:
         nid = decision.node_id
         leaf, request = self.h.node(nid), req.request
         info = AppTraceInfo(  # `awarded` and `backlog` are set by _finish
-            app_id=req.app_id, node_id=nid, node_path=self._path_name(nid),
+            app_id=req.app_id, node_id=nid, node_path=leaf.path,
             leaf_policy=leaf.spec.policy.value, requested=request, awarded=None,
             weight_ppm=request.share if request.service is _PS else 0,
             quantum=leaf.spec.quantum, deployed_at=t, undeployed_at=None,
@@ -482,14 +478,6 @@ class Simulation:
                 return True
             nid = node.parent
         return False
-
-    def _path_name(self, nid):
-        names = []
-        while nid is not None:
-            node = self.h.node(nid)
-            names.append(node.spec.name)
-            nid = node.parent
-        return "/".join(reversed(names))
 
     def _sync_runtimes(self, t, grants, retired=None):
         """Bring the holders in line with a deploy's or an undeploy's
@@ -577,8 +565,8 @@ class Simulation:
         servers are silent. A server refilled from empty is re-checked."""
         due = [holder for period, filed in self._servers.items() if t % period == 0
                for holder in filed.values() if t > holder.since]
-        for nid in sorted(h.key for h in due if isinstance(h, _NodeRT)):
-            self._emit(t, _REPLENISH, node_id=nid, node_path=self._path_name(nid))
+        for rt in sorted((h for h in due if isinstance(h, _NodeRT)), key=_pos):
+            self._emit(t, _REPLENISH, node_id=rt.key, node_path=rt.path)
         for holder in due:
             empty = holder.rem == 0
             holder.rem = holder.cap
@@ -616,9 +604,9 @@ class Simulation:
 
     def _release_phase(self, t):
         """Release work for the apps the calendar holds at `t`; a BURSTY app
-        with work pending takes its on-ticks in when it is charged."""
-        while self._due_ticks and self._due_ticks[0] <= t:
-            heapq.heappop(self._due_ticks)
+        with work pending takes its on-ticks in when it is charged. The
+        tick leaves `_due_ticks` in `_stretch_end`, as a tick no longer in
+        the calendar."""
         for art in self._calendar.pop(t, ()):
             art.due = None
             self._changed.add(art)
@@ -801,8 +789,7 @@ class Simulation:
             if rt.rem:
                 rt.rem -= n
                 if rt.rem == 0:
-                    self._emit(t, _BUDGET_EXHAUSTED, node_id=rt.key,
-                               node_path=self._path_name(rt.key))
+                    self._emit(t, _BUDGET_EXHAUSTED, node_id=rt.key, node_path=rt.path)
                     self._mark(rt, rt.backlogged())
             if kind is None:
                 continue

@@ -47,7 +47,6 @@ from .contracts import (
     RESERVATION_CLASSES,
     format_contract,
     satisfies,
-    utilization,
 )
 
 
@@ -91,11 +90,7 @@ class SchedulerSpec(Frozen):
             raise HierarchyError("scheduler name must be non-empty")
         if quantum < 1:
             raise HierarchyError("quantum must be >= 1")
-        setfield = object.__setattr__
-        setfield(self, "name", name)
-        setfield(self, "policy", policy)
-        setfield(self, "parent_request", parent_request)
-        setfield(self, "quantum", quantum)
+        self._set(name, policy, parent_request, quantum)
 
     @property
     def provides(self) -> frozenset:
@@ -120,14 +115,15 @@ class SchedulerNode:
     """A loaded scheduler: its spec, its grant, its holders and the sums over
     them that Hierarchy keeps."""
 
-    __slots__ = ("node_id", "spec", "parent", "granted", "degraded", "children",
-                 "apps", "tags", "loaded_for", "hard", "soft", "reserved", "used",
-                 "factor", "fresh")
+    __slots__ = ("node_id", "spec", "parent", "path", "granted", "degraded",
+                 "children", "apps", "tags", "loaded_for", "hard", "soft",
+                 "reserved", "used", "factor", "fresh")
 
-    def __init__(self, node_id, spec, parent, granted):
+    def __init__(self, node_id, spec, parent, path, granted):
         self.node_id = node_id
         self.spec = spec
         self.parent = parent
+        self.path = path  # the names from the root down to it, "/"-joined
         self.granted = granted
         self.degraded = False
         self.children = []  # child node ids, VIRTUAL only
@@ -194,6 +190,7 @@ class Hierarchy:
             node_id=self.ROOT_ID,
             spec=_ROOT_SPEC,
             parent=None,
+            path=_ROOT_SPEC.name,
             granted=Contract.all_cpu(),
         )
         self._nodes: dict[int, SchedulerNode] = {self.ROOT_ID: root}
@@ -242,6 +239,7 @@ class Hierarchy:
             node_id=node_id,
             spec=spec,
             parent=parent_id,
+            path=f"{parent.path}/{spec.name}",
             granted=Contract.null(),  # provisional until compose runs
         )
         self._by_name[spec.name] = node_id
@@ -464,41 +462,32 @@ class Hierarchy:
     def propagate_demand(self, leaf_id: int, global_request: Contract):
         """Walk leaf to root emitting enlarged parent_requests where needed.
 
-        Returns [(node_id, contract)] to apply before re-composing. The new
-        demand is folded into the starting node's ask; every ancestor below
-        the root is re-checked with the updated child requests.
+        Returns [(node_id, contract)] to apply before re-composing. A node's
+        demand is its `hard + soft` sum, the requests of its holders that
+        take capacity (a child asking for ALL, which only a raw
+        `attach_scheduler` can make, counts 0). The new demand is added at
+        the starting node; an enlarged node's growth over its old ask is
+        added at its parent, and so on below the root.
         """
         if global_request.service not in RESERVATION_CLASSES + (ServiceClass.PS,):
             raise HierarchyError(
                 f"cannot propagate {global_request.service.value} demand"
             )
-        start = self.node(leaf_id)
+        node = self.node(leaf_id)
         if leaf_id == self.ROOT_ID:
             raise HierarchyError("demand starts below the root")
 
-        updated: dict[int, Contract] = {}
         out: list[tuple[int, Contract]] = []
-        extra = utilization(global_request)
-        nid = leaf_id
-        while nid != self.ROOT_ID:
-            node = self._nodes[nid]
-            if node.is_leaf():
-                demand = node.hard + node.soft  # apps ask for no other class
-            else:
-                demand = sum(
-                    (
-                        utilization(updated.get(cid, self._nodes[cid].spec.parent_request))
-                        for cid in node.children
-                    ),
-                    Fraction(0),
-                )
-            need = demand + extra
-            if utilization(node.granted) < need:
-                enlarged = _enlarge(node.spec.parent_request, need, global_request)
-                updated[nid] = enlarged
-                out.append((nid, enlarged))
-            extra = Fraction(0)
-            nid = node.parent
+        extra = global_request.utilization
+        while node.parent is not None:
+            need = node.hard + node.soft + extra
+            extra = _ZERO
+            if node.granted.utilization < need:
+                asked = node.spec.parent_request
+                enlarged = _enlarge(asked, need, global_request)
+                extra = enlarged.utilization - asked.utilization
+                out.append((node.node_id, enlarged))
+            node = self._nodes[node.parent]
         return out
 
     def update_parent_request(self, node_id: int, request: Contract):

@@ -103,25 +103,6 @@ def _segments(trace: Trace) -> list:
     return trace.segments
 
 
-def _ticks_below(spans, points):
-    """For each of the ascending `points`, the ticks below it that the
-    [start, end) `spans` cover, a tick counted once per span over it.
-
-    The count grows by the number of open spans per tick, so one pass over
-    the sorted span endpoints gives every prefix sum."""
-    edges = sorted([(s, 1) for s, e in spans if s < e]
-                   + [(e, -1) for s, e in spans if s < e])
-    i = covered = slope = 0
-    pos = edges[0][0] if edges else 0
-    for x in points:
-        while i < len(edges) and edges[i][0] <= x:
-            covered += slope * (edges[i][0] - pos)
-            pos, d = edges[i]
-            slope += d
-            i += 1
-        yield covered + slope * (x - pos)
-
-
 def check_reservation(trace: Trace, app_id: str, grant: Contract,
                       demand_windows) -> list:
     """Windowed supply check for one reservation grant.
@@ -131,25 +112,31 @@ def check_reservation(trace: Trace, app_id: str, grant: Contract,
     any aligned window delivered more than the budget, demand or not.
 
     `demand_windows` are sorted, non-overlapping [start, end) intervals, as
-    in `AppTraceInfo.backlog`. The service of every window comes from
-    prefix sums over the app's RUN segments, and the windows ascend, so one
-    forward cursor over the demand intervals finds the one that could cover
-    each window: O(s log s + windows + intervals) for s segments.
+    in `AppTraceInfo.backlog`. Each of the app's RUN segments, clipped to
+    [0, horizon), is added straight into the sums of the aligned windows it
+    covers, a tick counted once per segment over it. The windows ascend, so
+    one forward cursor over the demand intervals finds the one that could
+    cover each window: O(s + windows + intervals) for s segments.
     """
     if not grant.is_reservation():
         raise VerifyError(
             f"check_reservation needs a reservation grant, got {grant.service.name}"
         )
-    runs = [(s, e) for s, e, app in trace.segments if app == app_id]
     x, y = grant.budget, grant.period
-    bounds = list(range(0, trace.horizon, y)) + [trace.horizon]
-    below = list(_ticks_below(runs, bounds))
+    served = [0] * -(-trace.horizon // y)  # ticks run in each aligned window
+    for s, e, app in trace.segments:
+        if app == app_id:
+            s, e = max(s, 0), min(e, trace.horizon)
+            while s < e:
+                b = (s // y + 1) * y  # the end of the window holding s
+                served[s // y] += min(b, e) - s
+                s = b
     out = []
     i = 0
-    for k, a in enumerate(bounds[:-1]):
+    for k, got in enumerate(served):
+        a = k * y
         b = a + y
         full = b <= trace.horizon
-        got = below[k + 1] - below[k]
         # an interval that ends before b covers neither this window nor a later one
         while i < len(demand_windows) and demand_windows[i][1] < b:
             i += 1

@@ -19,7 +19,7 @@ from hiersched.engine import (
     run_scenario,
 )
 
-from helpers import edf_spec, fp_spec, rows, rr_spec, stride_spec
+from helpers import edf_spec, fp_spec, rows, rr_spec, stride_spec, virtual_spec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -144,6 +144,27 @@ class TestHardReservations:
         trace = sim.run()
         first_run = next(e for e in rows(trace) if e.kind is EventKind.RUN)
         assert first_run.app == "fast_app"
+
+    def test_a_nested_node_names_its_path_in_its_rows(self):
+        # no scenario loads a VIRTUAL node, so mid is attached directly; the
+        # deploy that loads edf0 under it makes the first compose of the tree
+        sim = Simulation(horizon=300)
+        mid = sim.h.attach_scheduler(0, virtual_spec("mid", Contract.resbh(10, 100)))
+        sim.deploy_at(0, DeploymentRequest(
+            "hard", "control", Contract.resbh(10, 100),
+            scheduler=edf_spec("edf0", Contract.resbh(10, 100)), target_parent=mid,
+        ), cpu_bound())
+        trace = sim.run()
+        assert trace.app_info["hard"].node_path == "root/mid/edf0"
+        assert [(e.tick, e.node_path) for e in trace.events
+                if e.kind is EventKind.BUDGET_EXHAUSTED] == [
+            (t, path) for t in (9, 109, 209) for path in ("root/mid", "root/mid/edf0")
+        ]
+        assert [(e.tick, e.node_id, e.node_path) for e in trace.events
+                if e.kind is EventKind.REPLENISH] == [
+            (t, nid, path) for t in (100, 200)
+            for nid, path in ((mid, "root/mid"), (mid + 1, "root/mid/edf0"))
+        ]
 
     def test_wcet_beyond_budget_misses_and_carries_over(self):
         sim = Simulation(horizon=300)

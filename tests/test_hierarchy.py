@@ -52,6 +52,21 @@ def test_attach_scheduler_provisional_grant_is_null():
     assert h.node(nid).granted == Contract.null()
 
 
+def test_a_node_path_names_the_node_and_its_ancestors():
+    h = new_hierarchy()
+    mid = h.attach_scheduler(0, virtual_spec("mid", Contract.resbh(50, 100)))
+    leaf = h.attach_scheduler(mid, edf_spec("edf0", Contract.resbh(20, 100)))
+    assert [h.node(n).path for n in (0, mid, leaf)] == [
+        "root", "root/mid", "root/mid/edf0",
+    ]
+    h.detach(leaf)
+    again = h.attach_scheduler(mid, edf_spec("edf0", Contract.resbh(20, 100)))
+    assert again != leaf
+    assert h.node(again).path == "root/mid/edf0"
+    h.detach(mid)  # and the name is free to load under another parent
+    assert h.node(h.attach_scheduler(0, rr_spec("edf0", Contract.be()))).path == "root/edf0"
+
+
 def test_attach_under_leaf_rejected():
     h = new_hierarchy()
     leaf = h.attach_scheduler(0, rr_spec("rr0", Contract.be()))
@@ -467,6 +482,37 @@ def test_propagate_demand_walks_every_level():
     assert h.compose().feasible
     updates = h.propagate_demand(leaf, Contract.resbh(20, 100))
     assert updates == [
+        (leaf, Contract.resbh(40, 100)),
+        (mid, Contract.resbh(40, 100)),
+    ]
+
+
+def test_propagate_demand_counts_a_sibling_and_the_change_only():
+    # mid's demand is its children's asks: the sibling's 25 and edf0's 20
+    # grown by 20; not edf0's whole new ask of 40 on top of its old 20
+    h = new_hierarchy()
+    mid = h.attach_scheduler(0, virtual_spec("mid", Contract.resbh(50, 100)))
+    leaf = h.attach_scheduler(mid, edf_spec("edf0", Contract.resbh(20, 100)))
+    h.attach_scheduler(mid, edf_spec("edf1", Contract.resbh(25, 100)))
+    h.attach_application(leaf, "old", Contract.resbh(20, 100))
+    assert h.compose().feasible
+    assert h.propagate_demand(leaf, Contract.resbh(20, 100)) == [
+        (leaf, Contract.resbh(40, 100)),
+        (mid, Contract.resbh(65, 100)),
+    ]
+
+
+def test_propagate_demand_counts_no_child_that_asks_for_all():
+    # only a raw attach_scheduler makes such a child (deploy refuses the
+    # ask); it takes no capacity in the sums, so it adds no demand either
+    h = new_hierarchy()
+    mid = h.attach_scheduler(0, virtual_spec("mid", Contract.resbh(30, 100)))
+    leaf = h.attach_scheduler(mid, edf_spec("edf0", Contract.resbh(20, 100)))
+    h.attach_scheduler(mid, virtual_spec("greedy", Contract.all_cpu()))
+    h.attach_application(leaf, "old", Contract.resbh(20, 100))
+    assert h.compose().feasible
+    assert h.node(mid).hard + h.node(mid).soft == Fraction(1, 5)
+    assert h.propagate_demand(leaf, Contract.resbh(20, 100)) == [
         (leaf, Contract.resbh(40, 100)),
         (mid, Contract.resbh(40, 100)),
     ]

@@ -296,12 +296,39 @@ class TestMalformedSegments:
         with pytest.raises(VerifyError, match=f"tick {tick} "):
             self.CHECKS[check](trace)
 
-    @pytest.mark.parametrize("case", sorted(CASES))
+    # two more cases, with their own segments and horizon: a RUN segment
+    # over three windows and more, and one past the horizon
+    LONGER = {
+        "spans_three_windows": ([(0, 1, None), (1, 11, "a"), (11, 14, None)], 14),
+        "crosses_the_horizon": ([(0, 6, None), (6, 12, "a")], 10),
+    }
+    # the ticks "a" runs in each aligned window of 4, a tick counted once
+    # per segment over it and only inside [0, horizon)
+    SERVED = {
+        "before_tick_zero": [4], "empty": [2], "out_of_order": [2],
+        "overlapping": [3], "past_the_horizon": [2],
+        "spans_three_windows": [3, 4, 3, 0], "crosses_the_horizon": [0, 2, 2],
+    }
+
+    @pytest.mark.parametrize("case", sorted(SERVED))
     def test_reservation_counts_each_segment(self, case):
-        trace = trace_from_rows(4, [], [ps_info("a", 500000, [(0, 4)])])
-        trace.segments = self.CASES[case][0]
-        got = check_reservation(trace, "a", Contract.resbh(1, 4), [(0, 4)])
-        assert [v.kind for v in got] == [ViolationKind.OVER_CAP]
+        if case in self.LONGER:
+            segments, horizon = self.LONGER[case]
+        else:
+            segments, horizon = self.CASES[case][0], 4
+        trace = trace_from_rows(horizon, [], [ps_info("a", 500000, [(0, horizon)])])
+        trace.segments = segments
+        got = check_reservation(trace, "a", Contract.resbh(1, 4), [(0, horizon)])
+        # under a budget of 1 and full demand, each window that served more
+        # is an OVER_CAP, and each full one that served none an UNDER_SUPPLY
+        expected = []
+        for k, served in enumerate(self.SERVED[case]):
+            a, b = 4 * k, min(4 * k + 4, horizon)
+            if served > 1:
+                expected.append((ViolationKind.OVER_CAP, (a, b), served))
+            elif served == 0 and b == a + 4:
+                expected.append((ViolationKind.UNDER_SUPPLY, (a, b), 0))
+        assert [(v.kind, v.window, v.observed) for v in got] == expected
 
 
 class TestReport:
