@@ -64,7 +64,8 @@ def test_a_node_path_names_the_node_and_its_ancestors():
     assert again != leaf
     assert h.node(again).path == "root/mid/edf0"
     h.detach(mid)  # and the name is free to load under another parent
-    assert h.node(h.attach_scheduler(0, rr_spec("edf0", Contract.be()))).path == "root/edf0"
+    moved = h.attach_scheduler(0, rr_spec("edf0", Contract.be()))
+    assert h.node(moved).path == "root/edf0"
 
 
 def test_attach_under_leaf_rejected():
