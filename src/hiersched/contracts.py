@@ -5,15 +5,22 @@ RESBH[budget,period] and RESBS[budget,period] are hard/soft reservations,
 PS[share] is a proportional share in ppm of one CPU, BE is best effort, NULL is
 zero service and ALL is the whole CPU (root only). All arithmetic on contracts
 is exact: integers and Fractions, never floats.
+
+The package's value types are named tuples: `Contract` here,
+`SchedulerSpec`, `DeploymentRequest` and `Workload` in the modules that take
+them, and the records the package returns. Each compares and hashes by
+value, its fields are read-only, `_replace` validates the copy anew, and it
+behaves as a tuple: it has a length, iterates, indexes, and equals a plain
+tuple of the same values.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import attrgetter
 
 PPM = 1_000_000
 MAX_PERIOD = 2 ** 31
@@ -49,60 +56,7 @@ class ContractError(ValueError):
         self.position = position
 
 
-_setfield = object.__setattr__  # bound once: `_set` calls it per field
-
-
-class Frozen:
-    """Base of the package's immutable value types.
-
-    A subclass lists its `_fields`, in the order its constructor takes them,
-    and sets them all once in `__init__` with `_set`. Instances compare and
-    hash by the field values, print as `Name(field=value, ...)`, refuse any
-    later assignment or deletion, and copy with changes through `_replace`.
-    """
-
-    __slots__ = ()
-    _fields: tuple = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._values = attrgetter(*cls._fields)  # the field values, as a tuple
-
-    def _set(self, *values):
-        """Set the fields to `values`, in `_fields` order; for `__init__`."""
-        for field, value in zip(self._fields, values):
-            _setfield(self, field, value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values(self) == other._values(other)
-
-    def __hash__(self):
-        return hash(self._values(self))
-
-    def __repr__(self):
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({args})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._values(self)
-
-    def _replace(self, **changes):
-        """A copy with the named fields changed, validated anew."""
-        args = {f: changes.pop(f, getattr(self, f)) for f in self._fields}
-        if changes:
-            raise TypeError(f"unknown fields {sorted(changes)}")
-        return type(self)(**args)
-
-
-class Contract(Frozen):
+class Contract(namedtuple("Contract", "service budget period share")):
     """Immutable service contract value.
 
     budget/period are set for reservations only, share for PS only; the other
@@ -110,14 +64,18 @@ class Contract(Frozen):
     """
 
     # no __slots__: the instance dict holds the cached `utilization`
-    _fields = ("service", "budget", "period", "share")
 
-    def __init__(self, service: ServiceClass, budget: int | None = None,
-                 period: int | None = None, share: int | None = None):
-        self._set(service, budget, period, share)
+    def __new__(cls, service: ServiceClass, budget: int | None = None,
+                period: int | None = None, share: int | None = None):
         fault = _fault(service, budget, period, share)
         if fault is not None:
             raise ContractError(fault[0])
+        return super().__new__(cls, service, budget, period, share)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so `_replace` validates
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     # constructors used throughout the package and tests
     @classmethod

@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .contracts import Contract, Frozen, ServiceClass, format_contract, satisfies
+from .contracts import Contract, ServiceClass, format_contract, satisfies
 from .hierarchy import Hierarchy, HierarchyError, SchedulerSpec
 
 
@@ -40,18 +40,16 @@ _SCHEDULER_ASKS = (ServiceClass.RESBH, ServiceClass.RESBS, ServiceClass.PS,
                    ServiceClass.BE)
 
 
-class DeploymentRequest(Frozen):
+class DeploymentRequest(NamedTuple):
     """An application's ask: its id, class label and contract, and optionally
     the scheduler to load for it and the parent to load that under (a node
     id, or a scheduler's name that the engine resolves; the root if None)."""
 
-    _fields = __slots__ = ("app_id", "app_class", "request", "scheduler",
-                           "target_parent")
-
-    def __init__(self, app_id: str, app_class: str, request: Contract,
-                 scheduler: SchedulerSpec | None = None,
-                 target_parent: int | None = None):
-        self._set(app_id, app_class, request, scheduler, target_parent)
+    app_id: str
+    app_class: str
+    request: Contract
+    scheduler: SchedulerSpec | None = None
+    target_parent: int | str | None = None
 
 
 class DeploymentDecision(NamedTuple):

@@ -53,12 +53,13 @@ import csv
 import heapq
 import io
 import random
+from collections import namedtuple
 from enum import Enum
 from math import gcd
 from operator import attrgetter
 from typing import NamedTuple
 
-from .contracts import Contract, Frozen, ServiceClass
+from .contracts import Contract, ServiceClass
 from .deployment import DeploymentError, DeploymentRequest, Outcome
 from .deployment import deploy as _deploy
 from .deployment import undeploy as _undeploy
@@ -91,14 +92,14 @@ _PERIODIC, _CPU_BOUND, _BURSTY = (
 )
 
 
-class Workload(Frozen):
+class Workload(namedtuple("Workload", "kind period wcet offset on off")):
     """Synthetic demand shape an application presents to the scheduler."""
 
-    _fields = __slots__ = ("kind", "period", "wcet", "offset", "on", "off")
+    __slots__ = ()
 
-    def __init__(self, kind: WorkloadKind, period: int | None = None,
-                 wcet: int | None = None, offset: int = 0, on: int | None = None,
-                 off: int | None = None):
+    def __new__(cls, kind: WorkloadKind, period: int | None = None,
+                wcet: int | None = None, offset: int = 0, on: int | None = None,
+                off: int | None = None):
         if kind is _PERIODIC:
             if period is None or wcet is None:
                 raise EngineError("PERIODIC needs period and wcet")
@@ -109,7 +110,9 @@ class Workload(Frozen):
         elif kind is _BURSTY:
             if on is None or off is None or on < 1 or off < 1:
                 raise EngineError("BURSTY needs on > 0 and off > 0")
-        self._set(kind, period, wcet, offset, on, off)
+        return super().__new__(cls, kind, period, wcet, offset, on, off)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so `_replace` validates
 
 
 def _on_before(w, n):

@@ -35,6 +35,7 @@ only the newest, so nodes() and each class's leaves are in id order.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -42,7 +43,6 @@ from typing import NamedTuple
 from .contracts import (
     PPM,
     Contract,
-    Frozen,
     ServiceClass,
     RESERVATION_CLASSES,
     format_contract,
@@ -79,18 +79,20 @@ class HierarchyError(Exception):
     pass
 
 
-class SchedulerSpec(Frozen):
+class SchedulerSpec(namedtuple("SchedulerSpec", "name policy parent_request quantum")):
     """Loadable scheduler description: identity, policy and own ask."""
 
-    _fields = __slots__ = ("name", "policy", "parent_request", "quantum")
+    __slots__ = ()
 
-    def __init__(self, name: str, policy: PolicyKind, parent_request: Contract,
-                 quantum: int = 10):
+    def __new__(cls, name: str, policy: PolicyKind, parent_request: Contract,
+                quantum: int = 10):
         if not name:
             raise HierarchyError("scheduler name must be non-empty")
         if quantum < 1:
             raise HierarchyError("quantum must be >= 1")
-        self._set(name, policy, parent_request, quantum)
+        return super().__new__(cls, name, policy, parent_request, quantum)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so `_replace` validates
 
     @property
     def provides(self) -> frozenset:

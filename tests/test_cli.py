@@ -1,5 +1,6 @@
 """Scenario parsing diagnostics and end-to-end CLI runs over the bundled zoo."""
 
+import errno
 import json
 import os
 import subprocess
@@ -385,6 +386,47 @@ class TestRun:
         path.write_text(json.dumps({"horizon": 10, key: value}))
         assert run(["--scenario", str(path)]) == 2
         assert capsys.readouterr().err == f"error: scenario.{key}: expected list\n"
+
+    @pytest.mark.parametrize("case", [
+        "array", "scheduler", "entry", "class", "action", "name", "parent",
+        "trace-out",
+    ])
+    def test_unusable_input_exits_two_with_one_line(self, tmp_path, capsys, case):
+        doc = json.loads(minimal())
+        deploy = doc["timeline"][0]
+        args = []
+        expected = {
+            "array": "scenario: expected a JSON object",
+            "scheduler": "schedulers[0]: expected object",
+            "entry": "timeline[0]: expected object",
+            "class": "timeline[0].class: expected str",
+            "action": "timeline[0].action: unknown action 'pause'",
+            "name": "schedulers[0]: scheduler name must be non-empty",
+            "parent": "timeline[0].parent: undeclared scheduler 'x'",
+        }.get(case)
+        if case == "array":
+            doc = [doc]
+        elif case == "scheduler":
+            doc["schedulers"] = [5]
+        elif case == "entry":
+            doc["timeline"] = [5]
+        elif case == "class":
+            deploy["class"] = 7
+        elif case == "action":
+            deploy["action"] = "pause"
+        elif case == "name":
+            doc["schedulers"][0]["name"] = ""
+        elif case == "parent":
+            deploy["parent"] = "x"
+        else:
+            args = ["--trace-out", str(tmp_path)]
+            err = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    str(tmp_path))
+            expected = f"cannot write output: {err}"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert run(["--scenario", str(path), *args]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0

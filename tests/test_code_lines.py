@@ -1,0 +1,50 @@
+"""The code-line counter of tests/code_lines.py."""
+
+from code_lines import code_lines, main
+
+SOURCE = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment
+
+
+class Empty:
+    """Only a docstring: the class keeps a `pass`."""
+
+
+class Box:
+    """Class docstring."""
+
+    size = 1
+
+    def get(self):
+        """Method docstring."""
+        # a comment on its own line
+
+        return os.sep
+
+
+async def fetch():
+    """Coroutine docstring."""
+    x = "not a docstring"
+    return x
+'''
+
+
+def test_docstrings_comments_and_blank_lines_are_not_counted():
+    # import os / class Empty: / pass / class Box: / size = 1 / def get(self):
+    # / return os.sep / async def fetch(): / x = ... / return x, and the blank
+    # line `ast.unparse` puts before each of the four definitions
+    assert code_lines(SOURCE) == 14
+
+
+def test_a_module_of_only_a_docstring_counts_one_line():
+    assert code_lines('"""Nothing but this."""\n') == 1
+
+
+def test_main_prints_each_module_and_the_total(tmp_path, capsys):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text(SOURCE, encoding="utf-8")
+    b.write_text("x = 1\ny = 2\n", encoding="utf-8")
+    main([str(a), str(b)])
+    assert capsys.readouterr().out == "    14 a.py\n     2 b.py\n    16 total\n"

@@ -1,0 +1,174 @@
+"""The package's value types behave as values.
+
+`Contract`, `SchedulerSpec`, `DeploymentRequest` and `Workload` print as
+`Name(field=value, ...)`, compare and hash by their field values, survive
+pickle and deepcopy, refuse any assignment or deletion, and validate anew
+when `_replace` changes a field. The constructor faults at the end are the
+ones no other test reaches.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from hiersched.contracts import Contract, ContractError, ServiceClass, parse_contract
+from hiersched.deployment import DeploymentRequest
+from hiersched.engine import EngineError, Workload, WorkloadKind
+from hiersched.hierarchy import HierarchyError, PolicyKind, SchedulerSpec
+
+
+def edf0():
+    return SchedulerSpec("edf0", PolicyKind.EDF_RESERVATION, Contract.resbh(3, 10),
+                         quantum=5)
+
+
+def contract():
+    return Contract.resbh(1, 10)
+
+
+def request():
+    return DeploymentRequest("a", "ctl", Contract.ps(250000), edf0(), "mid")
+
+
+def periodic():
+    return Workload(WorkloadKind.PERIODIC, period=10, wcet=2, offset=1)
+
+
+def bursty():
+    return Workload(WorkloadKind.BURSTY, on=2, off=3)
+
+
+_RESBH_3_10 = ("Contract(service=<ServiceClass.RESBH: 'RESBH'>, budget=3, "
+               "period=10, share=None)")
+_EDF0 = ("SchedulerSpec(name='edf0', policy=<PolicyKind.EDF_RESERVATION: "
+         f"'EDF_RESERVATION'>, parent_request={_RESBH_3_10}, quantum=5)")
+
+REPRS = [
+    (contract, "Contract(service=<ServiceClass.RESBH: 'RESBH'>, budget=1, "
+               "period=10, share=None)"),
+    (edf0, _EDF0),
+    (request, "DeploymentRequest(app_id='a', app_class='ctl', "
+              "request=Contract(service=<ServiceClass.PS: 'PS'>, budget=None, "
+              f"period=None, share=250000), scheduler={_EDF0}, "
+              "target_parent='mid')"),
+    (periodic, "Workload(kind=<WorkloadKind.PERIODIC: 'PERIODIC'>, period=10, "
+               "wcet=2, offset=1, on=None, off=None)"),
+    (bursty, "Workload(kind=<WorkloadKind.BURSTY: 'BURSTY'>, period=None, "
+             "wcet=None, offset=0, on=2, off=3)"),
+]
+MAKERS = [make for make, _ in REPRS]
+IDS = ["contract", "spec", "request", "periodic", "bursty"]
+
+
+def field_values(x):
+    return tuple(getattr(x, f) for f in type(x)._fields)
+
+
+@pytest.mark.parametrize("make, text", REPRS, ids=IDS)
+def test_repr_names_each_field(make, text):
+    assert repr(make()) == text
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=IDS)
+def test_equal_and_hashed_by_value(make):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b) == hash(field_values(a))
+    assert len({a, b}) == 1
+
+
+def test_values_that_differ_are_unequal():
+    assert Contract.resbh(1, 10) != Contract.resbh(1, 11)
+    assert Contract.resbh(1, 10) != Contract.resbs(1, 10)
+    assert edf0() != edf0()._replace(quantum=6)
+    assert periodic() != periodic()._replace(offset=0)
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=IDS)
+def test_pickle_and_deepcopy_round_trip(make):
+    x = make()
+    for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert copied == x and type(copied) is type(x)
+        assert repr(copied) == repr(x)
+
+
+def test_a_contract_with_its_utilization_cached_round_trips():
+    c = Contract.resbh(1, 10)
+    assert c.utilization == Fraction(1, 10)
+    for copied in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+        assert copied == c and copied.utilization == Fraction(1, 10)
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(make):
+    x = make()
+    before = repr(x)
+    for field in type(x)._fields:
+        with pytest.raises(AttributeError):
+            setattr(x, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert repr(x) == before
+
+
+def test_replace_validates_a_contract_anew():
+    assert contract()._replace(budget=2) == Contract.resbh(2, 10)
+    with pytest.raises(ContractError, match="budget must be positive"):
+        contract()._replace(budget=0)
+
+
+def test_replace_validates_a_scheduler_spec_anew():
+    assert edf0()._replace(quantum=7).quantum == 7
+    with pytest.raises(HierarchyError, match="quantum must be >= 1"):
+        edf0()._replace(quantum=0)
+
+
+def test_replace_validates_a_workload_anew():
+    assert periodic()._replace(wcet=3).wcet == 3
+    with pytest.raises(EngineError, match=r"PERIODIC needs 0 < wcet <= period"):
+        periodic()._replace(wcet=0)
+
+
+def test_replace_of_a_request_keeps_the_other_fields():
+    moved = request()._replace(target_parent=4)
+    assert moved.target_parent == 4
+    assert field_values(moved)[:4] == field_values(request())[:4]
+
+
+@pytest.mark.parametrize("args, message", [
+    ((ServiceClass.RESBH, 1, 10, 5), "RESBH takes no share"),
+    ((ServiceClass.PS,), "PS needs an integer share"),
+    ((ServiceClass.PS, None, None, "5"), "PS needs an integer share"),
+    ((ServiceClass.BE, 1), "BE takes no parameters"),
+], ids=["resbh-share", "ps-none", "ps-str", "be-budget"])
+def test_contract_parameter_faults(args, message):
+    with pytest.raises(ContractError, match=message):
+        Contract(*args)
+
+
+def test_parse_contract_needs_a_string():
+    with pytest.raises(ContractError, match="contract must be a string"):
+        parse_contract(5)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(kind=WorkloadKind.PERIODIC, period=10), "PERIODIC needs period and wcet"),
+    (dict(kind=WorkloadKind.PERIODIC, wcet=2), "PERIODIC needs period and wcet"),
+    (dict(kind=WorkloadKind.PERIODIC, period=10, wcet=2, offset=-1),
+     "offset must be >= 0"),
+    (dict(kind=WorkloadKind.BURSTY, on=0, off=1), "BURSTY needs on > 0 and off > 0"),
+    (dict(kind=WorkloadKind.BURSTY, on=1), "BURSTY needs on > 0 and off > 0"),
+], ids=["no-wcet", "no-period", "offset", "on-zero", "no-off"])
+def test_workload_faults(kwargs, message):
+    with pytest.raises(EngineError, match=message):
+        Workload(**kwargs)
+
+
+def test_a_scheduler_needs_a_name():
+    with pytest.raises(HierarchyError, match="scheduler name must be non-empty"):
+        SchedulerSpec("", PolicyKind.VIRTUAL, Contract.all_cpu())
