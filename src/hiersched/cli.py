@@ -35,12 +35,15 @@ every run a few milliseconds of start-up; abbreviated flags are not taken.
 
 Exit status: 0 when the run is clean, 1 when the verifier found violations
 or any deployment was rejected (suppress the latter with --allow-reject),
-2 for unusable input, a usage error included (usage to stderr).
+2 for unusable input, a usage error included (usage to stderr). Both
+output paths are tried once the scenario is read and before it runs: one
+that cannot be written exits 2, and no output file is made or changed.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from typing import NamedTuple
 
@@ -329,6 +332,17 @@ def run(argv=None) -> int:
                 raise ScenarioError("--horizon: must be >= 1")
             _check_past(horizon, scenario.timeline, "--horizon")
             scenario = scenario._replace(horizon=horizon)
+        # try the outputs before the run, so that a bad path costs no run;
+        # a file made here is removed (the target, where the path is a
+        # dangling link), so an output fault leaves no file behind
+        for path in filter(None, (args.get("--trace-out"), args.get("--report-out"))):
+            existed = os.path.exists(path)
+            try:
+                open(path, "a").close()
+            except OSError as e:
+                raise ScenarioError(f"cannot write output: {e}") from e
+            if not existed:
+                os.remove(os.path.realpath(path))
         trace = run_scenario(scenario)
     except (ScenarioError, EngineError) as e:
         print(f"error: {e}", file=sys.stderr)

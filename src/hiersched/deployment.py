@@ -135,7 +135,7 @@ def _attach(h, req, node_id, loaded):
     h.attach_application(node_id, req.app_id, req.request)
     result = h.compose()
     if not result.feasible:
-        h.undo_attach_application(req.app_id)
+        h.remove_application(req.app_id)
         if loaded:
             h.undo_attach_scheduler(node_id)
         return DeploymentDecision(

@@ -28,8 +28,9 @@ FeasibilityResult.grants lists only the grants this compose set; the first
 compose of a fresh tree sets, and lists, all of them.
 
 Dicts index app -> (node, slot), name -> node and service class -> the
-leaves offering it. Ids only grow, and the undo_attach_* methods hand back
-only the newest, so nodes() and each class's leaves are in id order.
+leaves offering it. Node ids only grow, and undo_attach_scheduler hands
+back only the newest, so nodes(), each class's leaves and each node's
+`children` are in id order. A leaf's `apps` are in attach order.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .contracts import (
     Contract,
     ServiceClass,
     RESERVATION_CLASSES,
-    format_contract,
     satisfies,
 )
 
@@ -103,14 +103,13 @@ class SchedulerSpec(namedtuple("SchedulerSpec", "name policy parent_request quan
 class AppSlot:
     """An application attached to a leaf: its ask and its current award."""
 
-    __slots__ = ("app_id", "request", "awarded", "degraded", "seq")
+    __slots__ = ("app_id", "request", "awarded", "degraded")
 
-    def __init__(self, app_id, request, awarded=None, degraded=False, seq=0):
+    def __init__(self, app_id, request, awarded=None, degraded=False):
         self.app_id = app_id
         self.request = request
         self.awarded = awarded
         self.degraded = degraded
-        self.seq = seq
 
 
 class SchedulerNode:
@@ -200,7 +199,6 @@ class Hierarchy:
         self._apps: dict[str, tuple[int, AppSlot]] = {}
         self._offering: dict = {}  # service class -> {leaf id: leaf}
         self._next_node_id = 1
-        self._next_app_seq = 0
         self._changed: set[int] = set()  # holders or own ask changed
 
     # ------------------------------------------------------------- structure
@@ -263,8 +261,7 @@ class Hierarchy:
             )
         if app_id in self._apps:
             raise HierarchyError(f"duplicate app id {app_id!r}")
-        slot = AppSlot(app_id=app_id, request=request, seq=self._next_app_seq)
-        self._next_app_seq += 1
+        slot = AppSlot(app_id=app_id, request=request)
         node.apps.append(slot)
         self._apps[app_id] = (node_id, slot)
         _tally(node, request, 1)
@@ -313,13 +310,6 @@ class Hierarchy:
         node.fresh.discard(app_id)
         self._changed.add(nid)
         return nid
-
-    def undo_attach_application(self, app_id: str):
-        """Take back the newest attach_application, its sequence number too."""
-        if self.app_slot(app_id).seq != self._next_app_seq - 1:
-            raise HierarchyError(f"app {app_id!r} is not the newest attached")
-        self.remove_application(app_id)
-        self._next_app_seq -= 1
 
     def undo_attach_scheduler(self, node_id: int):
         """Take back the newest attach_scheduler, its node id too."""
@@ -449,15 +439,12 @@ class Hierarchy:
 
     def _holders(self, node, only=None):
         """(holder, request) of a node's children or apps in tree order: all
-        of them, or those in `only`. Children are in id order and apps in
-        seq order, since both only grow."""
-        if not node.is_leaf():
-            ids = node.children if only is None else sorted(only)
-            return [(cid, self._nodes[cid].spec.parent_request) for cid in ids]
-        slots = node.apps
-        if only is not None:
-            slots = sorted((self._apps[a][1] for a in only), key=lambda s: s.seq)
-        return [(s.app_id, s.request) for s in slots]
+        of them, or those in `only`."""
+        if node.is_leaf():
+            return [(s.app_id, s.request) for s in node.apps
+                    if only is None or s.app_id in only]
+        return [(cid, self._nodes[cid].spec.parent_request) for cid in node.children
+                if only is None or cid in only]
 
     # ------------------------------------------------------- demand and spare
 
@@ -509,43 +496,6 @@ class Hierarchy:
         node = self.node(node_id)
         spare = node.granted.utilization - node.used
         return spare if spare > 0 else _ZERO
-
-    # ---------------------------------------------------------- serialization
-
-    def canonical(self) -> str:
-        """Stable text form of the full tree state, for rollback comparison."""
-        lines = [f"hierarchy next_node={self._next_node_id} next_app={self._next_app_seq}"]
-        for n in self.nodes():
-            provides = ",".join(sorted(c.value for c in n.spec.provides))
-            tags = ",".join(sorted(n.tags))
-            lines.append(
-                "node id={} name={} policy={} parent={} request={} granted={} "
-                "degraded={} quantum={} provides={} tags={} loaded_for={}".format(
-                    n.node_id,
-                    n.spec.name,
-                    n.spec.policy.value,
-                    "-" if n.parent is None else n.parent,
-                    format_contract(n.spec.parent_request),
-                    format_contract(n.granted),
-                    int(n.degraded),
-                    n.spec.quantum,
-                    provides,
-                    tags,
-                    n.loaded_for if n.loaded_for is not None else "-",
-                )
-            )
-            for s in n.apps:
-                lines.append(
-                    "app node={} id={} seq={} request={} awarded={} degraded={}".format(
-                        n.node_id,
-                        s.app_id,
-                        s.seq,
-                        format_contract(s.request),
-                        format_contract(s.awarded) if s.awarded else "-",
-                        int(s.degraded),
-                    )
-                )
-        return "\n".join(lines) + "\n"
 
 
 def _tally(node: SchedulerNode, request: Contract, sign: int):

@@ -1,7 +1,9 @@
-"""Shared builders for scheduler specs and traces used across test modules."""
+"""Shared builders for scheduler specs and traces used across test modules,
+and the text form of a hierarchy that rollback tests compare."""
 
 import heapq
 
+from hiersched.contracts import format_contract
 from hiersched.engine import _RANK, EventKind, SimEvent, Trace
 from hiersched.hierarchy import PolicyKind, SchedulerSpec
 
@@ -49,6 +51,30 @@ def virtual_spec(name, request, quantum=10):
         parent_request=request,
         quantum=quantum,
     )
+
+
+def canonical(h):
+    """Stable text form of the whole state of hierarchy `h`: its next node
+    id, then each node in id order with its apps in attach order. A
+    rejected deploy must leave it unchanged."""
+    lines = [f"hierarchy next_node={h._next_node_id}"]
+    for n in h.nodes():
+        lines.append(
+            f"node id={n.node_id} name={n.spec.name} policy={n.spec.policy.value} "
+            f"parent={'-' if n.parent is None else n.parent} "
+            f"request={format_contract(n.spec.parent_request)} "
+            f"granted={format_contract(n.granted)} degraded={int(n.degraded)} "
+            f"quantum={n.spec.quantum} "
+            f"provides={','.join(sorted(c.value for c in n.spec.provides))} "
+            f"tags={','.join(sorted(n.tags))} "
+            f"loaded_for={'-' if n.loaded_for is None else n.loaded_for}")
+        for s in n.apps:
+            lines.append(
+                f"app node={n.node_id} id={s.app_id} "
+                f"request={format_contract(s.request)} "
+                f"awarded={format_contract(s.awarded) if s.awarded else '-'} "
+                f"degraded={int(s.degraded)}")
+    return "\n".join(lines) + "\n"
 
 
 # A trace keeps RUN and IDLE as run-length segments beside its other rows.

@@ -26,7 +26,7 @@ from hiersched.engine import Simulation, Workload, WorkloadKind, run_scenario
 from hiersched.hierarchy import Hierarchy, new_hierarchy
 from hiersched.verify import ViolationKind, build_report
 
-from helpers import edf_spec, rr_spec, stride_spec
+from helpers import canonical, edf_spec, rr_spec, stride_spec
 from oracle import worst_case_supply
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -281,14 +281,14 @@ def test_criterion_6_degradation_is_exact_and_rejection_rolls_back():
         assert h.app_slot("ps_a").awarded == Contract.ps(200_000)
         assert h.app_slot("ps_b").awarded == Contract.ps(200_000)
 
-        frozen = h.canonical()
+        frozen = canonical(h)
         d4 = deploy(h, DeploymentRequest(
             "hard2", "control", Contract.resbh(50, 100),
             scheduler=edf_spec("edf_x", Contract.resbh(50, 100)),
         ))
         assert d4.outcome is Outcome.REJECTED
         assert d4.reason is RejectReason.INFEASIBLE
-        assert h.canonical() == frozen
+        assert canonical(h) == frozen
 
 
 def test_criterion_7_demand_propagation_enlarges_the_ancestor():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from hiersched import cli
 from hiersched.cli import Scenario, ScenarioError, parse_scenario, run
 from hiersched.contracts import ServiceClass
 from hiersched.hierarchy import PolicyKind
@@ -427,6 +428,42 @@ class TestRun:
         path.write_text(json.dumps(doc))
         assert run(["--scenario", str(path), *args]) == 2
         assert capsys.readouterr().err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("fault", ["directory", "no-parent"])
+    @pytest.mark.parametrize("other", ["missing", "existing", "dangling-link"])
+    @pytest.mark.parametrize("bad", ["--trace-out", "--report-out"])
+    def test_an_unwritable_output_exits_two_before_the_run(self, tmp_path, capsys,
+                                                           monkeypatch, bad, other,
+                                                           fault):
+        """Both outputs are tried before the run: one that cannot be written
+        exits 2 with one line, no scenario is run, and no output file is made
+        or changed."""
+        monkeypatch.setattr(cli, "run_scenario", lambda scenario: pytest.fail("ran"))
+        kept = tmp_path / "kept.txt"
+        if other == "existing":
+            kept.write_text("old")
+        elif other == "dangling-link":
+            kept.symlink_to(tmp_path / "target.txt")
+        if fault == "directory":
+            path = tmp_path / "out"
+            path.mkdir()
+            err = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        else:
+            path = tmp_path / "nodir" / "out"
+            err = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+        good = "--report-out" if bad == "--trace-out" else "--trace-out"
+        code = run(["--scenario", str(SCENARIOS / "stride.json"),
+                    good, str(kept), bad, str(path)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: cannot write output: {err}\n")
+        made = set() if other == "missing" else {"kept.txt"}
+        if fault == "directory":
+            made.add("out")
+        assert {p.name for p in tmp_path.rglob("*")} == made
+        if other == "existing":
+            assert kept.read_text() == "old"
+        elif other == "dangling-link":
+            assert kept.is_symlink()
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0

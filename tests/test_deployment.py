@@ -13,7 +13,7 @@ from hiersched.deployment import (
     undeploy,
 )
 from hiersched.hierarchy import new_hierarchy
-from helpers import edf_spec, rr_spec, stride_spec
+from helpers import canonical, edf_spec, rr_spec, stride_spec
 
 
 def _tree_with_edf():
@@ -110,7 +110,7 @@ def test_deploy_no_service_no_scheduler():
 
 def test_deploy_infeasible_rolls_back_byte_identical():
     h, _ = _tree_with_edf()
-    before = h.canonical()
+    before = canonical(h)
     decision = deploy(
         h,
         DeploymentRequest(
@@ -122,7 +122,7 @@ def test_deploy_infeasible_rolls_back_byte_identical():
     )
     assert decision.outcome is Outcome.REJECTED
     assert decision.reason is RejectReason.INFEASIBLE
-    assert h.canonical() == before
+    assert canonical(h) == before
 
 
 def test_rejected_load_frees_the_scheduler_name():
@@ -216,17 +216,17 @@ def test_deploy_decision_record_lines():
 )
 def test_deploy_invalid_requests(req, fragment):
     h, _ = _tree_with_edf()
-    before = h.canonical()
+    before = canonical(h)
     decision = deploy(h, req(h))
     assert decision.outcome is Outcome.REJECTED
     assert decision.reason is RejectReason.INVALID_REQUEST
     assert fragment in decision.detail
-    assert h.canonical() == before
+    assert canonical(h) == before
 
 
 def test_deploy_duplicate_scheduler_name_is_invalid():
     h, _ = _tree_with_edf()
-    before = h.canonical()
+    before = canonical(h)
     decision = deploy(
         h,
         DeploymentRequest(
@@ -236,7 +236,7 @@ def test_deploy_duplicate_scheduler_name_is_invalid():
     )
     assert decision.outcome is Outcome.REJECTED
     assert decision.reason is RejectReason.INVALID_REQUEST
-    assert h.canonical() == before
+    assert canonical(h) == before
 
 
 def test_deploy_target_parent_must_be_virtual():
@@ -257,7 +257,7 @@ def test_deploy_is_deterministic():
     def run():
         h, _ = _tree_with_edf()
         d = deploy(h, DeploymentRequest("new", "video", Contract.resbh(20, 100)))
-        return (d, h.canonical())
+        return (d, canonical(h))
 
     assert run() == run()
 

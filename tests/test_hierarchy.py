@@ -12,10 +12,11 @@ from hiersched.hierarchy import (
     Hierarchy,
     HierarchyError,
     PolicyKind,
+    Rejection,
     SchedulerSpec,
     new_hierarchy,
 )
-from helpers import edf_spec, fp_spec, rr_spec, stride_spec, virtual_spec
+from helpers import canonical, edf_spec, fp_spec, rr_spec, stride_spec, virtual_spec
 
 
 # ------------------------------------------------------------ construction
@@ -411,10 +412,10 @@ def test_reallocate_identity_when_not_overcommitted():
     nid = h.attach_scheduler(0, edf_spec("edf0", Contract.resbh(60, 100)))
     h.attach_application(nid, "a1", Contract.resbh(10, 100))
     assert h.compose().feasible
-    before = h.canonical()
+    before = canonical(h)
     result = h.compose()
     assert result.feasible
-    assert h.canonical() == before
+    assert canonical(h) == before
 
 
 def test_reallocate_hard_overload_fails():
@@ -615,7 +616,7 @@ def test_rejected_deploy_round_trip():
     nid = h.attach_scheduler(0, edf_spec("edf0", Contract.resbh(60, 100)))
     h.attach_application(nid, "a1", Contract.resbh(30, 100))
     assert h.compose().feasible
-    frozen = h.canonical()
+    frozen = canonical(h)
 
     # edf0 has 30 spare, so this loads a scheduler, attaches to it, then fails to compose: 60 + 50 > 100
     decision = deploy(
@@ -626,7 +627,7 @@ def test_rejected_deploy_round_trip():
         ),
     )
     assert decision.outcome is Outcome.REJECTED
-    assert h.canonical() == frozen
+    assert canonical(h) == frozen
     # the id counter is part of the state: re-attaching reuses the same id
     assert h.attach_scheduler(0, rr_spec("rr0", Contract.be())) == nid + 1
 
@@ -639,14 +640,10 @@ def test_undo_takes_back_only_the_newest_attach():
     h.attach_application(first, "w2", Contract.ps(100000))
     with pytest.raises(HierarchyError, match="not the newest"):
         h.undo_attach_scheduler(first)
-    with pytest.raises(HierarchyError, match="not the newest"):
-        h.undo_attach_application("w1")
-    h.undo_attach_application("w2")
+    h.remove_application("w2")
     h.undo_attach_scheduler(second)
     assert h.app_node("w2") is None
     assert h.find_node_by_name("rr0") is None
-    h.attach_application(first, "w3", Contract.ps(100000))
-    assert h.app_slot("w3").seq == 1
     assert h.attach_scheduler(0, rr_spec("rr1", Contract.be())) == second
 
 
@@ -658,9 +655,34 @@ def test_compose_is_deterministic():
         h.attach_application(st, "w1", Contract.ps(300000))
         h.attach_application(st, "w2", Contract.ps(200000))
         h.compose()
-        return h.canonical()
+        return canonical(h)
 
     assert build() == build()
+
+
+def test_a_leaf_settles_and_blames_its_apps_in_attach_order():
+    """Apps are granted and blamed in the order they were attached, not by
+    id: `z` goes before `a`. The leaf asks for PS[800000] beside a hard
+    RESBH[40,100], so it is granted PS[600000], less than it asks."""
+    def squeezed_leaf():
+        h = new_hierarchy()
+        h.attach_scheduler(0, edf_spec("hog", Contract.resbh(40, 100)))
+        leaf = h.attach_scheduler(0, edf_spec("edf0", Contract.ps(800000)))
+        assert h.compose().feasible
+        assert h.node(leaf).granted == Contract.ps(600000)
+        return h, leaf
+
+    h, leaf = squeezed_leaf()
+    h.attach_application(leaf, "z", Contract.resbh(20, 100))
+    h.attach_application(leaf, "a", Contract.resbh(20, 100))
+    result = h.compose()
+    assert [g.holder for g in result.grants] == ["z", "a"]
+
+    # 40 + 40 fits the leaf's ask but not its grant: the last hard app goes
+    h, leaf = squeezed_leaf()
+    h.attach_application(leaf, "z", Contract.resbh(40, 100))
+    h.attach_application(leaf, "a", Contract.resbh(40, 100))
+    assert h.compose().rejected == Rejection("a", "hard demand exceeds capacity")
 
 
 def _random_tree(rng):

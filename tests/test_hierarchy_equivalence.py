@@ -8,7 +8,7 @@ apps attached and composed with no undo when the compose fails, changed
 scheduler asks, VIRTUAL nodes and composes with nothing new. After every
 step both trees must agree on every decision, every compose result
 (feasibility and the Rejection's holder and reason), every node grant, app
-award and degraded flag (`canonical()`) and every spare capacity; the
+award and degraded flag (`helpers.canonical`) and every spare capacity; the
 incremental tree's per-node sums must equal a scan, and after a successful
 compose no mark is left and every node's factor is the one its grant and
 holders give. Undeploys go through `deployment.undeploy`, which asserts
@@ -28,7 +28,7 @@ from hiersched.contracts import Contract, ServiceClass, utilization
 from hiersched.deployment import DeploymentRequest, Outcome, deploy, undeploy
 from hiersched.hierarchy import Hierarchy, new_hierarchy
 from hierarchy_reference import ReferenceHierarchy
-from helpers import edf_spec, rr_spec, stride_spec, virtual_spec
+from helpers import canonical, edf_spec, rr_spec, stride_spec, virtual_spec
 
 NAMES = tuple(f"s{k}" for k in range(8))
 PERIODS = (10, 50, 100, 200)
@@ -202,7 +202,7 @@ class Pair:
         return old.feasible
 
     def check(self):
-        assert self.h.canonical() == self.r.canonical()
+        assert canonical(self.h) == canonical(self.r)
         for n in self.r.nodes():
             assert self.h.spare_capacity(n.node_id) == self.r.spare_capacity(n.node_id)
         assert_sums_match_scan(self.h)
@@ -240,12 +240,12 @@ class Pair:
                 scheduler=spec if with_sched else None,
                 target_parent=parent if with_sched else None,
             )
-            before = h.canonical()
+            before = canonical(h)
             new, old = self.both(lambda t: deploy(t, req))
             assert_same_decision(new, old)
             seen[old.outcome.value] += 1
             if old.outcome is Outcome.REJECTED:
-                assert h.canonical() == before
+                assert canonical(h) == before
                 if old.reason.value == "INFEASIBLE":
                     seen["infeasible"] += 1
                     seen[old.detail.split(": ")[1].split(":")[0]] += 1

@@ -17,7 +17,7 @@ from hiersched.deployment import (
     undeploy,
 )
 from hiersched.hierarchy import Hierarchy, new_hierarchy
-from helpers import edf_spec, rr_spec, stride_spec
+from helpers import canonical, edf_spec, rr_spec, stride_spec
 
 # few names, so that names and ids are reused after undeploys and rejections
 NAMES = ("s0", "s1", "s2", "s3")
@@ -123,7 +123,7 @@ def test_indexes_follow_random_churn(ops):
             choices = offers(app_size)
             app = f"app{i}"
             seen.append(app)
-            before = h.canonical()
+            before = canonical(h)
             decision = deploy(
                 h,
                 DeploymentRequest(
@@ -132,7 +132,7 @@ def test_indexes_follow_random_churn(ops):
                 ),
             )
             if decision.outcome is Outcome.REJECTED:
-                assert h.canonical() == before
+                assert canonical(h) == before
             else:
                 live.append(app)
         assert_indexes_match_scan(h, NAMES, seen)

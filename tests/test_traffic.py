@@ -1,0 +1,64 @@
+"""tests/traffic.py, run on a small module written for the test."""
+
+import importlib
+import sys
+import textwrap
+
+import traffic
+
+SAMPLE = textwrap.dedent('''\
+    """Never run: a docstring has no code."""
+
+
+    def used(x):
+        if x:
+            return 1
+        y = 2
+        return y
+
+
+    def unused():
+        return 3
+
+
+    class K:
+        @staticmethod
+        def m():
+            return 4
+
+        def n(self):
+            def inner():
+                return 5
+            return [i for i in range(2)]
+    ''')
+
+
+def test_traffic_names_what_a_run_never_reaches(tmp_path, monkeypatch):
+    (tmp_path / "traffic_sample.py").write_text(SAMPLE)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.delitem(sys.modules, "traffic_sample", raising=False)
+
+    def work():
+        sample = importlib.import_module("traffic_sample")
+        sample.used(True)
+        sample.K().n()
+
+    before = sys.gettrace()
+    ran = traffic.trace(tmp_path, work)
+    assert sys.gettrace() is before
+    sys.modules.pop("traffic_sample")
+    assert traffic.report(tmp_path, ran) == (
+        "traffic_sample.py\n"
+        "  functions never entered: unused, K.m, K.n.<locals>.inner\n"
+        "  lines never executed: 7-8\n"
+    )
+
+
+def test_a_file_that_never_ran_misses_every_line(tmp_path):
+    """Each line of it shows, but those of a function never entered."""
+    (tmp_path / "traffic_sample.py").write_text("x = 1\n\n\ndef f():\n    return x\n")
+    assert traffic.report(tmp_path, traffic.trace(tmp_path, lambda: None)) == (
+        "traffic_sample.py\n"
+        "  functions never entered: f\n"
+        "  lines never executed: 1\n"
+    )
