@@ -4,7 +4,10 @@ A contract names a service class plus its parameters, written ``TYPE[param]``:
 RESBH[budget,period] and RESBS[budget,period] are hard/soft reservations,
 PS[share] is a proportional share in ppm of one CPU, BE is best effort, NULL is
 zero service and ALL is the whole CPU (root only). All arithmetic on contracts
-is exact: integers and Fractions, never floats.
+is exact and no value is ever a float: admission works on each contract's
+utilization as an integer pair (`Contract.ratio`), and only the
+utilizations the package returns are built as Fractions, where they are
+asked for, so no module imports `fractions` when it loads.
 
 The package's value types are named tuples: `Contract` here,
 `SchedulerSpec`, `DeploymentRequest` and `Workload` in the modules that take
@@ -18,8 +21,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
-from functools import cached_property
 from math import gcd
 
 PPM = 1_000_000
@@ -63,7 +64,7 @@ class Contract(namedtuple("Contract", "service budget period share")):
     classes carry no parameters.
     """
 
-    # no __slots__: the instance dict holds the cached `utilization`
+    __slots__ = ()
 
     def __new__(cls, service: ServiceClass, budget: int | None = None,
                 period: int | None = None, share: int | None = None):
@@ -73,9 +74,6 @@ class Contract(namedtuple("Contract", "service budget period share")):
         return super().__new__(cls, service, budget, period, share)
 
     _make = classmethod(lambda cls, values: cls(*values))  # so `_replace` validates
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     # constructors used throughout the package and tests
     @classmethod
@@ -105,18 +103,23 @@ class Contract(namedtuple("Contract", "service budget period share")):
     def is_reservation(self) -> bool:
         return self.service in RESERVATION_CLASSES
 
-    @cached_property
-    def utilization(self) -> Fraction:
-        """CPU fraction the contract stands for, exact, in [0, 1]; computed
-        on first use and kept, since contracts are immutable."""
+    @property
+    def ratio(self) -> tuple[int, int]:
+        """The utilization as an integer pair (numerator, denominator), not
+        reduced: (budget, period), (share, PPM), (1, 1) for ALL and (0, 1)
+        for the classes that take no capacity."""
         s = self.service
         if s in RESERVATION_CLASSES:
-            return Fraction(self.budget, self.period)
+            return self.budget, self.period
         if s is ServiceClass.PS:
-            return Fraction(self.share, PPM)
-        if s is ServiceClass.ALL:
-            return Fraction(1)
-        return Fraction(0)
+            return self.share, PPM
+        return (1, 1) if s is ServiceClass.ALL else (0, 1)
+
+    @property
+    def utilization(self) -> "Fraction":
+        """CPU fraction the contract stands for, as an exact Fraction in [0, 1]."""
+        from fractions import Fraction
+        return Fraction(*self.ratio)
 
     def __str__(self) -> str:
         return format_contract(self)
@@ -230,7 +233,7 @@ def format_contract(c: Contract) -> str:
     return c.service.value
 
 
-def utilization(c: Contract) -> Fraction:
+def utilization(c: Contract) -> "Fraction":
     """CPU fraction the contract stands for, as an exact rational in [0, 1]."""
     return c.utilization
 
@@ -244,12 +247,10 @@ def _reservation_dominates(p: Contract, r: Contract) -> bool:
     (2+k)*s_p <= (2 + floor(k*x_p/x_r))*s_r for all k >= 0, which is periodic
     in k with period x_r.
     """
-    sp, sr = p.period - p.budget, r.period - r.budget
-    if sp > sr:
-        return False
-    if utilization(p) < utilization(r):
-        return False
     xp, xr = p.budget, r.budget
+    sp, sr = p.period - xp, r.period - xr
+    if sp > sr or xp * r.period < xr * p.period:  # more slack or less utilization
+        return False
     if xp >= xr or sp == 0:
         return True
     g = gcd(xp, xr)
@@ -287,7 +288,7 @@ def satisfies(provided: Contract, requested: Contract) -> bool:
         if p is ServiceClass.PS:
             return provided.share >= requested.share
         if p in RESERVATION_CLASSES:
-            return utilization(provided) >= utilization(requested)
+            return provided.budget * PPM >= requested.share * provided.period
         return False
     # requested is a reservation
     if p is ServiceClass.ALL:

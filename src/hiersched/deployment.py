@@ -86,7 +86,7 @@ def find_compatible_service(h: Hierarchy, req: DeploymentRequest):
     request, label = req.request, req.app_class
     first = None
     for node in h.leaves_offering(request.service):
-        if (h.spare_capacity(node.node_id) < request.utilization
+        if (not h.has_room(node.node_id, request)
                 or not satisfies(node.granted, request)):
             continue
         if not label or label in node.tags:

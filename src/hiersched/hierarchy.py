@@ -11,21 +11,26 @@ its utilization. The test is on the request, not on a degraded soft award:
 requests never change and removing demand only grows grants, so an
 undeploy can never fail it.
 
-Composition is incremental. Each node keeps exact Fraction sums of its
-holders' requests (`hard`: RESBH; `soft`: RESBS and PS; `reserved`: RESBH
-and RESBS, which a leaf's own ask must cover), the sum of the awards it has
-handed out (`used`, so spare_capacity is O(1)) and the degradation factor of
-its last successful settle. The mutators keep these sums and mark what
-changed: the node whose holders or own ask changed (`_changed`) and the
-holders whose award is pending (`fresh`). A compose walks only the paths
-from the root to the changed nodes. It re-settles a node whose holders
-changed or whose grant changed. It recomputes all of that node's awards
-when its grant or its factor moved, and only the fresh ones otherwise.
-Every other subtree keeps its grants: its inputs are those of the last
-successful compose, which found it feasible. Marks are cleared only when a
-compose succeeds, so a failed compose needs no undo of them. Hence
-FeasibilityResult.grants lists only the grants this compose set; the first
-compose of a fresh tree sets, and lists, all of them.
+Composition is incremental. Each node keeps exact sums of its holders'
+requests (`hard`: RESBH; `soft`: RESBS and PS; `reserved`: RESBH and RESBS,
+which a leaf's own ask must cover), the sum of the awards it has handed out
+(`used`, so spare_capacity is O(1)) and the degradation factor of its last
+successful settle. The four sums are integers over the node's `scale`, the
+lcm of the utilization denominators (`Contract.ratio`) summed there: `scale`
+only grows, and a new denominator rescales the four sums. The checks compare
+by cross-multiplication and the factor is a reduced integer pair, so no
+value is ever a float; only `spare_capacity` returns a Fraction. The
+mutators keep these sums and mark what changed: the node whose holders or
+own ask changed (`_changed`) and the holders whose award is pending
+(`fresh`). A compose walks only the paths from the root to the changed
+nodes, and at each node only the children on them. It re-settles a node
+whose holders changed or whose grant changed. It recomputes all of that
+node's awards when its grant or its factor moved, and only the fresh ones
+otherwise. Every other subtree keeps its grants: its inputs are those of
+the last successful compose, which found it feasible. Marks are cleared
+only when a compose succeeds, so a failed compose needs no undo of them.
+Hence FeasibilityResult.grants lists only the grants this compose set; the
+first compose of a fresh tree sets, and lists, all of them.
 
 Dicts index app -> (node, slot), name -> node and service class -> the
 leaves offering it. Node ids only grow, and undo_attach_scheduler hands
@@ -35,10 +40,9 @@ back only the newest, so nodes(), each class's leaves and each node's
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .contracts import (
@@ -71,8 +75,9 @@ _VIRTUAL = PolicyKind.VIRTUAL
 _RESBH = ServiceClass.RESBH
 _PS = ServiceClass.PS
 _SOFT_CLASSES = (ServiceClass.RESBS, _PS)
-_ALLOTTED = frozenset({_RESBH, *_SOFT_CLASSES})  # classes that use up capacity
-_ZERO = Fraction(0)
+# classes that use up capacity (a tuple: a set would hash the Enum member in
+# Python code on every `_units` call)
+_ALLOTTED = (_RESBH, *_SOFT_CLASSES)
 
 
 class HierarchyError(Exception):
@@ -105,11 +110,11 @@ class AppSlot:
 
     __slots__ = ("app_id", "request", "awarded", "degraded")
 
-    def __init__(self, app_id, request, awarded=None, degraded=False):
+    def __init__(self, app_id, request):
         self.app_id = app_id
         self.request = request
-        self.awarded = awarded
-        self.degraded = degraded
+        self.awarded = None
+        self.degraded = False
 
 
 class SchedulerNode:
@@ -118,7 +123,7 @@ class SchedulerNode:
 
     __slots__ = ("node_id", "spec", "parent", "path", "granted", "degraded",
                  "children", "apps", "tags", "loaded_for", "hard", "soft",
-                 "reserved", "used", "factor", "fresh")
+                 "reserved", "used", "scale", "factor", "fresh")
 
     def __init__(self, node_id, spec, parent, path, granted):
         self.node_id = node_id
@@ -131,12 +136,14 @@ class SchedulerNode:
         self.apps = []  # AppSlot, leaf policies only
         self.tags = set()  # app_class labels seen here
         self.loaded_for = None  # app whose deploy loaded this node
-        # exact sums over the holders (children or apps), kept by Hierarchy
-        self.hard = _ZERO  # RESBH requests
-        self.soft = _ZERO  # RESBS and PS requests
-        self.reserved = _ZERO  # RESBH and RESBS requests
-        self.used = _ZERO  # awards in RESBH, RESBS and PS
-        self.factor = None  # soft scaling at the last settle, if any
+        # exact sums over the holders (children or apps), kept by Hierarchy,
+        # each an integer over `scale`
+        self.hard = 0  # RESBH requests
+        self.soft = 0  # RESBS and PS requests
+        self.reserved = 0  # RESBH and RESBS requests
+        self.used = 0  # awards in RESBH, RESBS and PS
+        self.scale = 1
+        self.factor = None  # soft scaling at the last settle, if any: (num, den)
         self.fresh = set()  # holders whose award is pending
 
     def is_leaf(self) -> bool:
@@ -165,11 +172,10 @@ class _Stage:
     """What one compose computed, applied only if it succeeds. Each award
     is staged once, as a Grant in `grants`."""
 
-    __slots__ = ("dirty", "nodes", "factors", "grants")
+    __slots__ = ("dirty", "factors", "grants")
 
     def __init__(self, dirty):
-        self.dirty = dirty  # changed node ids and their ancestors
-        self.nodes = {}  # node id -> its new grant, for its children's settle
+        self.dirty = dirty  # node id -> its children that changed or lead to one
         self.factors = {}  # node id -> its new factor
         self.grants = []  # Grant, in tree order
 
@@ -279,7 +285,7 @@ class Hierarchy:
         parent = self._nodes[node.parent]
         parent.children.remove(node_id)
         _tally(parent, node.spec.parent_request, -1)
-        parent.used -= _allotted(node.granted)
+        _charge(parent, node.granted, None)
         parent.fresh.discard(node_id)
         self._changed.discard(node_id)
         self._changed.add(node.parent)
@@ -298,7 +304,7 @@ class Hierarchy:
         except KeyError:
             raise HierarchyError(f"no such app {app_id!r}") from None
 
-    def remove_application(self, app_id: str) -> int:
+    def remove_application(self, app_id: str):
         try:
             nid, slot = self._apps.pop(app_id)
         except KeyError:
@@ -306,10 +312,9 @@ class Hierarchy:
         node = self._nodes[nid]
         node.apps.remove(slot)
         _tally(node, slot.request, -1)
-        node.used -= _allotted(slot.awarded)
+        _charge(node, slot.awarded, None)
         node.fresh.discard(app_id)
         self._changed.add(nid)
-        return nid
 
     def undo_attach_scheduler(self, node_id: int):
         """Take back the newest attach_scheduler, its node id too."""
@@ -340,14 +345,18 @@ class Hierarchy:
         self._apply(stage)
         return FeasibilityResult(True, stage.grants)
 
-    def _dirty(self) -> set:
-        """The changed nodes and every node on their paths from the root."""
+    def _dirty(self) -> dict:
+        """Node id -> those of its children that are changed nodes or lie on
+        the path from the root to one."""
         nodes = self._nodes
-        dirty = set()
+        dirty = {}
         for nid in self._changed:
-            while nid is not None and nid not in dirty:
-                dirty.add(nid)  # its ancestors are in the set already
-                nid = nodes[nid].parent
+            while (parent := nodes[nid].parent) is not None:
+                below = dirty.setdefault(parent, set())
+                if nid in below:
+                    break  # the path above is in already
+                below.add(nid)
+                nid = parent
         return dirty
 
     def _apply(self, stage):
@@ -359,13 +368,13 @@ class Hierarchy:
             if isinstance(g.holder, str):
                 nid, slot = self._apps[g.holder]
                 if new != slot.awarded:
-                    nodes[nid].used += _allotted(new) - _allotted(slot.awarded)
+                    _charge(nodes[nid], slot.awarded, new)
                     slot.awarded = new
                 slot.degraded = g.degraded
             else:
                 node = nodes[g.holder]
                 if new != node.granted:
-                    nodes[node.parent].used += _allotted(new) - _allotted(node.granted)
+                    _charge(nodes[node.parent], node.granted, new)
                     node.granted = new
                 node.degraded = g.degraded
         for nid, factor in stage.factors.items():
@@ -380,23 +389,31 @@ class Hierarchy:
         `regrant` says that `granted` differs from the grant the node's
         holders were last settled under. A node whose grant and holders are
         unchanged passes its checks as it did then and keeps its awards, so
-        only its dirty children are visited.
+        only its dirty children are visited. The sums are over `node.scale`
+        and the grant over its own denominator, so each test is made over
+        their product.
         """
         nid = node.node_id
         leaf = node.is_leaf()
+        moved = {}  # child id -> its new grant, where it differs
         if regrant or nid in self._changed:
+            scale = node.scale
             # a leaf must have asked its parent for at least its apps' demand
-            if leaf and node.spec.parent_request.utilization < node.reserved:
+            an, ad = node.spec.parent_request.ratio
+            if leaf and an * scale < node.reserved * ad:
                 return Rejection(
                     nid, "parent request below aggregate reservation demand"
                 )
-            capacity = granted.utilization
-            if node.hard > capacity:
+            cn, cd = granted.ratio
+            capacity, hard = cn * scale, node.hard * cd
+            if hard > capacity:
                 last = [h for h, req in self._holders(node) if req.service is _RESBH]
                 return Rejection(last[-1], "hard demand exceeds capacity")
             factor = None
-            if node.hard + node.soft > capacity:
-                factor = (capacity - node.hard) / node.soft
+            if hard + node.soft * cd > capacity:
+                num, den = capacity - hard, node.soft * cd
+                common = gcd(num, den)
+                factor = (num // common, den // common)
             stage.factors[nid] = factor
 
             # the holders whose award may have moved, in tree order
@@ -407,7 +424,7 @@ class Hierarchy:
             awards = []
             for holder, req in holders:
                 if factor is not None and req.service in _SOFT_CLASSES:
-                    scaled = _scale_soft(req, factor)
+                    scaled = _scale_soft(req, *factor)
                     if scaled is None:
                         return Rejection(holder, "soft grant would floor to zero")
                     awards.append(Grant(holder, req, scaled, True))
@@ -421,20 +438,17 @@ class Hierarchy:
                         g.holder, f"supply shape: {granted} does not satisfy {req}"
                     )
                 stage.grants.append(g)
-                if not leaf:
-                    stage.nodes[g.holder] = g.awarded
+                if not leaf and g.awarded != self._nodes[g.holder].granted:
+                    moved[g.holder] = g.awarded
 
         if leaf:
             return None
-        for cid in node.children:
+        for cid in sorted(moved.keys() | stage.dirty.get(nid, ())):
             child = self._nodes[cid]
-            given = stage.nodes.get(cid)  # its new grant, if settled above
-            moved = given is not None and given != child.granted
-            if moved or cid in stage.dirty:
-                grant = given if moved else child.granted
-                rej = self._settle(child, grant, moved, stage)
-                if rej is not None:
-                    return rej
+            given = moved.get(cid)
+            rej = self._settle(child, given or child.granted, given is not None, stage)
+            if rej is not None:
+                return rej
         return None
 
     def _holders(self, node, only=None):
@@ -443,8 +457,8 @@ class Hierarchy:
         if node.is_leaf():
             return [(s.app_id, s.request) for s in node.apps
                     if only is None or s.app_id in only]
-        return [(cid, self._nodes[cid].spec.parent_request) for cid in node.children
-                if only is None or cid in only]
+        children = node.children if only is None else sorted(only)  # in id order
+        return [(cid, self._nodes[cid].spec.parent_request) for cid in children]
 
     # ------------------------------------------------------- demand and spare
 
@@ -467,14 +481,17 @@ class Hierarchy:
             raise HierarchyError("demand starts below the root")
 
         out: list[tuple[int, Contract]] = []
-        extra = global_request.utilization
+        en, ed = global_request.ratio  # the extra demand, en / ed
         while node.parent is not None:
-            need = node.hard + node.soft + extra
-            extra = _ZERO
-            if node.granted.utilization < need:
+            # the node's demand, need_n / need_d
+            need_n, need_d = (node.hard + node.soft) * ed + en * node.scale, node.scale * ed
+            en, ed = 0, 1
+            gn, gd = node.granted.ratio
+            if gn * need_d < need_n * gd:
                 asked = node.spec.parent_request
-                enlarged = _enlarge(asked, need, global_request)
-                extra = enlarged.utilization - asked.utilization
+                enlarged = _enlarge(asked, need_n, need_d, global_request)
+                (xn, xd), (an, ad) = enlarged.ratio, asked.ratio
+                en, ed = xn * ad - an * xd, xd * ad
                 out.append((node.node_id, enlarged))
             node = self._nodes[node.parent]
         return out
@@ -491,57 +508,81 @@ class Hierarchy:
         self._changed.add(node_id)  # a leaf checks its own ask against its apps
         node.spec = node.spec._replace(parent_request=request)
 
-    def spare_capacity(self, node_id: int) -> Fraction:
-        """Granted utilization not yet committed to reservation/PS children."""
+    def has_room(self, node_id: int, request: Contract) -> bool:
+        """Does the node's spare capacity cover `request`'s utilization?"""
         node = self.node(node_id)
-        spare = node.granted.utilization - node.used
-        return spare if spare > 0 else _ZERO
+        (gn, gd), (rn, rd) = node.granted.ratio, request.ratio
+        # both sides over gd * scale * rd
+        return rn * gd * node.scale <= max(gn * node.scale - node.used * gd, 0) * rd
+
+    def spare_capacity(self, node_id: int) -> "Fraction":
+        """Granted utilization not yet committed to reservation/PS children."""
+        from fractions import Fraction
+        node = self.node(node_id)
+        gn, gd = node.granted.ratio
+        return Fraction(max(gn * node.scale - node.used * gd, 0), gd * node.scale)
+
+
+def _units(node: SchedulerNode, c: Contract | None) -> int:
+    """The capacity `c` takes, as an integer over `node.scale`: 0 for None
+    and the classes that take none. A denominator new to the node first
+    grows the scale to a multiple of it, and the four sums with it."""
+    if c is None or c.service not in _ALLOTTED:
+        return 0
+    n, d = c.ratio
+    if node.scale % d:
+        m = d // gcd(node.scale, d)
+        for name in ("scale", "hard", "soft", "reserved", "used"):
+            setattr(node, name, getattr(node, name) * m)
+    return n * (node.scale // d)
 
 
 def _tally(node: SchedulerNode, request: Contract, sign: int):
-    """Add (sign 1) or take away (sign -1) one holder's request in the sums."""
-    service = request.service
-    if service not in _ALLOTTED:
-        return
-    u = request.utilization if sign > 0 else -request.utilization
-    if service is _RESBH:
+    """Add (sign 1) or take away (sign -1) one holder's request in the sums
+    (a class that takes no capacity adds 0)."""
+    u = sign * _units(node, request)
+    if request.service is _RESBH:
         node.hard += u
     else:
         node.soft += u
-    if service is not _PS:
+    if request.service is not _PS:
         node.reserved += u
 
 
-def _allotted(award: Contract | None) -> Fraction:
-    """Utilization an award takes from its grantor's capacity."""
-    if award is None or award.service not in _ALLOTTED:
-        return _ZERO
-    return award.utilization
+def _charge(node: SchedulerNode, old: Contract | None, new: Contract | None):
+    """Move `used` from one award of `node`'s to the next, either None."""
+    # `old` was charged here, so the scale is a multiple of its denominator
+    # already: only `new` can grow it, and it goes first
+    u = _units(node, new) - _units(node, old)
+    node.used += u
 
 
-def _scale_soft(req: Contract, factor: Fraction) -> Contract | None:
-    """Shrink a PS/RESBS request by an exact factor, flooring to the grid."""
+def _scale_soft(req: Contract, num, den=1) -> Contract | None:
+    """Shrink a PS/RESBS request by the exact factor num / den, flooring to
+    the grid. `num` may be a Fraction, with `den` left at 1."""
     if req.service is _PS:
-        share = math.floor(req.share * factor)
+        share = req.share * num // den
         if share < 1:
             return None
         return Contract.ps(share)
-    budget = math.floor(req.budget * factor)
+    budget = req.budget * num // den
     if budget < 1:
         return None
     return Contract.resbs(budget, req.period)
 
 
-def _enlarge(existing: Contract, need: Fraction, global_request: Contract) -> Contract:
-    """Grow a parent_request to cover `need` utilization exactly or better."""
+def _enlarge(existing: Contract, need_n: int, need_d: int,
+             global_request: Contract) -> Contract:
+    """Grow a parent_request to cover utilization need_n / need_d exactly or
+    better."""
     if existing.is_reservation():
         period = existing.period
         if global_request.is_reservation():
             period = min(period, global_request.period)
-        budget = min(period, math.ceil(need * period))
+        budget = min(period, -(-need_n * period // need_d))
         return Contract(existing.service, budget=budget, period=period)
     if existing.service is ServiceClass.PS:
-        share = min(PPM, math.ceil(need * PPM))
+        share = min(PPM, -(-need_n * PPM // need_d))
         return Contract.ps(share)
     raise HierarchyError(
         f"cannot enlarge a {existing.service.value} parent request"

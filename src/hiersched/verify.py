@@ -25,7 +25,6 @@ from __future__ import annotations
 import bisect
 import heapq
 from enum import Enum
-from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -285,7 +284,7 @@ def _check_shares(leaf, holders):
                     del obs[app]
                     out.append(Violation(
                         ViolationKind.LAG_EXCEEDED, app, (start, a + due - group),
-                        Fraction(holders[app][0], weight) * due, seen,
+                        _lag_due(holders[app][0], weight, due), seen,
                     ))
             if runner in obs:
                 share_ppm, quantum = holders[runner]
@@ -302,7 +301,7 @@ def _check_shares(leaf, holders):
                 if j <= b - a:
                     out.append(Violation(
                         ViolationKind.LAG_EXCEEDED, runner, (start, a + j),
-                        Fraction(share_ppm, weight) * (group + j), obs.pop(runner) + j,
+                        _lag_due(share_ppm, weight, group + j), obs.pop(runner) + j,
                     ))
                 else:
                     obs[runner] += b - a
@@ -311,6 +310,13 @@ def _check_shares(leaf, holders):
                     ))
             group = top
     return out
+
+
+def _lag_due(share_ppm, weight, group):
+    """A LAG_EXCEEDED row's `expected`: the holder's exact due service,
+    share_ppm / weight of the members' `group` ticks."""
+    from fractions import Fraction
+    return Fraction(share_ppm * group, weight)
 
 
 def check_conservation(trace: Trace) -> list:

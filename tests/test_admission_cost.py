@@ -1,10 +1,15 @@
 """One more deploy costs the same exact arithmetic however many apps the tree
 holds.
 
-Composition keeps per-node sums and re-settles only the changed path, so a
-deploy into a tree that is not over-committed must do as many Fraction
-operations with 600 apps on the leaves as with 100. The count is taken by
-wrapping the Fraction operators for the length of one deploy() call.
+Composition keeps per-node integer sums and re-settles only the changed
+path, so a deploy into a tree that is not over-committed must make as many
+calls into the integer accounting helper (`hierarchy._units`) with 600 apps
+on the leaves as with 100, and build no Fraction. The counts are taken by
+wrapping `_units`, `Fraction.__new__` and the Fraction operators for the
+length of one deploy() call. At each node a compose visits only the
+children on the path to a change, so one more deploy settles as many nodes,
+and looks at as many of the root's children, with 300 leaves under the root
+as with 30.
 
 Through the engine, a deploy and an undeploy sync only the grants their
 compose set, so they must look up as many app slots and visit as many nodes
@@ -41,7 +46,7 @@ from fractions import Fraction
 
 import pytest
 
-from hiersched import engine, verify
+from hiersched import engine, hierarchy, verify
 from hiersched.contracts import Contract
 from hiersched.deployment import (
     DeploymentRequest,
@@ -87,19 +92,22 @@ def loaded_tree(n_apps):
 
 
 def count_deploy(monkeypatch, h, req):
-    calls = [0]
+    """deploy() h, req, counting the calls into `_units` and the Fraction
+    constructions and operations."""
+    calls = Counter()
 
-    def counting(op):
+    def counting(key, function):
         def wrapped(*args):
-            calls[0] += 1
-            return op(*args)
+            calls[key] += 1
+            return function(*args)
         return wrapped
 
     with monkeypatch.context() as m:
-        for name in OPERATORS:
-            m.setattr(Fraction, name, counting(getattr(Fraction, name)))
+        m.setattr(hierarchy, "_units", counting("units", hierarchy._units))
+        for name in ("__new__",) + OPERATORS:
+            m.setattr(Fraction, name, counting("fraction", getattr(Fraction, name)))
         decision = deploy(h, req)
-    return decision, calls[0]
+    return decision, calls
 
 
 @pytest.mark.parametrize("request_", [
@@ -111,8 +119,9 @@ def test_one_more_deploy_costs_the_same_at_100_and_600_apps(monkeypatch, request
     large, n_large = count_deploy(monkeypatch, loaded_tree(600), req)
     assert small.outcome is large.outcome is Outcome.ATTACHED_EXISTING
     assert small.node_id == large.node_id
-    assert n_small > 0
+    assert n_small["units"] > 0
     assert n_large == n_small
+    assert n_small["fraction"] == 0
 
 
 def loaded_simulation(n_apps):
@@ -158,6 +167,54 @@ def count_lookups(monkeypatch, action):
             m.setattr(Hierarchy, name, counting(name))
         action()
     return calls
+
+
+class CountedList(list):
+    """A node's `children`, counting the ids taken from it by iteration."""
+
+    taken = 0
+
+    def __iter__(self):
+        for item in super().__iter__():
+            CountedList.taken += 1
+            yield item
+
+
+def settle_counts(monkeypatch, n_leaves, load):
+    """Deploy one more app into `n_leaves` EDF leaves under the root, each
+    holding one app: into the first leaf (which has room unless `load`), or
+    on a scheduler of its own (the leaves are full if `load`). Returns the
+    outcome, the nodes settled and the root's children iterated."""
+    h = new_hierarchy()
+    leaf_ask = Contract.resbh(1 if load else 2, 1000)
+    for j in range(n_leaves):
+        nid = h.attach_scheduler(0, edf_spec(f"edf{j}", leaf_ask))
+        h.attach_application(nid, f"a{j}", Contract.resbh(1, 1000))
+    assert h.compose().feasible
+    settled = [0]
+    settle = Hierarchy._settle
+
+    def counted(self, *args):
+        settled[0] += 1
+        return settle(self, *args)
+
+    root = h.node(Hierarchy.ROOT_ID)
+    root.children = CountedList(root.children)
+    CountedList.taken = 0
+    req = DeploymentRequest("extra", "", Contract.resbh(1, 1000),
+                            scheduler=edf_spec("extra", Contract.resbh(1, 1000)))
+    with monkeypatch.context() as m:
+        m.setattr(Hierarchy, "_settle", counted)
+        decision = deploy(h, req)
+    return decision.outcome, settled[0], CountedList.taken
+
+
+@pytest.mark.parametrize("load", [False, True], ids=["attach", "load"])
+def test_one_more_deploy_settles_as_many_nodes_at_30_and_300_leaves(monkeypatch, load):
+    small = settle_counts(monkeypatch, 30, load)
+    large = settle_counts(monkeypatch, 300, load)
+    assert small[0] is (Outcome.LOADED_NEW if load else Outcome.ATTACHED_EXISTING)
+    assert small == large == (small[0], 2, 0)  # the root and one leaf
 
 
 @pytest.mark.parametrize("request_, offering", [

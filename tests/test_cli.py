@@ -536,25 +536,41 @@ class TestArgs:
         self.usage_error(capsys, ["--scenario", "x.json", arg],
                          f"unrecognized argument: {arg}")
 
-    def test_a_run_loads_no_argument_parser(self, tmp_path):
-        """argparse brings gettext and locale with it, some 4 ms of every
-        start; none of the three may come back through the CLI."""
+    @staticmethod
+    def modules_a_run_adds(tmp_path, scenario):
+        """The modules a clean `cli.run` of `scenario` (rejections allowed)
+        loads over a bare interpreter."""
         show = "import sys; print(' '.join(sorted(sys.modules)))"
         run_cli = ("import sys; from hiersched import cli; "
-                   "code = cli.run(['--scenario', sys.argv[1]]); "
+                   "code = cli.run(['--scenario', sys.argv[1], '--allow-reject']); "
                    f"{show}; sys.exit(code)")
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         loaded = []
         for code in (show, run_cli):
             done = subprocess.run(
-                [sys.executable, "-c", code, str(SCENARIOS / "stride.json")],
+                [sys.executable, "-c", code, str(SCENARIOS / scenario)],
                 cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
             )
             assert done.returncode == 0, done.stderr
             loaded.append(set(done.stdout.splitlines()[-1].split()))
         base, after = loaded
         assert "hiersched.cli" in after - base
-        assert not {"argparse", "gettext", "locale"} & (after - base)
+        return after - base
+
+    def test_a_run_loads_no_argument_parser(self, tmp_path):
+        """argparse brings gettext and locale with it, some 4 ms of every
+        start; none of the three may come back through the CLI."""
+        added = self.modules_a_run_adds(tmp_path, "stride.json")
+        assert not {"argparse", "gettext", "locale"} & added
+
+    @pytest.mark.parametrize("scenario", ["stride.json", "overcommit.json",
+                                          "reallocation.json"])
+    def test_a_run_loads_no_fractions(self, tmp_path, scenario):
+        """Admission sums integers; `fractions` brings `decimal` with it, some
+        3 ms of every start. Neither may load in a run, on the rejection and
+        degradation paths either, which these scenarios take."""
+        added = self.modules_a_run_adds(tmp_path, scenario)
+        assert not {"fractions", "decimal"} & added
 
 
 class TestBenchWraps:

@@ -513,7 +513,8 @@ def test_propagate_demand_counts_no_child_that_asks_for_all():
     h.attach_scheduler(mid, virtual_spec("greedy", Contract.all_cpu()))
     h.attach_application(leaf, "old", Contract.resbh(20, 100))
     assert h.compose().feasible
-    assert h.node(mid).hard + h.node(mid).soft == Fraction(1, 5)
+    node = h.node(mid)
+    assert Fraction(node.hard + node.soft, node.scale) == Fraction(1, 5)
     assert h.propagate_demand(leaf, Contract.resbh(20, 100)) == [
         (leaf, Contract.resbh(40, 100)),
         (mid, Contract.resbh(40, 100)),

@@ -135,10 +135,11 @@ def assert_sums_match_scan(h):
             reqs = [nodes[c].spec.parent_request for c in n.children]
             awards = [nodes[c].granted for c in n.children]
             holders = set(n.children)
-        assert n.hard == _scan(reqs, {RESBH})
-        assert n.soft == _scan(reqs, {RESBS, PS})
-        assert n.reserved == _scan(reqs, {RESBH, RESBS})
-        assert n.used == _scan(awards, {RESBH, RESBS, PS})
+        # each sum is an integer over the node's scale
+        assert Fraction(n.hard, n.scale) == _scan(reqs, {RESBH})
+        assert Fraction(n.soft, n.scale) == _scan(reqs, {RESBS, PS})
+        assert Fraction(n.reserved, n.scale) == _scan(reqs, {RESBH, RESBS})
+        assert Fraction(n.used, n.scale) == _scan(awards, {RESBH, RESBS, PS})
         assert n.fresh <= holders
         if n.fresh:
             assert n.node_id in h._changed
@@ -150,9 +151,11 @@ def assert_settled(h):
     for n in h.nodes():
         assert not n.fresh
         capacity = utilization(n.granted)
+        hard, soft = Fraction(n.hard, n.scale), Fraction(n.soft, n.scale)
         factor = None
-        if n.hard + n.soft > capacity:
-            factor = (capacity - n.hard) / n.soft
+        if hard + soft > capacity:
+            factor = (capacity - hard) / soft
+            factor = (factor.numerator, factor.denominator)  # kept reduced
         assert n.factor == factor
 
 
@@ -172,11 +175,20 @@ def assert_same_decision(new, old):
     assert_fewer_grants(new.grants, old.grants)
 
 
+class FullScanReference(ReferenceHierarchy):
+    """The reference tree, whose admission search asks for room as it did
+    when it read `spare_capacity`: the full-scan sum, since the reference
+    settle keeps no `used`."""
+
+    def has_room(self, node_id, request):
+        return self.spare_capacity(node_id) >= utilization(request)
+
+
 class Pair:
     """The same operations on an incremental and a reference tree."""
 
     def __init__(self, seen):
-        self.h, self.r = new_hierarchy(), ReferenceHierarchy()
+        self.h, self.r = new_hierarchy(), FullScanReference()
         self.seen = seen
         self.live: list = []
         self.virtual: list = []

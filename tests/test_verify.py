@@ -198,6 +198,35 @@ class TestShare:
             "LAG_EXCEEDED app=a window=[10,15) expected=5/2 observed=0"
         ]
 
+    # A holder checked at its own weight is due a whole number of ticks at
+    # no crossing: there its due is its service plus quantum * members plus
+    # a fraction below one. A share the caller sets at the members' summed
+    # weight, or above it, gives a whole due, printed as an integer.
+
+    def test_a_whole_due_prints_as_an_integer_when_a_peer_runs(self):
+        # "small" runs, "big" waits: the heap's entry for "big" is popped
+        rows = [SimEvent(t, EventKind.RUN, app="small") for t in range(60)]
+        trace = trace_from_rows(60, rows, [
+            ps_info("big", 400000, [(0, 60)]),
+            ps_info("small", 200000, [(0, 60)]),
+        ])
+        got = check_share(trace, "big", 600000, quantum=1)
+        assert [v.line() for v in got] == [
+            "LAG_EXCEEDED app=big window=[0,3) expected=3 observed=0"
+        ]
+
+    def test_a_whole_due_prints_as_an_integer_when_the_holder_runs(self):
+        # "a" runs, due twice the members' service: the runner's closed form
+        rows = [SimEvent(t, EventKind.RUN, app="a") for t in range(10)]
+        trace = trace_from_rows(10, rows, [
+            ps_info("a", 100000, [(0, 10)]),
+            ps_info("b", 100000, [(0, 10)]),
+        ])
+        got = check_share(trace, "a", 400000, quantum=1)
+        assert [v.line() for v in got] == [
+            "LAG_EXCEEDED app=a window=[0,3) expected=6 observed=3"
+        ]
+
     def test_unknown_app_is_refused(self):
         trace = trace_from_rows(1, [SimEvent(0, EventKind.IDLE)], [])
         with pytest.raises(VerifyError):
