@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from .contracts import ContractError, parse_contract
 from .deployment import DeploymentRequest, Outcome
@@ -58,19 +58,13 @@ class ScenarioError(ValueError):
     pass
 
 
-class TimelineEntry(NamedTuple):
-    tick: int
-    action: str  # "deploy" | "undeploy"
-    app_id: str
-    request: DeploymentRequest | None = None
-    workload: Workload | None = None
-
-
-class Scenario(NamedTuple):
-    horizon: int
-    seed: int
-    schedulers: dict  # name -> SchedulerSpec
-    timeline: tuple
+# `action` is "deploy" or "undeploy"; only a deploy carries a request
+# (DeploymentRequest) and a workload
+TimelineEntry = namedtuple("TimelineEntry", "tick action app_id request workload",
+                           defaults=(None, None))
+# `schedulers` maps each declared name to its SchedulerSpec; `timeline` is a
+# tuple of TimelineEntry
+Scenario = namedtuple("Scenario", "horizon seed schedulers timeline")
 
 
 def _need(obj, key, kind, where, minimum=None):
@@ -109,11 +103,11 @@ def _scheduler(item, i):
     except KeyError:
         raise ScenarioError(f"{where}.policy: unknown policy {policy_name!r}")
     request = _contract(item, "request", where)
-    quantum = _opt(item, "quantum", int, where, 10, minimum=1)
+    optional = {}  # a left-out quantum takes SchedulerSpec's default
+    if "quantum" in item:
+        optional["quantum"] = _need(item, "quantum", int, where, minimum=1)
     try:
-        return SchedulerSpec(
-            name=name, policy=policy, parent_request=request, quantum=quantum,
-        )
+        return SchedulerSpec(name=name, policy=policy, parent_request=request, **optional)
     except HierarchyError as e:
         raise ScenarioError(f"{where}: {e}") from e
 

@@ -9,12 +9,14 @@ utilization as an integer pair (`Contract.ratio`), and only the
 utilizations the package returns are built as Fractions, where they are
 asked for, so no module imports `fractions` when it loads.
 
-The package's value types are named tuples: `Contract` here,
+Every record of the package is a `collections.namedtuple`: `Contract` here,
 `SchedulerSpec`, `DeploymentRequest` and `Workload` in the modules that take
-them, and the records the package returns. Each compares and hashes by
-value, its fields are read-only, `_replace` validates the copy anew, and it
+them, and the records the package returns. A record with methods or a
+docstring subclasses its namedtuple with empty `__slots__`, as `Contract`
+does. Each compares and hashes by value, its fields are read-only, and it
 behaves as a tuple: it has a length, iterates, indexes, and equals a plain
-tuple of the same values.
+tuple of the same values. `Contract`, `SchedulerSpec` and `Workload`
+check their values, and `_replace` checks the copy anew.
 """
 
 from __future__ import annotations

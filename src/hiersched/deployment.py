@@ -9,11 +9,11 @@ slot and any scheduler it attached, leaving the tree canonically identical.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
-from .contracts import Contract, ServiceClass, format_contract, satisfies
-from .hierarchy import Hierarchy, HierarchyError, SchedulerSpec
+from .contracts import ServiceClass, format_contract, satisfies
+from .hierarchy import Hierarchy, HierarchyError
 
 
 class Outcome(Enum):
@@ -40,25 +40,25 @@ _SCHEDULER_ASKS = (ServiceClass.RESBH, ServiceClass.RESBS, ServiceClass.PS,
                    ServiceClass.BE)
 
 
-class DeploymentRequest(NamedTuple):
+class DeploymentRequest(namedtuple(
+        "DeploymentRequest", "app_id app_class request scheduler target_parent",
+        defaults=(None, None))):
     """An application's ask: its id, class label and contract, and optionally
-    the scheduler to load for it and the parent to load that under (a node
-    id, or a scheduler's name that the engine resolves; the root if None)."""
+    the scheduler to load for it (a SchedulerSpec) and the parent to load
+    that under (a node id, or a scheduler's name that the engine resolves;
+    the root if None)."""
 
-    app_id: str
-    app_class: str
-    request: Contract
-    scheduler: SchedulerSpec | None = None
-    target_parent: int | str | None = None
+    __slots__ = ()
 
 
-class DeploymentDecision(NamedTuple):
-    outcome: Outcome
-    node_id: int | None = None
-    awarded: Contract | None = None
-    reason: RejectReason | None = None
-    detail: str = ""
-    grants: tuple = ()  # the grants the admitting compose set (hierarchy.Grant)
+class DeploymentDecision(namedtuple(
+        "DeploymentDecision", "outcome node_id awarded reason detail grants",
+        defaults=(None, None, None, "", ()))):
+    """What deploy() decided: the Outcome, and where admitted the leaf's
+    node id, the awarded Contract and the grants the admitting compose set
+    (hierarchy.Grant); where rejected the RejectReason and its detail."""
+
+    __slots__ = ()
 
     def record(self) -> str:
         """One-line serialization for report files."""

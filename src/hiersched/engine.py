@@ -57,9 +57,8 @@ from collections import namedtuple
 from enum import Enum
 from math import gcd
 from operator import attrgetter
-from typing import NamedTuple
 
-from .contracts import Contract, ServiceClass
+from .contracts import ServiceClass
 from .deployment import DeploymentError, DeploymentRequest, Outcome
 from .deployment import deploy as _deploy
 from .deployment import undeploy as _undeploy
@@ -183,30 +182,21 @@ _RANK = {
 }
 
 
-class SimEvent(NamedTuple):
-    tick: int
-    kind: EventKind
-    app: str = ""
-    node_id: int | None = None
-    node_path: str = ""
-    detail: str = ""
+SimEvent = namedtuple("SimEvent", "tick kind app node_id node_path detail",
+                      defaults=("", None, "", ""))
 
 
-class AppTraceInfo(NamedTuple):
-    """Static facts the verifier needs about one admitted application."""
+class AppTraceInfo(namedtuple(
+        "AppTraceInfo", "app_id node_id node_path leaf_policy requested awarded "
+        "weight_ppm quantum deployed_at undeployed_at hard_capped backlog")):
+    """Static facts the verifier needs about one admitted application.
 
-    app_id: str
-    node_id: int
-    node_path: str
-    leaf_policy: str
-    requested: Contract
-    awarded: Contract
-    weight_ppm: int
-    quantum: int
-    deployed_at: int
-    undeployed_at: int | None
-    hard_capped: bool  # own RESBH award, or any ancestor granted RESBH
-    backlog: list  # merged [start, end) intervals of pending demand
+    `requested` and `awarded` are its Contracts, `undeployed_at` is None
+    for an app live to the horizon, `hard_capped` is true for its own RESBH
+    award or any ancestor granted RESBH, and `backlog` is the list of merged
+    [start, end) intervals of its pending demand."""
+
+    __slots__ = ()
 
 
 def _csv_line(fields) -> str:

@@ -35,7 +35,8 @@ first compose of a fresh tree sets, and lists, all of them.
 Dicts index app -> (node, slot), name -> node and service class -> the
 leaves offering it. Node ids only grow, and undo_attach_scheduler hands
 back only the newest, so nodes(), each class's leaves and each node's
-`children` are in id order. A leaf's `apps` are in attach order.
+`children` are in id order. A leaf's `apps` are in attach order, and its
+fresh apps are their tail (`_holders`).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from math import gcd
-from typing import NamedTuple
 
 from .contracts import (
     PPM,
@@ -150,22 +150,11 @@ class SchedulerNode:
         return self.spec.policy is not _VIRTUAL
 
 
-class Grant(NamedTuple):
-    holder: object  # node id (int) or app id (str)
-    requested: Contract
-    awarded: Contract
-    degraded: bool
-
-
-class Rejection(NamedTuple):
-    holder: object
-    reason: str
-
-
-class FeasibilityResult(NamedTuple):
-    feasible: bool
-    grants: list
-    rejected: Rejection | None = None
+# a holder is a node id (int) or an app id (str)
+Grant = namedtuple("Grant", "holder requested awarded degraded")
+Rejection = namedtuple("Rejection", "holder reason")
+FeasibilityResult = namedtuple("FeasibilityResult", "feasible grants rejected",
+                               defaults=(None,))
 
 
 class _Stage:
@@ -417,10 +406,7 @@ class Hierarchy:
             stage.factors[nid] = factor
 
             # the holders whose award may have moved, in tree order
-            if regrant or factor != node.factor:
-                holders = self._holders(node)
-            else:
-                holders = self._holders(node, node.fresh)
+            holders = self._holders(node, not regrant and factor == node.factor)
             awards = []
             for holder, req in holders:
                 if factor is not None and req.service in _SOFT_CLASSES:
@@ -451,13 +437,15 @@ class Hierarchy:
                 return rej
         return None
 
-    def _holders(self, node, only=None):
+    def _holders(self, node, fresh=False):
         """(holder, request) of a node's children or apps in tree order: all
-        of them, or those in `only`."""
+        of them, or only the fresh ones. A leaf's fresh apps are the tail of
+        its `apps`: an attach appends one and marks it, a successful compose
+        clears every mark, and a removal drops the app from both."""
         if node.is_leaf():
-            return [(s.app_id, s.request) for s in node.apps
-                    if only is None or s.app_id in only]
-        children = node.children if only is None else sorted(only)  # in id order
+            apps = node.apps[len(node.apps) - len(node.fresh):] if fresh else node.apps
+            return [(s.app_id, s.request) for s in apps]
+        children = sorted(node.fresh) if fresh else node.children  # in id order
         return [(cid, self._nodes[cid].spec.parent_request) for cid in children]
 
     # ------------------------------------------------------- demand and spare

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import bisect
 import heapq
+from collections import namedtuple
 from enum import Enum
 from operator import itemgetter
-from typing import NamedTuple
 
 from .contracts import Contract, ServiceClass
 from .engine import Trace
@@ -43,12 +43,11 @@ class ViolationKind(Enum):
     NON_CONSERVING = "NON_CONSERVING"
 
 
-class Violation(NamedTuple):
-    kind: ViolationKind
-    app_id: str
-    window: tuple  # [start, end)
-    expected: object
-    observed: object
+class Violation(namedtuple("Violation", "kind app_id window expected observed")):
+    """One broken guarantee: its kind, the app ("" for none) and the
+    [start, end) window, with the service expected there and observed."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         who = self.app_id if self.app_id else "-"
@@ -59,9 +58,8 @@ class Violation(NamedTuple):
         )
 
 
-class GuaranteeReport(NamedTuple):
-    violations: tuple
-    conservation_ok: bool
+class GuaranteeReport(namedtuple("GuaranteeReport", "violations conservation_ok")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -149,16 +147,14 @@ def check_reservation(trace: Trace, app_id: str, grant: Contract,
     return out
 
 
-class _ShareLeaf(NamedTuple):
+class _ShareLeaf(namedtuple("_ShareLeaf", "peers runners pieces")):
     """What the share checks of one leaf have in common: its share-holders
-    (the peers), their RUN segments in tick order (the runners), and the
-    leaf's pieces. A piece is a maximal [start, end) range in which the set
-    of backlogged peers is the same and not empty, carried as (start, end,
-    that set, its summed weight)."""
+    (the peers, a dict), their RUN segments in tick order (the runners, a
+    list), and the list of the leaf's pieces. A piece is a maximal [start,
+    end) range in which the set of backlogged peers is the same and not
+    empty, carried as (start, end, that set, its summed weight)."""
 
-    peers: dict
-    runners: list
-    pieces: list
+    __slots__ = ()
 
 
 def _share_leaf(trace: Trace, node_path: str) -> _ShareLeaf:

@@ -11,6 +11,11 @@ children on the path to a change, so one more deploy settles as many nodes,
 and looks at as many of the root's children, with 300 leaves under the root
 as with 30.
 
+A leaf's fresh apps are the tail of its apps, so one more deploy onto a
+leaf that keeps its grant reads as many app slots with 1,000 apps beside it
+as with 10: the reads of the slots' fields are counted by wrapping their
+descriptors for the length of one deploy() call.
+
 Through the engine, a deploy and an undeploy sync only the grants their
 compose set, so they must look up as many app slots and visit as many nodes
 with 600 live apps as with 100. Those are counted by wrapping the tree's
@@ -55,7 +60,7 @@ from hiersched.deployment import (
     find_compatible_service,
 )
 from hiersched.engine import EventKind, Simulation, Workload, WorkloadKind, _AppRT
-from hiersched.hierarchy import Hierarchy, new_hierarchy
+from hiersched.hierarchy import AppSlot, Hierarchy, new_hierarchy
 from helpers import edf_spec, rr_spec, stride_spec
 
 OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
@@ -122,6 +127,37 @@ def test_one_more_deploy_costs_the_same_at_100_and_600_apps(monkeypatch, request
     assert n_small["units"] > 0
     assert n_large == n_small
     assert n_small["fraction"] == 0
+
+
+def slot_reads(monkeypatch, n_apps):
+    """Deploy one more PS app onto a STRIDE leaf that holds `n_apps`, with
+    room to spare; returns the reads of any app slot's fields."""
+    h = new_hierarchy()
+    leaf = h.attach_scheduler(0, stride_spec("st", Contract.ps(500_000)))
+    for i in range(n_apps):
+        h.attach_application(leaf, f"a{i}", Contract.ps(100))
+    assert h.compose().feasible
+    reads = [0]
+
+    def counted(member):
+        def get(slot):
+            reads[0] += 1
+            return member.__get__(slot, AppSlot)
+        return property(get, member.__set__)
+
+    with monkeypatch.context() as m:
+        for name in AppSlot.__slots__:
+            m.setattr(AppSlot, name, counted(AppSlot.__dict__[name]))
+        decision = deploy(h, DeploymentRequest("extra", "", Contract.ps(100)))
+    assert decision.outcome is Outcome.ATTACHED_EXISTING and decision.node_id == leaf
+    return reads[0]
+
+
+def test_one_more_deploy_reads_as_many_slots_at_10_and_1000_apps_on_a_leaf(
+        monkeypatch):
+    small = slot_reads(monkeypatch, 10)
+    assert small > 0
+    assert slot_reads(monkeypatch, 1000) == small
 
 
 def loaded_simulation(n_apps):

@@ -47,6 +47,16 @@ class TestParse:
         assert entry.action == "deploy"
         assert entry.request.scheduler is sc.schedulers["rr0"]
 
+    def test_a_left_out_quantum_is_the_spec_default(self):
+        assert parse_scenario(minimal()).schedulers["rr0"].quantum == 10
+        doc = json.loads(minimal())
+        doc["schedulers"][0]["quantum"] = 3
+        assert parse_scenario(json.dumps(doc)).schedulers["rr0"].quantum == 3
+        doc["schedulers"][0]["quantum"] = 0
+        with pytest.raises(ScenarioError,
+                           match=r"schedulers\[0\]\.quantum: must be >= 1"):
+            parse_scenario(json.dumps(doc))
+
     def test_invalid_json_names_the_position(self):
         with pytest.raises(ScenarioError, match=r"line 1"):
             parse_scenario("{nope")

@@ -1,6 +1,6 @@
-"""The code-line counter of tests/code_lines.py."""
+"""The code-line and AST-node counter of tests/code_lines.py."""
 
-from code_lines import code_lines, main
+from code_lines import ast_nodes, code_lines, main
 
 SOURCE = '''"""Module docstring,
 over two lines."""
@@ -42,9 +42,17 @@ def test_a_module_of_only_a_docstring_counts_one_line():
     assert code_lines('"""Nothing but this."""\n') == 1
 
 
+def test_ast_nodes_count_the_whole_parse_docstrings_included():
+    # Module; two Assign, each with a Name, its Store context and a Constant
+    assert ast_nodes("x = 1\ny = 2\n") == 9
+    # the docstring is an Expr and its Constant
+    assert ast_nodes('"""Doc."""\nx = 1\n') == 7
+
+
 def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     a, b = tmp_path / "a.py", tmp_path / "b.py"
     a.write_text(SOURCE, encoding="utf-8")
     b.write_text("x = 1\ny = 2\n", encoding="utf-8")
     main([str(a), str(b)])
-    assert capsys.readouterr().out == "    14 a.py\n     2 b.py\n    16 total\n"
+    assert capsys.readouterr().out == (
+        "    14      36 a.py\n     2       9 b.py\n    16      45 total\n")

@@ -9,13 +9,13 @@ scheduler asks, VIRTUAL nodes and composes with nothing new. After every
 step both trees must agree on every decision, every compose result
 (feasibility and the Rejection's holder and reason), every node grant, app
 award and degraded flag (`helpers.canonical`) and every spare capacity; the
-incremental tree's per-node sums must equal a scan, and after a successful
-compose no mark is left and every node's factor is the one its grant and
-holders give. Undeploys go through `deployment.undeploy`, which asserts
-that removing demand keeps the tree feasible. The examples are
-derandomized, and the test asserts that enough of them degrade, reject and
-leave a failed compose in place, so that agreement is not agreement on
-trivial trees.
+incremental tree's per-node sums must equal a scan, a leaf's fresh apps
+must be the tail of its apps, and after a successful compose no mark is
+left and every node's factor is the one its grant and holders give.
+Undeploys go through `deployment.undeploy`, which asserts that removing
+demand keeps the tree feasible. The examples are derandomized, and the
+test asserts that enough of them degrade, reject and leave a failed
+compose in place, so that agreement is not agreement on trivial trees.
 """
 
 from collections import Counter
@@ -143,6 +143,10 @@ def assert_sums_match_scan(h):
         assert n.fresh <= holders
         if n.fresh:
             assert n.node_id in h._changed
+        if n.is_leaf():
+            # the fresh apps are the tail of `apps`, which compose relies on
+            tail = n.apps[len(n.apps) - len(n.fresh):]
+            assert {s.app_id for s in tail} == n.fresh
 
 
 def assert_settled(h):

@@ -4,8 +4,10 @@ reads every private name it defines.
 An import that nothing reads still costs every run that loads the module:
 its lookup, and the import of a module no one needs. A private function,
 class, method or module-level name that nothing reads is dead code, compiled
-by every run. The checks read each module's syntax tree, so nothing is
-imported to run them. For imports, `__init__.py` imports to re-export, and
+by every run. No module imports `typing`: the package's records are
+`collections.namedtuple`, and a `typing.NamedTuple` class compiles its
+annotations at every import. The checks read each module's syntax tree, so
+nothing is imported to run them. For imports, `__init__.py` imports to re-export, and
 `from __future__` imports are compiler directives; both are exempt.
 """
 
@@ -40,6 +42,23 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source):
+    """The top-level names of the modules `source` imports."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_module_imports_typing(module):
+    assert "typing" not in imported_modules((PACKAGE / module).read_text(encoding="utf-8"))
 
 
 # namedtuple hooks a value type overrides: `collections` reads them, not us

@@ -5,6 +5,11 @@
 pickle and deepcopy, refuse any assignment or deletion, and validate anew
 when `_replace` changes a field. The constructor faults at the end are the
 ones no other test reaches.
+
+Every record type of the package, the four above and the eleven records it
+returns or builds on the way, keeps its exact `_fields`, `_field_defaults`
+and `repr`; an instance equals, hashes as (where its fields hash) and pickles
+to the plain tuple of its values, and `_replace` keeps its type.
 """
 
 import copy
@@ -13,10 +18,31 @@ from fractions import Fraction
 
 import pytest
 
+from hiersched.cli import Scenario, TimelineEntry
 from hiersched.contracts import Contract, ContractError, ServiceClass, parse_contract
-from hiersched.deployment import DeploymentRequest
-from hiersched.engine import EngineError, Workload, WorkloadKind
-from hiersched.hierarchy import HierarchyError, PolicyKind, SchedulerSpec
+from hiersched.deployment import (
+    DeploymentDecision,
+    DeploymentRequest,
+    Outcome,
+    RejectReason,
+)
+from hiersched.engine import (
+    AppTraceInfo,
+    EngineError,
+    EventKind,
+    SimEvent,
+    Workload,
+    WorkloadKind,
+)
+from hiersched.hierarchy import (
+    FeasibilityResult,
+    Grant,
+    HierarchyError,
+    PolicyKind,
+    Rejection,
+    SchedulerSpec,
+)
+from hiersched.verify import GuaranteeReport, Violation, ViolationKind, _ShareLeaf
 
 
 def edf0():
@@ -172,3 +198,88 @@ def test_workload_faults(kwargs, message):
 def test_a_scheduler_needs_a_name():
     with pytest.raises(HierarchyError, match="scheduler name must be non-empty"):
         SchedulerSpec("", PolicyKind.VIRTUAL, Contract.all_cpu())
+
+
+_PS = "Contract(service=<ServiceClass.PS: 'PS'>, budget=None, period=None, share={})"
+_RESBS = ("Contract(service=<ServiceClass.RESBS: 'RESBS'>, budget=1, period={}, "
+          "share=None)")
+
+# (type, its _fields, its _field_defaults, an instance, that instance's repr)
+SHAPES = [
+    (Contract, "service budget period share", {}, contract(), REPRS[0][1]),
+    (SchedulerSpec, "name policy parent_request quantum", {}, edf0(), _EDF0),
+    (DeploymentRequest, "app_id app_class request scheduler target_parent",
+     {"scheduler": None, "target_parent": None}, request(), REPRS[2][1]),
+    (Workload, "kind period wcet offset on off", {}, periodic(), REPRS[3][1]),
+    (Grant, "holder requested awarded degraded", {},
+     Grant("a", Contract.ps(250000), Contract.ps(125000), True),
+     f"Grant(holder='a', requested={_PS.format(250000)}, "
+     f"awarded={_PS.format(125000)}, degraded=True)"),
+    (Rejection, "holder reason", {}, Rejection(3, "hard demand exceeds capacity"),
+     "Rejection(holder=3, reason='hard demand exceeds capacity')"),
+    (FeasibilityResult, "feasible grants rejected", {"rejected": None},
+     FeasibilityResult(True, []),
+     "FeasibilityResult(feasible=True, grants=[], rejected=None)"),
+    (DeploymentDecision, "outcome node_id awarded reason detail grants",
+     {"node_id": None, "awarded": None, "reason": None, "detail": "", "grants": ()},
+     DeploymentDecision(Outcome.REJECTED, reason=RejectReason.INFEASIBLE,
+                        detail="no room"),
+     "DeploymentDecision(outcome=<Outcome.REJECTED: 'REJECTED'>, node_id=None, "
+     "awarded=None, reason=<RejectReason.INFEASIBLE: 'INFEASIBLE'>, "
+     "detail='no room', grants=())"),
+    (SimEvent, "tick kind app node_id node_path detail",
+     {"app": "", "node_id": None, "node_path": "", "detail": ""},
+     SimEvent(5, EventKind.RUN, "a", 1, "root/edf0"),
+     "SimEvent(tick=5, kind=<EventKind.RUN: 'RUN'>, app='a', node_id=1, "
+     "node_path='root/edf0', detail='')"),
+    (AppTraceInfo, "app_id node_id node_path leaf_policy requested awarded "
+                   "weight_ppm quantum deployed_at undeployed_at hard_capped backlog",
+     {}, AppTraceInfo("a", 1, "root/edf0", "EDF_RESERVATION", Contract.resbs(1, 10),
+                      Contract.resbs(1, 20), 0, 10, 0, None, False, [(0, 5)]),
+     "AppTraceInfo(app_id='a', node_id=1, node_path='root/edf0', "
+     f"leaf_policy='EDF_RESERVATION', requested={_RESBS.format(10)}, "
+     f"awarded={_RESBS.format(20)}, weight_ppm=0, quantum=10, deployed_at=0, "
+     "undeployed_at=None, hard_capped=False, backlog=[(0, 5)])"),
+    (Violation, "kind app_id window expected observed", {},
+     Violation(ViolationKind.UNDER_SUPPLY, "a", (0, 10), 3, 2),
+     "Violation(kind=<ViolationKind.UNDER_SUPPLY: 'UNDER_SUPPLY'>, app_id='a', "
+     "window=(0, 10), expected=3, observed=2)"),
+    (GuaranteeReport, "violations conservation_ok", {}, GuaranteeReport((), True),
+     "GuaranteeReport(violations=(), conservation_ok=True)"),
+    (_ShareLeaf, "peers runners pieces", {}, _ShareLeaf({}, [], []),
+     "_ShareLeaf(peers={}, runners=[], pieces=[])"),
+    (TimelineEntry, "tick action app_id request workload",
+     {"request": None, "workload": None}, TimelineEntry(0, "undeploy", "a"),
+     "TimelineEntry(tick=0, action='undeploy', app_id='a', request=None, "
+     "workload=None)"),
+    (Scenario, "horizon seed schedulers timeline", {}, Scenario(100, 0, {}, ()),
+     "Scenario(horizon=100, seed=0, schedulers={}, timeline=())"),
+]
+SHAPE_IDS = [kind.__name__ for kind, *_ in SHAPES]
+
+
+@pytest.mark.parametrize("kind, fields, defaults, x, text", SHAPES, ids=SHAPE_IDS)
+def test_a_record_keeps_its_fields_defaults_and_repr(kind, fields, defaults, x, text):
+    assert kind._fields == tuple(fields.split())
+    assert kind._field_defaults == defaults
+    assert type(x) is kind
+    assert repr(x) == text
+
+
+@pytest.mark.parametrize("kind, fields, defaults, x, text", SHAPES, ids=SHAPE_IDS)
+def test_a_record_is_the_tuple_of_its_values(kind, fields, defaults, x, text):
+    values = field_values(x)
+    assert x == values and tuple(x) == values and len(x) == len(kind._fields)
+    try:
+        expected = hash(values)
+    except TypeError:  # a list or dict field
+        expected = None
+    if expected is not None:
+        assert hash(x) == expected
+    for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert copied == x and type(copied) is kind and repr(copied) == text
+    last = kind._fields[-1]
+    moved = x._replace(**{last: getattr(x, last)})
+    assert moved == x and type(moved) is kind
+    with pytest.raises(AttributeError):
+        x.extra = 1
