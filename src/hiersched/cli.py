@@ -299,6 +299,10 @@ def _parse_args(argv) -> dict:
 
 
 def run(argv=None) -> int:
+    """Run the command line `argv` (default `sys.argv[1:]`); return the
+    exit status. The trace's CSV text is made once, by `Trace.to_csv`, and
+    written in slices of 65,536 characters: a whole-text `write` would encode
+    all of it to one `bytes`, a second peak the size of the text."""
     argv = sys.argv[1:] if argv is None else argv
     if "-h" in argv or "--help" in argv:
         print(_HELP, end="")
@@ -348,7 +352,9 @@ def run(argv=None) -> int:
     try:
         if args.get("--trace-out"):
             with open(args["--trace-out"], "w", encoding="utf-8", newline="") as f:
-                f.write(trace.to_csv())
+                csv_text = trace.to_csv()
+                f.writelines(csv_text[k:k + 65536]
+                             for k in range(0, len(csv_text), 65536))
         if args.get("--report-out"):
             with open(args["--report-out"], "w", encoding="utf-8", newline="") as f:
                 f.write(report_text)

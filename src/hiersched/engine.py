@@ -228,35 +228,57 @@ class Trace:
 
     def to_csv(self) -> str:
         """One row per event and one RUN or IDLE row per tick of a segment,
-        ordered by tick and then by `_RANK`."""
+        ordered by tick and then by `_RANK`. The text is made once: each
+        block of rows is appended in place to one str, so the peak is the
+        text and a block, where a buffer's `getvalue()` would copy it all."""
+        text = ""
+        for block in self._blocks():
+            # only this frame holds `text`, so CPython appends in place once
+            # it has specialized this `+=`, a few turns into the loop; the
+            # last block comes here too, as a `+=` run once stays a copy
+            text += block
+        return text
+
+    def _blocks(self):
+        """`to_csv`'s text, in blocks of the rows of 512 ticks: small, as
+        `to_csv` copies the blocks it takes before its `+=` is specialized."""
         out = io.StringIO()
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["tick", "event", "app", "node_path", "detail"])
-        rows, i, n = self.events, 0, len(self.events)
+        rows, i, limit = self.events, 0, 0
         # the first tick whose RUN or IDLE row each row comes before; taken
-        # once per row, as hashing an Enum member for `_RANK` runs Python
-        after = [e.tick + (_RANK[e.kind] > 2) for e in rows]
+        # once per row, as hashing an Enum member for `_RANK` runs Python.
+        # Past the last row, the horizon: no RUN or IDLE row reaches it
+        after = [e.tick + (_RANK[e.kind] > 2) for e in rows] + [self.horizon]
         tails = {None: _csv_line(["", "IDLE", "", "", ""])}
-        for start, end, app in self.segments:
+        for t, end, app in self.segments:
             tail = tails.get(app)
             if tail is None:
                 info = self.app_info.get(app)
                 tail = tails[app] = _csv_line(
                     ["", "RUN", app, info.node_path if info else "", ""]
                 )
-            t = start
             while t < end:
+                if t >= limit:
+                    yield out.getvalue()
+                    # empty the buffer; `truncate()` would turn it to 4
+                    # bytes a character
+                    out.__init__()
+                    limit = t + 512
                 # the rows that come before the RUN or IDLE row of tick t
-                while i < n and after[i] <= t:
+                while after[i] <= t:
                     e = rows[i]
                     w.writerow([e.tick, e.kind.value, e.app, e.node_path, e.detail])
                     i += 1
-                stop = min(end, after[i]) if i < n else end
+                stop = min(end, after[i], limit)
                 out.write(tail.join(map(str, range(t, stop))) + tail)
                 t = stop
-        for e in rows[i:]:
-            w.writerow([e.tick, e.kind.value, e.app, e.node_path, e.detail])
-        return out.getvalue()
+        w.writerows([e.tick, e.kind.value, e.app, e.node_path, e.detail]
+                    for e in rows[i:])
+        # free the writer's 128 KiB row buffer before `to_csv` appends the
+        # last block
+        del w
+        yield out.getvalue()
 
 
 class _AppRT:

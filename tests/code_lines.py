@@ -13,12 +13,23 @@ report.
 
 The AST node count is that of the whole parse, docstrings included: it is
 what `compile()` walks, so it counts code where a denser expression saves
-lines but not work. Prints, per module and for the total, the code lines,
-then the AST nodes, then the name.
+lines but not work.
+
+The compile peak is the most memory `compile()` of the module holds at
+once, traced by `tracemalloc`, in KiB: mostly the syntax tree, held whole
+while the code is generated. It is taken on a second compile of the
+module, so that the interpreter's one-time caches do not count, and it
+repeats to the KiB from run to run. Without bytecode cached, an import
+compiles every module, so the largest of them sets the peak RSS of
+importing the package; the total row gives that largest.
+
+Prints, per module and for the total, the code lines, the AST nodes, the
+compile peak and the name.
 """
 
 import ast
 import sys
+import tracemalloc
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hiersched"
@@ -39,15 +50,26 @@ def ast_nodes(source):
     return sum(1 for _ in ast.walk(ast.parse(source)))
 
 
+def compile_kib(source):
+    """The traced peak of a second `compile()` of `source`, in KiB."""
+    compile(source, "<module>", "exec")
+    tracemalloc.start()
+    try:
+        compile(source, "<module>", "exec")
+        return round(tracemalloc.get_traced_memory()[1] / 1024)
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv):
     paths = [Path(a) for a in argv] or sorted(PACKAGE.glob("*.py"))
-    lines = nodes = 0
+    lines = nodes = largest = 0
     for path in paths:
         source = path.read_text(encoding="utf-8")
-        n, k = code_lines(source), ast_nodes(source)
-        lines, nodes = lines + n, nodes + k
-        print(f"{n:6,} {k:7,} {path.name}")
-    print(f"{lines:6,} {nodes:7,} total")
+        n, k, kib = code_lines(source), ast_nodes(source), compile_kib(source)
+        lines, nodes, largest = lines + n, nodes + k, max(largest, kib)
+        print(f"{n:6,} {k:7,} {kib:6,} {path.name}")
+    print(f"{lines:6,} {nodes:7,} {largest:6,} total")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import pytest
 from hiersched import cli
 from hiersched.cli import Scenario, ScenarioError, parse_scenario, run
 from hiersched.contracts import ServiceClass
+from hiersched.engine import Trace
 from hiersched.hierarchy import PolicyKind
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -310,6 +311,24 @@ class TestRun:
             outs.append((trace_out.read_bytes(), report_out.read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_a_trace_of_many_slices_is_written_whole(self, tmp_path, capsys):
+        # an app name that csv must quote, and that UTF-8 writes in 2 bytes
+        app = 'a,"é'
+        path = tmp_path / "long.json"
+        path.write_text(minimal(horizon=20_000, timeline=[
+            {"tick": 0, "action": "deploy", "app": app, "class": "batch",
+             "request": "BE", "scheduler": "rr0",
+             "workload": {"kind": "CPU_BOUND"}},
+        ]), encoding="utf-8")
+        trace_out, report_out = tmp_path / "t.csv", tmp_path / "r.txt"
+        code = run(["--scenario", str(path), "--trace-out", str(trace_out),
+                    "--report-out", str(report_out)])
+        assert code == 0
+        text = cli.run_scenario(parse_scenario(path.read_text(encoding="utf-8"))).to_csv()
+        assert len(text) > 5 * 65536  # the slices `run` writes
+        assert trace_out.read_bytes() == text.encode("utf-8")
+        assert report_out.read_text(encoding="utf-8") == capsys.readouterr().out
+
     def test_seed_override_changes_bursty_phases(self, tmp_path):
         def trace_bytes(extra):
             out = tmp_path / f"s{len(extra)}.csv"
@@ -601,6 +620,23 @@ class TestBenchWraps:
     def test_mirror_runs_the_cli(self, tmp_path):
         got = self.traced(tmp_path, "mirror", tmp_path / "t.csv", tmp_path / "r.txt")
         assert got["counts"]["exit"] == 0
+
+    def test_the_trace_file_is_the_one_text_to_csv_returns(self, tmp_path,
+                                                           monkeypatch):
+        # traced.py reads the CSV's size (engine.csv_mb) from what to_csv
+        # returns; a writer that bypassed it would leave that count unset
+        texts, to_csv = [], Trace.to_csv
+
+        def kept(trace):
+            texts.append(to_csv(trace))
+            return texts[-1]
+
+        monkeypatch.setattr(Trace, "to_csv", kept)
+        trace_out = tmp_path / "t.csv"
+        run(["--scenario", str(SCENARIOS / "hard_guarantees.json"),
+             "--trace-out", str(trace_out)])
+        assert len(texts) == 1
+        assert trace_out.read_bytes() == texts[0].encode("utf-8")
 
     def test_layers_times_compose(self, tmp_path):
         got = self.traced(tmp_path, "layers")

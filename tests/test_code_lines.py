@@ -1,6 +1,6 @@
-"""The code-line and AST-node counter of tests/code_lines.py."""
+"""The code-line, AST-node and compile-peak counter of tests/code_lines.py."""
 
-from code_lines import ast_nodes, code_lines, main
+from code_lines import ast_nodes, code_lines, compile_kib, main
 
 SOURCE = '''"""Module docstring,
 over two lines."""
@@ -49,10 +49,20 @@ def test_ast_nodes_count_the_whole_parse_docstrings_included():
     assert ast_nodes('"""Doc."""\nx = 1\n') == 7
 
 
+def test_the_compile_peak_repeats_and_grows_with_the_tree():
+    small = compile_kib("x = 1\ny = 2\n")
+    assert small == compile_kib("x = 1\ny = 2\n")
+    assert small < compile_kib(SOURCE) < compile_kib(SOURCE * 20)
+
+
 def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     a, b = tmp_path / "a.py", tmp_path / "b.py"
     a.write_text(SOURCE, encoding="utf-8")
     b.write_text("x = 1\ny = 2\n", encoding="utf-8")
     main([str(a), str(b)])
+    # the compile peaks depend on the interpreter (26 and 12 KiB on 3.11);
+    # the total row's is the largest module's, not a sum
+    ka, kb = compile_kib(SOURCE), compile_kib("x = 1\ny = 2\n")
     assert capsys.readouterr().out == (
-        "    14      36 a.py\n     2       9 b.py\n    16      45 total\n")
+        f"    14      36 {ka:6,} a.py\n     2       9 {kb:6,} b.py\n"
+        f"    16      45 {max(ka, kb):6,} total\n")

@@ -3,6 +3,7 @@
 import csv
 import io
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -460,6 +461,26 @@ class TestDeterminism:
         assert len(runs) == 30
         assert all(r[2:] == [app, f"root/{name}", ""] for r in runs)
         assert ["100", "REPLENISH", "", f"root/{name}", ""] in read
+
+    @pytest.mark.parametrize("idle", [False, True], ids=["scenario", "one-segment"])
+    def test_csv_peaks_near_its_text(self, idle):
+        # the text grows in place a block at a time: no whole-text buffer
+        # beside it, nor a list of strs for one long segment's ticks
+        if idle:
+            trace = Simulation(horizon=100_000).run()
+            assert len(trace.segments) == 1
+        else:
+            trace = run_scenario(parse_scenario(
+                (SCENARIOS / "hard_guarantees.json").read_text(encoding="utf-8")))
+        assert trace.horizon >= 100_000
+        tracemalloc.start()
+        try:
+            text = trace.to_csv()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.isascii()
+        assert peak <= 1.25 * len(text)
 
     def test_csv_shape(self):
         trace = self._mixed(5)
