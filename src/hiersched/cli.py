@@ -84,6 +84,15 @@ def _opt(obj, key, kind, where, default, minimum=None):
     return _need(obj, key, kind, where, minimum=minimum)
 
 
+def _declared(obj, key, schedulers, where):
+    """The optional scheduler name under `key`, which must be declared in
+    `schedulers`, or None."""
+    name = _opt(obj, key, str, where, None)
+    if name is not None and name not in schedulers:
+        raise ScenarioError(f"{where}.{key}: undeclared scheduler {name!r}")
+    return name
+
+
 def _contract(obj, key, where):
     text = _need(obj, key, str, where)
     try:
@@ -190,31 +199,16 @@ def parse_scenario(text: str) -> Scenario:
         action = _need(item, "action", str, where)
         app_id = _need(item, "app", str, where)
         if action == "deploy":
-            app_class = item.get("class", "")
-            if not isinstance(app_class, str):
-                raise ScenarioError(f"{where}.class: expected str")
+            app_class = _opt(item, "class", str, where, "")
             request = _contract(item, "request", where)
             workload = _workload(item, where)
-            sched_spec = None
-            if "scheduler" in item:
-                sched_name = _need(item, "scheduler", str, where)
-                if sched_name not in schedulers:
-                    raise ScenarioError(
-                        f"{where}.scheduler: undeclared scheduler {sched_name!r}"
-                    )
-                sched_spec = schedulers[sched_name]
-            parent = None
-            if "parent" in item:
-                parent = _need(item, "parent", str, where)
-                if parent not in schedulers:
-                    raise ScenarioError(
-                        f"{where}.parent: undeclared scheduler {parent!r}"
-                    )
             entries.append(TimelineEntry(
                 tick=tick, action="deploy", app_id=app_id,
                 request=DeploymentRequest(
                     app_id=app_id, app_class=app_class, request=request,
-                    scheduler=sched_spec, target_parent=parent,
+                    # checked in this order: the scheduler, then the parent
+                    scheduler=schedulers.get(_declared(item, "scheduler", schedulers, where)),
+                    target_parent=_declared(item, "parent", schedulers, where),
                 ),
                 workload=workload,
             ))

@@ -176,8 +176,8 @@ def parse_contract(text: str) -> Contract:
     service = _CLASS_NAMES[token]
 
     params: list[tuple[int, int]] = []  # (value, position of first digit)
+    bracket = i  # where the parameters start, or would
     if i < len(text) and text[i] == "[":
-        bracket = i
         i += 1
         while True:
             while i < len(text) and text[i] == " ":
@@ -202,14 +202,10 @@ def parse_contract(text: str) -> Contract:
                 break
             found = text[i] if i < len(text) else "<end>"
             raise ContractError(f"expected ',' or ']', found {found!r}", i)
-        if len(params) != _ARITY[service]:
-            raise ContractError(
-                f"{service.value} takes {_ARITY[service]} parameter(s), got {len(params)}",
-                bracket,
-            )
-    elif _ARITY[service] != 0:
+    if len(params) != _ARITY[service]:
         raise ContractError(
-            f"{service.value} takes {_ARITY[service]} parameter(s), got 0", i
+            f"{service.value} takes {_ARITY[service]} parameter(s), got {len(params)}",
+            bracket,
         )
 
     if i != len(text):

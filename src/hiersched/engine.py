@@ -18,12 +18,18 @@ position `pos` at its `parent` node, a `grant`, a budget server (`cap` and
 first grant, and is `backlogged()` (an app with work pending, a node with a
 runnable child). As in Bossa, events keep each node's ready state: `ready`
 holds its runnable children, the backlogged holders whose grant is not
-NULL nor a spent RESBH. An event re-checks only the holders it can flip
-(apps whose backlog changed, servers a charge empties or a replenish
-refills, the holders of a compose's grants, a leaving app and the leaf it
-unloads), and a set that fills or empties re-checks its node at the
-parent, so no pick looks into a subtree. That pick holds until
-the next decision point, so the whole stretch is charged at once: work,
+NULL nor a spent RESBH. Each event re-checks, at once, only the holders
+it can flip, and a set that fills or empties re-checks its node at the
+parent, so no pick looks into a subtree. An app goes through one re-check
+(`Simulation._recheck`), which also notes its backlog, at its deploy, at
+each release and at the charge that drains its work; a server that a
+charge empties or a replenish refills, the holders of a compose's grants,
+and a leaving app and the leaf it unloads are re-checked where that
+happens. Dispatch returns its route, the holder picked at each node, so the
+app's own budget is one more server on the route: one loop caps the
+stretch by, and charges, every server on it, and the only difference is
+the row, BUDGET_EXHAUSTED for a node and none for an app. The pick holds
+until the next decision point, so the whole stretch is charged at once: work,
 budgets and quantum use move by its length, stride passes by its length
 over the share, kept exact as integers (`_NodeRT.scale`). The stretch goes
 into the trace as one RUN or IDLE segment (start, end, app), from which
@@ -135,15 +141,16 @@ def _used(rt, key):
     return rt.active[1] if rt.active is not None and rt.active[0] == key else 0
 
 
-def _quanta_won(rt, key, share, left):
-    """The whole quanta `key` keeps winning at stride node `rt` after the
+def _quanta_won(rt, child, left):
+    """The whole quanta `child` keeps winning at stride node `rt` after the
     `left` ticks of its current one: its pass grows by its step per tick,
     the contenders' stand still, and it wins while below them (or level
     with a later `pos`). Counted at the scale the charge will use."""
+    share, passes = child.grant.share, rt.passes
     m = share // gcd(rt.scale, share)
-    step, passes, pos = rt.scale * m // share, rt.passes, rt.ready[key].pos
-    bar = min(passes[c.key] * m + (pos < c.pos) for c in rt.contenders if c.key != key)
-    return max(0, (bar - passes[key] * m - left * step - 1) // (rt.quantum * step) + 1)
+    step = rt.scale * m // share
+    bar = min(passes[c.key] * m + (child.pos < c.pos) for c in rt.contenders if c is not child)
+    return max(0, (bar - passes[child.key] * m - left * step - 1) // (rt.quantum * step) + 1)
 
 
 def _held(rt, cands):
@@ -242,6 +249,13 @@ class Trace:
     def _blocks(self):
         """`to_csv`'s text, in blocks of the rows of 512 ticks: small, as
         `to_csv` copies the blocks it takes before its `+=` is specialized."""
+        # each runner's row after the tick, made before the writer below: a
+        # `csv.writer` allocates a 128 KiB row buffer at its first row, and
+        # one at a time is live this way
+        tails = {None: _csv_line(["", "IDLE", "", "", ""])}
+        for app in {app for _, _, app in self.segments} - tails.keys():
+            info = self.app_info.get(app)
+            tails[app] = _csv_line(["", "RUN", app, info.node_path if info else "", ""])
         out = io.StringIO()
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["tick", "event", "app", "node_path", "detail"])
@@ -250,14 +264,8 @@ class Trace:
         # once per row, as hashing an Enum member for `_RANK` runs Python.
         # Past the last row, the horizon: no RUN or IDLE row reaches it
         after = [e.tick + (_RANK[e.kind] > 2) for e in rows] + [self.horizon]
-        tails = {None: _csv_line(["", "IDLE", "", "", ""])}
         for t, end, app in self.segments:
-            tail = tails.get(app)
-            if tail is None:
-                info = self.app_info.get(app)
-                tail = tails[app] = _csv_line(
-                    ["", "RUN", app, info.node_path if info else "", ""]
-                )
+            tail = tails[app]
             while t < end:
                 if t >= limit:
                     yield out.getvalue()
@@ -314,10 +322,17 @@ class _AppRT:
         return self.workload.kind is _CPU_BOUND or self.pending > 0
 
     def note_backlog(self, tick, backlogged):
+        """Open or close the current backlog interval at `tick`. Events
+        within one tick may close and reopen it, or open and close it; only
+        what holds when the tick dispatches is recorded."""
         if backlogged and self._open is None:
-            self._open = tick
+            if self.backlog and self.backlog[-1][1] == tick:  # closed this tick
+                self._open = self.backlog.pop()[0]
+            else:
+                self._open = tick
         elif not backlogged and self._open is not None:
-            self.backlog.append((self._open, tick))
+            if self._open < tick:  # not opened this tick
+                self.backlog.append((self._open, tick))
             self._open = None
 
 
@@ -381,7 +396,6 @@ class Simulation:
         # ticks, with stale ones dropped lazily
         self._calendar: dict[int, list[_AppRT]] = {}
         self._due_ticks: list[int] = []
-        self._changed: set[_AppRT] = set()  # whose backlog may have flipped
         self._events: list[SimEvent] = []  # every row but RUN and IDLE
         self._segments: list = []  # (start, end, app or None), in tick order
         self._done = False
@@ -445,13 +459,13 @@ class Simulation:
             phase = self.rng.randrange(workload.on + workload.off)
         art = _AppRT(info, len(self._art) + len(self._retired), workload, phase)
         self._art[req.app_id] = art
-        self._changed.add(art)
         if workload.kind is _PERIODIC:
             first = max(t, workload.offset)
             self._schedule(art, first + (workload.offset - first) % workload.period)
         elif workload.kind is _BURSTY:
             self._schedule(art, t)  # what is pending at t comes in at t
         self._sync_runtimes(t, decision.grants)
+        self._recheck(art, t)
         self._emit(t, _DEPLOY, app=req.app_id, node_id=nid,
                    node_path=art.node_path, detail=decision.outcome.value)
 
@@ -470,7 +484,6 @@ class Simulation:
             raise EngineError(str(e)) from e
         art.note_backlog(t, False)
         art.info = art.info._replace(undeployed_at=t)
-        self._changed.discard(art)
         if art.due is not None:
             due = self._calendar[art.due]
             due.remove(art)
@@ -624,7 +637,6 @@ class Simulation:
         the calendar."""
         for art in self._calendar.pop(t, ()):
             art.due = None
-            self._changed.add(art)
             w = art.workload
             if w.kind is _PERIODIC:
                 art.pending += w.wcet
@@ -633,14 +645,14 @@ class Simulation:
                 self._accrue(art, t + 1)
                 if art.pending == 0:
                     self._next_on(art, t)
+            self._recheck(art, t)
 
-    def _record_backlog(self, t):
-        """Note and re-check the apps whose backlog or budget may have moved."""
-        for art in self._changed:
-            backlogged = art.backlogged()
-            art.note_backlog(t, backlogged)
-            self._mark(art, backlogged)
-        self._changed.clear()
+    def _recheck(self, art, tick):
+        """Note from `tick` on whether `art` is backlogged, and mark it so at
+        its leaf."""
+        backlogged = art.backlogged()
+        art.note_backlog(tick, backlogged)
+        self._mark(art, backlogged)
 
     # --------------------------------------------------------------- dispatch
 
@@ -649,9 +661,9 @@ class Simulation:
 
         Each node hands the CPU to one runnable child, so dispatch is one
         walk down from `node_id` to a leaf. The route holds
-        `(node holder, kind, key, grant)` per node on the way; the kind is
+        `(node holder, kind, child holder)` per node on the way; the kind is
         "stride" or "rr" where the pick keeps turn state at the node, else
-        None.
+        None. Its children are the path's budget servers, the app's last.
         """
         route: list = []
         rt = self._nrt[node_id]
@@ -662,7 +674,7 @@ class Simulation:
             if not cands:
                 return None, route
             child, kind = self._pick(rt, cands, tick)
-            route.append((rt, kind, child.key, child.grant))
+            route.append((rt, kind, child))
             if rt.leaf:
                 return child.key, route
             rt = child
@@ -769,54 +781,52 @@ class Simulation:
             q, r = divmod(start - art.arrived + art.pending - 1, w.off)
             drained = q * (w.on + w.off) + (w.on + r if r else 0)
             end = min(end, max(t + 1, drained + art.phase_offset))
-        if art.rem and art.rem < end - t:
-            end = t + art.rem
-        for rt, kind, key, grant in route:  # the picked app's path
-            if rt.rem and rt.rem < end - t:
-                end = t + rt.rem
+        for rt, kind, child in route:  # the picked app's path
+            if child.rem and child.rem < end - t:
+                end = t + child.rem
             if kind and not rt.alone:
-                left = rt.quantum - _used(rt, key)
+                left = rt.quantum - _used(rt, child.key)
                 if kind == "stride":
-                    left += rt.quantum * _quanta_won(rt, key, grant.share, left)
+                    left += rt.quantum * _quanta_won(rt, child, left)
                 if left < end - t:
                     end = t + left
         return end
 
     def _charge_phase(self, t, n, picked, route):
-        """Charge `picked` for the `n` ticks ending with tick `t`."""
+        """Charge `picked` for the `n` ticks ending with tick `t`. An app
+        that runs out of work is re-checked at once, from tick `t + 1`, and
+        so is any server on its path that empties, its own included."""
         art = self._art[picked]
         w = art.workload
-        # only work or an own budget running out flips the app's state
         if w.kind is not _CPU_BOUND:
             if w.kind is _BURSTY:
                 self._accrue(art, t + 1)
             art.pending -= n
             if art.pending == 0:
-                self._changed.add(art)
+                self._recheck(art, t + 1)
                 if w.kind is _BURSTY:
                     self._next_on(art, t)
-        if art.rem:
-            art.rem -= n  # app servers exhaust silently
-            if art.rem == 0:
-                self._changed.add(art)
 
-        for rt, kind, key, grant in route:  # the picked app's path
-            if rt.rem:
-                rt.rem -= n
-                if rt.rem == 0:
-                    self._emit(t, _BUDGET_EXHAUSTED, node_id=rt.key, node_path=rt.path)
-                    self._mark(rt, rt.backlogged())
+        for rt, kind, child in route:  # the picked app's path
+            key = child.key
+            if child.rem:
+                child.rem -= n
+                if child.rem == 0:
+                    if child is not art:  # app servers exhaust silently
+                        self._emit(t, _BUDGET_EXHAUSTED, node_id=key, node_path=child.path)
+                    self._mark(child, child.backlogged())
             if kind is None:
                 continue
             if kind == "stride":
-                share = grant.share
+                share = child.grant.share
                 if rt.scale % share:  # a new share: every pass is rescaled
                     m = share // gcd(rt.scale, share)
                     rt.scale *= m
                     rt.passes = {k: p * m for k, p in rt.passes.items()}
                 rt.passes[key] += n * (rt.scale // share)
             else:
-                rt.rr_last = (key, rt.ready[key].pos)
+                # `child.pos`: a drained app may have left `ready` already
+                rt.rr_last = (key, child.pos)
             # a quantum that runs out hands the turn back; with no
             # contender the same key takes it again
             used = (_used(rt, key) + n) % rt.quantum
@@ -853,8 +863,6 @@ class Simulation:
                 self._boundary = self._first_boundary(t + 1)
             if t in self._calendar:
                 self._release_phase(t)
-            if self._changed:
-                self._record_backlog(t)
             picked, route = self.dispatch(Hierarchy.ROOT_ID, t)
             end = self._stretch_end(
                 t, picked, route, actions[-1] if actions else self.horizon

@@ -157,16 +157,11 @@ FeasibilityResult = namedtuple("FeasibilityResult", "feasible grants rejected",
                                defaults=(None,))
 
 
-class _Stage:
-    """What one compose computed, applied only if it succeeds. Each award
-    is staged once, as a Grant in `grants`."""
-
-    __slots__ = ("dirty", "factors", "grants")
-
-    def __init__(self, dirty):
-        self.dirty = dirty  # node id -> its children that changed or lead to one
-        self.factors = {}  # node id -> its new factor
-        self.grants = []  # Grant, in tree order
+# what one compose computed, applied only if it succeeds: `dirty` maps a
+# node id to its children that changed or lead to one, `factors` a node id
+# to its new factor, and `grants` stages each award once, as a Grant, in
+# tree order
+_Stage = namedtuple("_Stage", "dirty factors grants")
 
 
 _ROOT_SPEC = SchedulerSpec(
@@ -327,7 +322,7 @@ class Hierarchy:
         this compose set, in tree order (see the module docstring).
         """
         root = self._nodes[self.ROOT_ID]
-        stage = _Stage(self._dirty())
+        stage = _Stage(self._dirty(), {}, [])
         rejection = self._settle(root, root.granted, False, stage)
         if rejection is not None:
             return FeasibilityResult(False, [], rejection)

@@ -1,10 +1,15 @@
 """Post-hoc guarantee checking over simulation traces.
 
-The simulator promises are checked from the trace alone, never from the
-scheduler's internal state: reservations must see their budget in every
-aligned window they spent fully backlogged, hard reservations must never
-exceed it, proportional shares must track their relative weight within a
-bounded lag, and every tick must be accounted for exactly once.
+The simulator's promises are checked against the trace: reservations must
+see their budget in every aligned window they spent fully backlogged, hard
+reservations must never exceed it, proportional shares must track their
+relative weight within a bounded lag, and every tick must be accounted for
+exactly once. Service is read from the trace's RUN and IDLE segments, but
+not all of the evidence is the trace's own: each app's demand
+(`AppTraceInfo.backlog`) and whether a hard grant caps it
+(`AppTraceInfo.hard_capped`) come from the engine's own record, so an
+engine that under-reports demand hides its own faults, and no node grant is
+checked. ROADMAP item 12 derives both from the trace.
 
 The checks read the trace as the engine writes it: RUN and IDLE segments
 that are non-empty, disjoint, in tick order and inside [0, horizon).

@@ -2,10 +2,16 @@
 and the text form of a hierarchy that rollback tests compare."""
 
 import heapq
+import subprocess
+import sys
+from pathlib import Path
 
+from hiersched.cli import parse_scenario
 from hiersched.contracts import format_contract
 from hiersched.engine import _RANK, EventKind, SimEvent, Trace
 from hiersched.hierarchy import PolicyKind, SchedulerSpec
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def edf_spec(name, request, quantum=10):
@@ -127,3 +133,13 @@ def replace_rows(trace, picks, make):
     """Replace the rows `picks` selects with `make(row)`, in place."""
     trace.events, trace.segments = split_rows(
         make(e) if picks(e) else e for e in rows(trace))
+
+
+def bench_scenario(name, seed, tmp_path):
+    """The benchmark's workload `name` at `seed`, written under `tmp_path`
+    by bench/workloads.py, as the benchmark makes it, and parsed."""
+    path = tmp_path / f"{name}_{seed}.json"
+    subprocess.run([sys.executable, str(BENCH / "workloads.py"), "--workload", name,
+                    "--seed", str(seed), "--out", str(path)],
+                   check=True, capture_output=True, timeout=120)
+    return parse_scenario(path.read_text(encoding="utf-8"))

@@ -162,6 +162,27 @@ EPOCHS2 = dict(EPOCHS, timeline=[
     for app in ("s", "s2")
 ] + EPOCHS["timeline"][1:])
 
+# Two CPU-bound apps ask a stride leaf for PS[3] and PS[2]. A hard app on a
+# second leaf leaves the root too little room for `st`'s PS[5], so `st` is
+# squeezed to PS[4], and the floors of its apps' awards are PS[2] and PS[1].
+SQUEEZE = {
+    "horizon": 2000, "seed": 0,
+    "schedulers": [
+        {"name": "st", "policy": "STRIDE", "request": "PS[5]", "quantum": 1},
+        {"name": "hard", "policy": "EDF_RESERVATION",
+         "request": "RESBH[249999,250000]"},
+    ],
+    "timeline": [
+        {"tick": 0, "action": "deploy", "app": "a", "class": "c",
+         "request": "PS[3]", "scheduler": "st", "workload": {"kind": "CPU_BOUND"}},
+        {"tick": 0, "action": "deploy", "app": "b", "class": "c",
+         "request": "PS[2]", "scheduler": "st", "workload": {"kind": "CPU_BOUND"}},
+        {"tick": 0, "action": "deploy", "app": "h", "class": "d",
+         "request": "RESBH[249999,250000]", "scheduler": "hard",
+         "workload": {"kind": "PERIODIC", "period": 250000, "wcet": 1}},
+    ],
+}
+
 
 class TestRun:
     def test_stride_scenario_clean_run(self, tmp_path, capsys):
@@ -294,6 +315,21 @@ class TestRun:
     def test_a_squeeze_that_ends_is_no_violation(self, tmp_path, capsys):
         path = tmp_path / "epochs2.json"
         path.write_text(json.dumps(EPOCHS2))
+        run(["--scenario", str(path)])
+        assert "violations=0 conservation=ok" in capsys.readouterr().out.splitlines()
+
+    def test_stride_dispatch_weighs_the_awards_of_a_squeeze(self):
+        trace = cli.run_scenario(parse_scenario(json.dumps(SQUEEZE)))
+        awards = {app: str(trace.app_info[app].awarded) for app in "abh"}
+        assert awards == {"a": "PS[2]", "b": "PS[1]", "h": "RESBH[249999,250000]"}
+        assert [trace.per_app_service[app] for app in "abh"] == [1333, 666, 1]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: the share check weighs `a` and `b` by their request, "
+        "3:2, where dispatch weighs them by their award, 2:1"))
+    def test_a_squeezed_share_leaf_is_no_violation(self, tmp_path, capsys):
+        path = tmp_path / "squeeze.json"
+        path.write_text(json.dumps(SQUEEZE))
         run(["--scenario", str(path)])
         assert "violations=0 conservation=ok" in capsys.readouterr().out.splitlines()
 

@@ -1,6 +1,8 @@
 """The code-line, AST-node and compile-peak counter of tests/code_lines.py."""
 
-from code_lines import ast_nodes, code_lines, compile_kib, main
+import subprocess
+
+from code_lines import against, ast_nodes, code_lines, compile_kib, main
 
 SOURCE = '''"""Module docstring,
 over two lines."""
@@ -66,3 +68,44 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     assert capsys.readouterr().out == (
         f"    14      36 {ka:6,} a.py\n     2       9 {kb:6,} b.py\n"
         f"    16      45 {max(ka, kb):6,} total\n")
+
+
+def test_against_compares_each_module_at_a_git_revision(tmp_path, capsys):
+    package = tmp_path / "src" / "hiersched"
+    package.mkdir(parents=True)
+    (package / "kept.py").write_text("x = 1\n", encoding="utf-8")
+    (package / "gone.py").write_text("y = 2\n", encoding="utf-8")
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+                        "-c", "user.email=t@example.com", *args],
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    # after the commit: one module grows, one goes, one comes, and a file
+    # that is not a module is not counted
+    (package / "kept.py").write_text(SOURCE, encoding="utf-8")
+    (package / "gone.py").unlink()
+    (package / "new.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    (package / "notes.txt").write_text("not code\n", encoding="utf-8")
+    against("HEAD", root=tmp_path)
+    lines = capsys.readouterr().out.splitlines()
+    one, two, big = compile_kib("x = 1\n"), compile_kib("x = 1\ny = 2\n"), compile_kib(SOURCE)
+    assert lines[0].split() == ["code", "lines", "AST", "nodes", "compile", "peak", "(KiB)"]
+    assert lines[1].split() == ["ref", "tree", "change"] * 3
+    assert [line.split() for line in lines[2:]] == [
+        ["1", "0", "-1", "5", "0", "-5", str(one), "0", f"-{one}", "gone.py"],
+        ["1", "14", "+13", "5", "36", "+31", str(one), str(big), f"+{big - one}", "kept.py"],
+        ["0", "2", "+2", "0", "9", "+9", "0", str(two), f"+{two}", "new.py"],
+        # code lines and nodes are summed; the compile peak is the largest
+        ["2", "16", "+14", "10", "45", "+35", str(one), str(big), f"+{big - one}", "total"],
+    ]
+
+
+def test_main_passes_against_its_revision(monkeypatch):
+    seen = []
+    monkeypatch.setattr("code_lines.against", seen.append)
+    main(["--against", "v1"])
+    assert seen == ["v1"]

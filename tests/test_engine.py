@@ -20,7 +20,9 @@ from hiersched.engine import (
     run_scenario,
 )
 
-from helpers import edf_spec, fp_spec, rows, rr_spec, stride_spec, virtual_spec
+from helpers import (
+    bench_scenario, edf_spec, fp_spec, rows, rr_spec, stride_spec, virtual_spec,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -288,6 +290,20 @@ class TestTimeline:
         assert trace.app_info["be1"].undeployed_at == 75
         assert ticks(trace, EventKind.UNDEPLOY, app="be1") == [75]
 
+    def test_backlog_is_what_holds_when_each_tick_dispatches(self):
+        # `q` runs out of work at the tick before each release, so its
+        # backlog closes and reopens on one tick and stays one interval;
+        # `gone` leaves on the tick it came and records none
+        sim = Simulation(horizon=40)
+        deploy(sim, 0, "q", "batch", Contract.be(), periodic(10, 10),
+               scheduler=rr_spec("rr0", Contract.be()))
+        deploy(sim, 5, "gone", "batch", Contract.be(), cpu_bound())
+        sim.undeploy_at(5, "gone")
+        trace = sim.run()
+        assert trace.per_app_service == {"q": 40, "gone": 0}
+        assert trace.app_info["q"].backlog == [(0, 40)]
+        assert trace.app_info["gone"].backlog == []
+
     def test_deploy_event_precedes_run_on_its_tick(self):
         sim = Simulation(horizon=3)
         deploy(sim, 0, "a", "batch", Contract.be(), cpu_bound(),
@@ -481,6 +497,21 @@ class TestDeterminism:
             tracemalloc.stop()
         assert text.isascii()
         assert peak <= 1.25 * len(text)
+
+    def test_csv_holds_one_row_buffer_at_a_time(self, tmp_path):
+        # each `csv.writer` allocates a 128 KiB row buffer at its first row:
+        # the RUN rows after each tick are made before the writer of the
+        # other rows, one writer at a time, so two buffers are never live
+        # together. A short trace of many apps shows it
+        trace = run_scenario(bench_scenario("mass_admission", 1, tmp_path))
+        tracemalloc.start()
+        try:
+            text = trace.to_csv()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.app_info) > 100
+        assert peak - len(text) < 192 * 1024
 
     def test_csv_shape(self):
         trace = self._mixed(5)

@@ -279,8 +279,9 @@ class Rescaling(engine.Simulation):
 
     def _charge_phase(self, t, n, picked, route):
         before = []
-        for rt, kind, key, grant in route:
+        for rt, kind, child in route:
             if kind == "stride":
+                key, grant = child.key, child.grant
                 before.append((rt, rt.scale, any(rt.passes.values())))
                 last = self._last_share.get((rt.key, key), grant.share)
                 self.recharged += last != grant.share
