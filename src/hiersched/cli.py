@@ -37,7 +37,9 @@ Exit status: 0 when the run is clean, 1 when the verifier found violations
 or any deployment was rejected (suppress the latter with --allow-reject),
 2 for unusable input, a usage error included (usage to stderr). Both
 output paths are tried once the scenario is read and before it runs: one
-that cannot be written exits 2, and no output file is made or changed.
+that cannot be written, or one that names the same file as the scenario or
+the other output (compared by `os.path.realpath`, so through links too),
+exits 2, and no output file is made or changed.
 """
 
 from __future__ import annotations
@@ -327,6 +329,13 @@ def run(argv=None) -> int:
         # try the outputs before the run, so that a bad path costs no run;
         # a file made here is removed (the target, where the path is a
         # dangling link), so an output fault leaves no file behind
+        seen = {}  # the real path of each file named so far -> its flag
+        for flag in ("--scenario", "--trace-out", "--report-out"):
+            if args.get(flag):
+                real = os.path.realpath(args[flag])
+                if real in seen:
+                    raise ScenarioError(f"{flag} names the same file as {seen[real]}")
+                seen[real] = flag
         for path in filter(None, (args.get("--trace-out"), args.get("--report-out"))):
             existed = os.path.exists(path)
             try:

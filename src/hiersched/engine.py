@@ -212,7 +212,9 @@ def _csv_line(fields) -> str:
     return out.getvalue()
 
 
-class Trace:
+class Trace(namedtuple(
+        "Trace", "horizon events per_app_service idle_ticks app_info decisions segments",
+        defaults=((),))):
     """What a run did. RUN and IDLE are run-length `segments`: `(start, end,
     app)` covers ticks [start, end), `app` None for idle. A run's segments
     are non-empty and disjoint and tile [0, horizon) in tick order, which is
@@ -220,18 +222,7 @@ class Trace:
     in the order the CSV writes them. `decisions` holds (tick, app_id,
     DeploymentDecision) in timeline order."""
 
-    __slots__ = ("horizon", "events", "per_app_service", "idle_ticks",
-                 "app_info", "decisions", "segments")
-
-    def __init__(self, horizon, events, per_app_service, idle_ticks, app_info,
-                 decisions, segments=None):
-        self.horizon = horizon
-        self.events = events
-        self.per_app_service = per_app_service
-        self.idle_ticks = idle_ticks
-        self.app_info = app_info
-        self.decisions = decisions
-        self.segments = [] if segments is None else segments
+    __slots__ = ()
 
     def to_csv(self) -> str:
         """One row per event and one RUN or IDLE row per tick of a segment,

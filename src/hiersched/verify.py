@@ -11,6 +11,11 @@ not all of the evidence is the trace's own: each app's demand
 engine that under-reports demand hides its own faults, and no node grant is
 checked. ROADMAP item 12 derives both from the trace.
 
+Each check reads what it checks from the trace: `check_reservation(trace,
+app_id)` the app's award and backlog, `check_share(trace, node_path)` each
+PS holder's weight and quantum, `check_conservation(trace)` the segments
+and the backlogs. `build_report` only composes the three.
+
 The checks read the trace as the engine writes it: RUN and IDLE segments
 that are non-empty, disjoint, in tick order and inside [0, horizon).
 `check_share`, `check_conservation` and `build_report` refuse any other
@@ -19,10 +24,9 @@ no segment covers is a NON_CONSERVING violation, not an error.
 `check_reservation` counts each segment on its own and takes any trace.
 
 The share check walks each piece of a share leaf once, for all the leaf's
-holders at once (`_check_shares`): a heap keeps, per holder, the group tick
-at which its lag would pass the bound if it did not run again, which stays
-fixed until it runs. A leaf costs O(segments * log holders), not a walk
-per holder.
+holders at once: a heap keeps, per holder, the group tick at which its lag
+would pass the bound if it did not run again, which stays fixed until it
+runs. A leaf costs O(segments * log holders), not a walk per holder.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from collections import namedtuple
 from enum import Enum
 from operator import itemgetter
 
-from .contracts import Contract, ServiceClass
+from .contracts import ServiceClass
 from .engine import Trace
 
 
@@ -105,21 +109,25 @@ def _segments(trace: Trace) -> list:
     return trace.segments
 
 
-def check_reservation(trace: Trace, app_id: str, grant: Contract,
-                      demand_windows) -> list:
-    """Windowed supply check for one reservation grant.
+def check_reservation(trace: Trace, app_id: str) -> list:
+    """Windowed supply check for the reservation grant of one app: its
+    `AppTraceInfo.awarded`, against its demand, the `backlog` intervals.
 
     UNDER_SUPPLY: a full aligned window that lies entirely inside a demand
     interval delivered less than the budget. OVER_CAP (hard grants only):
     any aligned window delivered more than the budget, demand or not.
 
-    `demand_windows` are sorted, non-overlapping [start, end) intervals, as
-    in `AppTraceInfo.backlog`. Each of the app's RUN segments, clipped to
-    [0, horizon), is added straight into the sums of the aligned windows it
-    covers, a tick counted once per segment over it. The windows ascend, so
-    one forward cursor over the demand intervals finds the one that could
-    cover each window: O(s + windows + intervals) for s segments.
+    The demand intervals are sorted and non-overlapping. Each of the app's
+    RUN segments, clipped to [0, horizon), is added straight into the sums
+    of the aligned windows it covers, a tick counted once per segment over
+    it. The windows ascend, so one forward cursor over the demand intervals
+    finds the one that could cover each window: O(s + windows + intervals)
+    for s segments.
     """
+    info = trace.app_info.get(app_id)
+    if info is None:
+        raise VerifyError(f"trace has no app {app_id!r}")
+    grant, demand_windows = info.awarded, info.backlog
     if not grant.is_reservation():
         raise VerifyError(
             f"check_reservation needs a reservation grant, got {grant.service.name}"
@@ -206,62 +214,48 @@ def _share_leaf(trace: Trace, node_path: str) -> _ShareLeaf:
     return _ShareLeaf(peers, runners, pieces)
 
 
-def check_share(trace: Trace, app_id: str, share_ppm: int, quantum: int) -> list:
-    """Lag check for one proportional-share app.
-
-    Over each maximal run of ticks where the app stays backlogged and the
-    set of backlogged share-holders on its leaf (the members) stays
-    constant, the app's service must track its relative weight of the
-    members' service within quantum * (number of members) ticks. One
-    violation is reported per such run. A `share_ppm` of zero or less, a
-    negative `quantum` and a trace whose segments overlap, are out of order,
-    are empty or leave [0, horizon) are refused.
-
-    The runs are the leaf's pieces that hold the app (`_share_leaf`), and
-    the check is `_check_shares` with this one holder: the same walk, one
-    per piece, that `build_report` makes for all of a leaf's PS holders at
-    once. Its heap keeps the group tick at which each holder's lag would
-    pass the bound, fixed until that holder runs again; with all holders
-    the walk costs O(segments * log holders) per leaf.
-    """
-    info = trace.app_info.get(app_id)
-    if info is None:
-        raise VerifyError(f"trace has no app {app_id!r}")
-    _segments(trace)
-    leaf = _share_leaf(trace, info.node_path)
-    return _check_shares(leaf, {app_id: _share_terms(leaf, app_id, share_ppm, quantum)})
-
-
-def _share_terms(leaf, app_id, share_ppm, quantum):
-    """(share_ppm, quantum) of a holder `_check_shares` checks on `leaf`,
-    once they are known to be usable."""
-    if app_id not in leaf.peers:
-        raise VerifyError(f"app {app_id!r} holds no share on its leaf")
-    if share_ppm <= 0:
-        raise VerifyError("share_ppm must be positive")
-    if quantum < 0:
+def _share_terms(info):
+    """(share_ppm, quantum) of a PS holder, from its record, once they are
+    known to be usable."""
+    if info.weight_ppm <= 0:
+        raise VerifyError(f"app {info.app_id!r} holds no share on its leaf")
+    if info.quantum < 0:
         raise VerifyError("quantum must be >= 0")
-    return share_ppm, quantum
+    return info.weight_ppm, info.quantum
 
 
-def _check_shares(leaf, holders):
-    """The lag check of `check_share` for every holder of `holders`, a dict
-    app -> (share_ppm, quantum), in one walk over each piece of `leaf`.
+def check_share(trace: Trace, node_path: str) -> list:
+    """Lag check for the proportional-share holders of leaf `node_path`:
+    its apps awarded PS, each at the weight and quantum of its record.
 
-    Within a piece of W summed weight, a holder's lag is obs * W - share_ppm
-    * group, for its own service obs and the members' service group: it
-    rises only while the holder runs and falls while another member does.
-    So the group tick at which it would fall below -limit (limit = quantum *
-    members * W), (obs * W + limit) // share_ppm + 1, is fixed until the
-    holder runs again. Those ticks are kept in a heap with the obs they were
-    taken at, and an entry whose holder has run since is skipped as stale.
-    Each member RUN segment pops the ticks it reaches, each a violation, and
-    finds the runner's own crossing in closed form, in integers. A holder
-    leaves the walk at its first violation in the piece, and the piece's
-    walk ends once none is left. Each runner segment is visited once per
-    piece it overlaps, so a leaf costs O(segments * log holders) besides
-    one heap entry per holder and piece.
+    Over each maximal run of ticks where a holder stays backlogged and the
+    set of backlogged share-holders on the leaf (the members) stays
+    constant, the holder's service must track its relative weight of the
+    members' service within quantum * (number of members) ticks. One
+    violation is reported per holder and run. A trace whose segments
+    overlap, are out of order, are empty or leave [0, horizon) is refused,
+    and then, in app order, a holder with no positive weight or a negative
+    quantum.
+
+    The runs are the leaf's pieces (`_share_leaf`). Within a piece of W
+    summed weight, a holder's lag is obs * W - share_ppm * group, for its
+    own service obs and the members' service group: it rises only while the
+    holder runs and falls while another member does. So the group tick at
+    which it would fall below -limit (limit = quantum * members * W), (obs *
+    W + limit) // share_ppm + 1, is fixed until the holder runs again. Those
+    ticks are kept in a heap with the obs they were taken at, and an entry
+    whose holder has run since is skipped as stale. Each member RUN segment
+    pops the ticks it reaches, each a violation, and finds the runner's own
+    crossing in closed form, in integers. A holder leaves the walk at its
+    first violation in the piece, and the piece's walk ends once none is
+    left. Each runner segment is visited once per piece it overlaps, so a
+    leaf costs O(segments * log holders) besides one heap entry per holder
+    and piece.
     """
+    _segments(trace)
+    holders = {app_id: _share_terms(info) for app_id, info in sorted(trace.app_info.items())
+               if info.node_path == node_path and info.awarded.service is ServiceClass.PS}
+    leaf = _share_leaf(trace, node_path)
     runners = leaf.runners
     out = []
     for start, end, members, weight in leaf.pieces:
@@ -336,7 +330,7 @@ def check_conservation(trace: Trace) -> list:
     ))
     gaps, wasted = [], []
     end = j = 0
-    for s, e, app in _segments(trace) + [(trace.horizon, trace.horizon, "")]:
+    for s, e, app in [*_segments(trace), (trace.horizon, trace.horizon, "")]:
         if end < s:
             gaps.append(Violation(ViolationKind.NON_CONSERVING, "", (end, s), 1, 0))
         end = e
@@ -367,34 +361,30 @@ def _merge(intervals):
 
 
 def build_report(trace: Trace) -> GuaranteeReport:
-    """Check every app's grant against the trace and fold in conservation.
+    """Check every app's grant against the trace and fold in conservation:
+    `check_conservation`, then `check_reservation` for each reservation
+    holder and `check_share` for each leaf with a PS holder.
 
     An app's grant is `trace.app_info[app].awarded`, the last award the run
     gave it, checked over the whole horizon: a window that a mid-run regrant
     splits is held to that final award. BE and NULL grants promise nothing,
     so nothing is checked for them. A trace whose segments overlap, are out
-    of order, are empty or leave [0, horizon) is refused (`_segments`).
-
-    Each share leaf is built once and checked in one pass for all its PS
-    holders (`_check_shares`): one walk per piece, a heap of the group ticks
-    at which each holder's lag would pass the bound, O(segments * log
-    holders) per leaf. A holder that cannot be checked is refused in app
-    order, before any leaf is walked.
+    of order, are empty or leave [0, horizon) is refused (`_segments`), and
+    then a PS holder that cannot be checked, in app order, before any leaf
+    is walked.
     """
     conservation = check_conservation(trace)  # refuses a malformed trace
     violations = list(conservation)
-    leaves = {}  # node path -> its _ShareLeaf and {PS holder: (share_ppm, quantum)}
+    leaves = {}  # the paths of the leaves with a PS holder, in app order
     for app_id, info in sorted(trace.app_info.items()):
         grant = info.awarded
         if grant.is_reservation():
-            violations += check_reservation(trace, app_id, grant, info.backlog)
+            violations += check_reservation(trace, app_id)
         elif grant.service is ServiceClass.PS:
-            if info.node_path not in leaves:
-                leaves[info.node_path] = _share_leaf(trace, info.node_path), {}
-            leaf, holders = leaves[info.node_path]
-            holders[app_id] = _share_terms(leaf, app_id, info.weight_ppm, info.quantum)
-    for leaf, holders in leaves.values():
-        violations += _check_shares(leaf, holders)
+            _share_terms(info)  # refused before any leaf is walked
+            leaves[info.node_path] = None
+    for node_path in leaves:
+        violations += check_share(trace, node_path)
     return GuaranteeReport(
         violations=tuple(sorted(violations, key=_sort_key)),
         conservation_ok=not conservation,

@@ -130,9 +130,10 @@ def rows(trace):
 
 
 def replace_rows(trace, picks, make):
-    """Replace the rows `picks` selects with `make(row)`, in place."""
-    trace.events, trace.segments = split_rows(
-        make(e) if picks(e) else e for e in rows(trace))
+    """A copy of `trace` with the rows `picks` selects replaced by
+    `make(row)`."""
+    events, segments = split_rows(make(e) if picks(e) else e for e in rows(trace))
+    return trace._replace(events=events, segments=segments)
 
 
 def bench_scenario(name, seed, tmp_path):

@@ -530,6 +530,30 @@ class TestRun:
         elif other == "dangling-link":
             assert kept.is_symlink()
 
+    @pytest.mark.parametrize("case", ["report-links-to-trace", "trace-is-scenario"])
+    def test_outputs_that_name_one_file_exit_two_before_the_run(self, tmp_path, capsys,
+                                                                monkeypatch, case):
+        """The trace would overwrite the report or the scenario: unusable
+        input, found through links too. It exits 2 with one line, no
+        scenario is run, and no file is made or changed."""
+        monkeypatch.setattr(cli, "run_scenario", lambda scenario: pytest.fail("ran"))
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(minimal())
+        trace = tmp_path / "trace.csv"
+        if case == "report-links-to-trace":
+            (tmp_path / "link.txt").symlink_to(trace)  # dangling: trace.csv is not made
+            outputs = ["--trace-out", str(trace), "--report-out", str(tmp_path / "link.txt")]
+            expected = "--report-out names the same file as --trace-out"
+        else:
+            outputs = ["--trace-out", str(scenario)]
+            expected = "--trace-out names the same file as --scenario"
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.exists()}
+        assert run(["--scenario", str(scenario), *outputs]) == 2
+        assert capsys.readouterr() == ("", f"error: {expected}\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.exists()} == before
+        assert {p.name for p in tmp_path.iterdir()} == {"scenario.json"} | (
+            {"link.txt"} if case == "report-links-to-trace" else set())
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "--scenario" in capsys.readouterr().out
@@ -656,6 +680,12 @@ class TestBenchWraps:
     def test_mirror_runs_the_cli(self, tmp_path):
         got = self.traced(tmp_path, "mirror", tmp_path / "t.csv", tmp_path / "r.txt")
         assert got["counts"]["exit"] == 0
+
+    def test_mirror_times_the_share_check(self, tmp_path):
+        # the report's share rows come from `check_share`, the name the
+        # bench wraps for verify.share_s; a private walk would leave it at 0
+        got = self.traced(tmp_path, "mirror", tmp_path / "t.csv", tmp_path / "r.txt")
+        assert "verify.check_share" in {span[0] for span in got["spans"]}
 
     def test_the_trace_file_is_the_one_text_to_csv_returns(self, tmp_path,
                                                            monkeypatch):

@@ -1,18 +1,12 @@
 """The verifier against engine faults: one-method engine mutants.
 
-Each mutant patches one method of the engine with `monkeypatch` and runs a
-scenario that shows its fault; the real engine reads clean on the same
-scenario. A mutant the verifier catches must be reported with the exact
-violation kind, app and first window. The faults the verifier cannot see
-today are strict xfails that name the ROADMAP item that mends them:
-
-- starve: app budget servers skip their refill when `t // 100` is odd, so
-  a starved app sees no budget for a whole window -> UNDER_SUPPLY;
-- node_over: node servers found full after a refill get 5 ticks over their
-  cap, on repro `nodecap` -> item 12, as no node grant is checked;
-- starve with hidden backlog: the engine also stops recording demand
-  (`_AppRT.note_backlog` a no-op) -> item 12, as the verifier takes each
-  app's demand from the engine's own record.
+The mutants and their scenarios are in `tests/mutants.py`. Each test patches
+the engine with one of them through `monkeypatch` and runs a scenario that
+shows its fault; the real engine reads clean on every such scenario. A
+mutant the verifier catches must be reported with the exact violation kind,
+app and window. The faults the verifier cannot see today, `node_over` and
+`starve` with `hide_backlog`, are strict xfails that name the ROADMAP item
+that mends them.
 """
 
 import json
@@ -20,57 +14,27 @@ import json
 import pytest
 
 from hiersched.cli import parse_scenario
-from hiersched.engine import _REPLENISH, Simulation, _AppRT, _NodeRT, _pos, run_scenario
+from hiersched.engine import run_scenario
 from hiersched.verify import ViolationKind, build_report
 
+import mutants
 from helpers import bench_scenario
+from mutants import APPCAP, NODECAP, hide_backlog, node_over, starve
 
-# leaf `edf0` grants RESBH[30,100], under which the soft app `s` may run 30
-# ticks in each window; the hog on `rr0` takes every other tick
-NODECAP = {
-    "horizon": 1000, "seed": 0,
-    "schedulers": [
-        {"name": "edf0", "policy": "EDF_RESERVATION", "request": "RESBH[30,100]"},
-        {"name": "rr0", "policy": "ROUND_ROBIN", "request": "BE"},
-    ],
-    "timeline": [
-        {"tick": 0, "action": "deploy", "app": "s", "class": "c",
-         "request": "RESBS[30,100]", "scheduler": "edf0",
-         "workload": {"kind": "CPU_BOUND"}},
-        {"tick": 0, "action": "deploy", "app": "hog", "class": "b",
-         "request": "BE", "scheduler": "rr0", "workload": {"kind": "CPU_BOUND"}},
-    ],
-}
+WORKLOADS = ("churn", "long_horizon", "mass_admission")
 
 
-def starved_replenish(self, t):
-    """`Simulation._replenish_phase`, but an app server due in a window
-    whose index `t // 100` is odd is not refilled."""
-    due = [holder for period, filed in self._servers.items() if t % period == 0
-           for holder in filed.values() if t > holder.since
-           and not (isinstance(holder, _AppRT) and t // 100 % 2)]
-    for rt in sorted((h for h in due if isinstance(h, _NodeRT)), key=_pos):
-        self._emit(t, _REPLENISH, node_id=rt.key, node_path=rt.path)
-    for holder in due:
-        empty = holder.rem == 0
-        holder.rem = holder.cap
-        if empty:
-            self._mark(holder, holder.backlogged())
+@pytest.fixture(scope="module")
+def workload(tmp_path_factory):
+    """The benchmark's workload of a name at seed 1, made once per module."""
+    made = {}
 
+    def get(name):
+        if name not in made:
+            made[name] = bench_scenario(name, 1, tmp_path_factory.mktemp(name))
+        return made[name]
 
-def node_over(monkeypatch):
-    """Node servers found full after a refill get `cap + 5`."""
-    replenish = Simulation._replenish_phase
-
-    def over(self, t):
-        replenish(self, t)
-        for period, filed in self._servers.items():
-            if t % period == 0:
-                for holder in filed.values():
-                    if isinstance(holder, _NodeRT) and holder.rem == holder.cap:
-                        holder.rem = holder.cap + 5
-
-    monkeypatch.setattr(Simulation, "_replenish_phase", over)
+    return get
 
 
 # workload -> (UNDER_SUPPLY rows, the first of them) at seed 1 under starve
@@ -79,21 +43,41 @@ STARVED = {
     "churn": (9, "UNDER_SUPPLY app=hard_0 window=[300,400)"),
 }
 
+# mutant -> workload -> every violation row of its report at seed 1
+EXACT = {
+    "starve": {"mass_admission": []},  # 120 ticks: no full window is starved
+    "skew": {
+        "long_horizon": [
+            "LAG_EXCEEDED app=stride_hi window=[36,197) expected=152/3 observed=61",
+            "LAG_EXCEEDED app=stride_lo window=[36,197) expected=76/3 observed=15",
+        ],
+        "churn": [],
+        "mass_admission": [],
+    },
+    "lazy": {
+        "long_horizon": [],
+        "churn": [
+            "NON_CONSERVING app=- window=[57,58) expected=0 observed=1",
+            "NON_CONSERVING app=- window=[357,364) expected=0 observed=1",
+        ],
+        "mass_admission": ["NON_CONSERVING app=- window=[7,9) expected=0 observed=1"],
+    },
+}
+
 
 def under_supply(report):
     return [v.line() for v in report.violations if v.kind is ViolationKind.UNDER_SUPPLY]
 
 
-@pytest.mark.parametrize("name", sorted(STARVED))
-def test_the_real_engine_reads_clean(name, tmp_path):
-    assert build_report(run_scenario(bench_scenario(name, 1, tmp_path))).violations == ()
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_the_real_engine_reads_clean(name, workload):
+    assert build_report(run_scenario(workload(name))).violations == ()
 
 
 @pytest.mark.parametrize("name", sorted(STARVED))
-def test_starve_is_reported_as_under_supply(name, tmp_path, monkeypatch):
-    scenario = bench_scenario(name, 1, tmp_path)
-    monkeypatch.setattr(Simulation, "_replenish_phase", starved_replenish)
-    report = build_report(run_scenario(scenario))
+def test_starve_is_reported_as_under_supply(name, workload, monkeypatch):
+    starve(monkeypatch)
+    report = build_report(run_scenario(workload(name)))
     count, first = STARVED[name]
     assert {v.kind for v in report.violations} == {ViolationKind.UNDER_SUPPLY}
     rows = under_supply(report)
@@ -101,10 +85,34 @@ def test_starve_is_reported_as_under_supply(name, tmp_path, monkeypatch):
     assert rows[0].startswith(first)
 
 
+@pytest.mark.parametrize("mutant, name", [(m, n) for m in EXACT for n in sorted(EXACT[m])])
+def test_a_mutant_is_reported_row_for_row(mutant, name, workload, monkeypatch):
+    getattr(mutants, mutant)(monkeypatch)
+    report = build_report(run_scenario(workload(name)))
+    assert [v.line() for v in report.violations] == EXACT[mutant][name]
+
+
 def test_nodecap_runs_clean_within_its_leaf_grant():
     trace = run_scenario(parse_scenario(json.dumps(NODECAP)))
     assert trace.per_app_service["s"] == 300
     assert build_report(trace).violations == ()
+
+
+def test_appcap_runs_clean_within_its_own_grant():
+    trace = run_scenario(parse_scenario(json.dumps(APPCAP)))
+    assert trace.per_app_service["h"] == 100
+    assert build_report(trace).violations == ()
+
+
+def test_app_over_is_reported_as_over_cap(monkeypatch):
+    # 10 ticks in the first window, which no refill opens, then 15 in each
+    mutants.app_over(monkeypatch)
+    trace = run_scenario(parse_scenario(json.dumps(APPCAP)))
+    assert trace.per_app_service["h"] == 145
+    assert [v.line() for v in build_report(trace).violations] == [
+        f"OVER_CAP app=h window=[{a},{a + 100}) expected=10 observed=15"
+        for a in range(100, 1000, 100)
+    ]
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -122,8 +130,8 @@ def test_node_over_is_reported(monkeypatch):
     "backlog record, so an engine that records none hides its starvation"))
 def test_starve_with_hidden_backlog_is_reported(tmp_path, monkeypatch):
     scenario = bench_scenario("long_horizon", 1, tmp_path)
-    monkeypatch.setattr(Simulation, "_replenish_phase", starved_replenish)
-    monkeypatch.setattr(_AppRT, "note_backlog", lambda self, tick, backlogged: None)
+    starve(monkeypatch)
+    hide_backlog(monkeypatch)
     rows = under_supply(build_report(run_scenario(scenario)))
     count, first = STARVED["long_horizon"]
     assert len(rows) == count and rows[0] == first

@@ -6,7 +6,7 @@ pickle and deepcopy, refuse any assignment or deletion, and validate anew
 when `_replace` changes a field. The constructor faults at the end are the
 ones no other test reaches.
 
-Every record type of the package, the four above and the eleven records it
+Every record type of the package, the four above and the twelve records it
 returns or builds on the way, keeps its exact `_fields`, `_field_defaults`
 and `repr`; an instance equals, hashes as (where its fields hash) and pickles
 to the plain tuple of its values, and `_replace` keeps its type.
@@ -31,6 +31,7 @@ from hiersched.engine import (
     EngineError,
     EventKind,
     SimEvent,
+    Trace,
     Workload,
     WorkloadKind,
 )
@@ -252,6 +253,10 @@ SHAPES = [
      {"request": None, "workload": None}, TimelineEntry(0, "undeploy", "a"),
      "TimelineEntry(tick=0, action='undeploy', app_id='a', request=None, "
      "workload=None)"),
+    (Trace, "horizon events per_app_service idle_ticks app_info decisions segments",
+     {"segments": ()}, Trace(10, [], {"a": 4}, 6, {}, [], [(0, 4, "a"), (4, 10, None)]),
+     "Trace(horizon=10, events=[], per_app_service={'a': 4}, idle_ticks=6, app_info={}, "
+     "decisions=[], segments=[(0, 4, 'a'), (4, 10, None)])"),
     (Scenario, "horizon seed schedulers timeline", {}, Scenario(100, 0, {}, ()),
      "Scenario(horizon=100, seed=0, schedulers={}, timeline=())"),
 ]

@@ -1,7 +1,10 @@
 """Verifier checks pinned against clean engine traces and tampered copies."""
 
+from collections import Counter
+
 import pytest
 
+from hiersched import verify
 from hiersched.contracts import Contract
 from hiersched.deployment import DeploymentRequest
 from hiersched.engine import (
@@ -11,6 +14,7 @@ from hiersched.engine import (
     Simulation,
     Workload,
     WorkloadKind,
+    run_scenario,
 )
 from hiersched.verify import (
     GuaranteeReport,
@@ -22,7 +26,14 @@ from hiersched.verify import (
     check_share,
 )
 
-from helpers import edf_spec, replace_rows, rr_spec, stride_spec, trace_from_rows
+from helpers import (
+    bench_scenario,
+    edf_spec,
+    replace_rows,
+    rr_spec,
+    stride_spec,
+    trace_from_rows,
+)
 
 
 def deploy(sim, tick, app_id, app_class, request, workload, scheduler=None):
@@ -50,32 +61,36 @@ def be_info(app_id, backlog, path="root/leaf"):
     )
 
 
-def ps_info(app_id, weight, backlog, path="root/st"):
+def ps_info(app_id, weight, backlog, path="root/st", quantum=10):
     return AppTraceInfo(
         app_id=app_id, node_id=1, node_path=path, leaf_policy="STRIDE",
         requested=Contract.ps(weight), awarded=Contract.ps(weight),
-        weight_ppm=weight, quantum=10, deployed_at=0, undeployed_at=None,
+        weight_ppm=weight, quantum=quantum, deployed_at=0, undeployed_at=None,
         hard_capped=False, backlog=backlog,
     )
+
+
+def with_award(trace, app_id, grant):
+    """A copy of `trace` in which `app_id`'s record holds the award `grant`."""
+    info = trace.app_info[app_id]._replace(awarded=grant)
+    return trace._replace(app_info={**trace.app_info, app_id: info})
 
 
 class TestReservation:
     def test_clean_hard_trace_has_no_violations(self):
         trace = hard_solo_trace()
-        got = check_reservation(trace, "hard", Contract.resbh(10, 100),
-                                trace.app_info["hard"].backlog)
+        got = check_reservation(trace, "hard")
         assert got == []
 
     def test_single_window_deficit_is_named(self):
         trace = hard_solo_trace()
         victim = {200, 201, 202}
-        replace_rows(
+        trace = replace_rows(
             trace,
             lambda e: e.kind is EventKind.RUN and e.tick in victim,
             lambda e: SimEvent(e.tick, EventKind.IDLE),
         )
-        got = check_reservation(trace, "hard", Contract.resbh(10, 100),
-                                trace.app_info["hard"].backlog)
+        got = check_reservation(trace, "hard")
         assert len(got) == 1
         v = got[0]
         assert v.kind is ViolationKind.UNDER_SUPPLY
@@ -86,23 +101,21 @@ class TestReservation:
     def test_running_past_the_cap_is_flagged(self):
         trace = hard_solo_trace()
         extra = {10, 11, 12}
-        replace_rows(
+        trace = replace_rows(
             trace,
             lambda e: e.kind is EventKind.IDLE and e.tick in extra,
             lambda e: SimEvent(e.tick, EventKind.RUN, app="hard",
                                node_path="root/edf0"),
         )
-        got = check_reservation(trace, "hard", Contract.resbh(10, 100),
-                                trace.app_info["hard"].backlog)
+        got = check_reservation(trace, "hard")
         assert [v.kind for v in got] == [ViolationKind.OVER_CAP]
         assert got[0].window == (0, 100)
         assert got[0].observed == 13
 
     def test_raising_the_bar_underflows_every_window(self):
         # same trace, but demand one more tick than was ever awarded
-        trace = hard_solo_trace()
-        got = check_reservation(trace, "hard", Contract.resbh(11, 100),
-                                trace.app_info["hard"].backlog)
+        trace = with_award(hard_solo_trace(), "hard", Contract.resbh(11, 100))
+        got = check_reservation(trace, "hard")
         assert len(got) == 5
         assert all(v.kind is ViolationKind.UNDER_SUPPLY for v in got)
         assert all(v.observed == 10 for v in got)
@@ -113,8 +126,7 @@ class TestReservation:
                Workload(WorkloadKind.PERIODIC, period=200, wcet=5),
                scheduler=edf_spec("edf0", Contract.resbh(10, 100)))
         trace = sim.run()
-        got = check_reservation(trace, "sporadic", Contract.resbh(10, 100),
-                                trace.app_info["sporadic"].backlog)
+        got = check_reservation(trace, "sporadic")
         assert got == []
 
     def test_soft_overflow_is_not_over_cap(self):
@@ -124,14 +136,18 @@ class TestReservation:
                scheduler=edf_spec("soft0", Contract.resbs(10, 100)))
         trace = sim.run()
         assert trace.per_app_service["soft"] == 200
-        got = check_reservation(trace, "soft", Contract.resbs(10, 100),
-                                trace.app_info["soft"].backlog)
+        got = check_reservation(trace, "soft")
         assert got == []
 
     def test_non_reservation_grant_is_refused(self):
-        trace = hard_solo_trace(horizon=10)
+        trace = with_award(hard_solo_trace(horizon=10), "hard", Contract.be())
         with pytest.raises(VerifyError):
-            check_reservation(trace, "hard", Contract.be(), [])
+            check_reservation(trace, "hard")
+
+    def test_unknown_app_is_refused(self):
+        trace = trace_from_rows(1, [SimEvent(0, EventKind.IDLE)], [])
+        with pytest.raises(VerifyError):
+            check_reservation(trace, "ghost")
 
 
 class TestShare:
@@ -143,9 +159,7 @@ class TestShare:
         deploy(sim, 0, "small", "web", Contract.ps(200000),
                Workload(WorkloadKind.CPU_BOUND))
         trace = sim.run()
-        for app in ("big", "small"):
-            info = trace.app_info[app]
-            assert check_share(trace, app, info.weight_ppm, info.quantum) == []
+        assert check_share(trace, trace.app_info["big"].node_path) == []
 
     def test_competitor_change_resets_the_segment(self):
         sim = Simulation(horizon=400)
@@ -155,9 +169,7 @@ class TestShare:
         deploy(sim, 200, "late", "web", Contract.ps(300000),
                Workload(WorkloadKind.CPU_BOUND))
         trace = sim.run()
-        for app in ("early", "late"):
-            info = trace.app_info[app]
-            assert check_share(trace, app, info.weight_ppm, info.quantum) == []
+        assert check_share(trace, trace.app_info["early"].node_path) == []
 
     def test_starved_share_holder_is_flagged(self):
         events = [SimEvent(t, EventKind.RUN, app="small", node_path="root/st")
@@ -166,7 +178,7 @@ class TestShare:
             ps_info("big", 400000, [(0, 60)]),
             ps_info("small", 200000, [(0, 60)]),
         ])
-        got = check_share(trace, "big", 400000, quantum=10)
+        got = [v for v in check_share(trace, "root/st") if v.app_id == "big"]
         assert len(got) == 1
         v = got[0]
         assert v.kind is ViolationKind.LAG_EXCEEDED
@@ -189,57 +201,54 @@ class TestShare:
                 + [SimEvent(t, EventKind.RUN, app="a") for t in range(16, 22)]
                 + [SimEvent(t, EventKind.RUN, app="ab"[t % 2]) for t in range(22, 30)])
         trace = trace_from_rows(30, rows, [
-            ps_info("gone", 500000, [(0, 10)]),
-            ps_info("a", 500000, [(10, 30)]),
-            ps_info("b", 500000, [(10, 30)]),
+            ps_info("gone", 500000, [(0, 10)], quantum=1),
+            ps_info("a", 500000, [(10, 30)], quantum=1),
+            ps_info("b", 500000, [(10, 30)], quantum=1),
         ])
-        got = check_share(trace, "a", 500000, quantum=1)
+        got = [v for v in check_share(trace, "root/st") if v.app_id == "a"]
         assert [v.line() for v in got] == [
             "LAG_EXCEEDED app=a window=[10,15) expected=5/2 observed=0"
         ]
 
-    # A holder checked at its own weight is due a whole number of ticks at
-    # no crossing: there its due is its service plus quantum * members plus
-    # a fraction below one. A share the caller sets at the members' summed
-    # weight, or above it, gives a whole due, printed as an integer.
+    # A holder's due at a crossing is never a whole number of ticks: there
+    # it is its service plus quantum * members plus a fraction below one,
+    # as its own weight is below the members' summed weight.
 
-    def test_a_whole_due_prints_as_an_integer_when_a_peer_runs(self):
+    def test_a_waiting_holder_is_flagged_when_a_peer_runs(self):
         # "small" runs, "big" waits: the heap's entry for "big" is popped
         rows = [SimEvent(t, EventKind.RUN, app="small") for t in range(60)]
         trace = trace_from_rows(60, rows, [
-            ps_info("big", 400000, [(0, 60)]),
-            ps_info("small", 200000, [(0, 60)]),
+            ps_info("big", 400000, [(0, 60)], quantum=1),
+            ps_info("small", 200000, [(0, 60)], quantum=1),
         ])
-        got = check_share(trace, "big", 600000, quantum=1)
+        got = [v for v in check_share(trace, "root/st") if v.app_id == "big"]
         assert [v.line() for v in got] == [
-            "LAG_EXCEEDED app=big window=[0,3) expected=3 observed=0"
+            "LAG_EXCEEDED app=big window=[0,4) expected=8/3 observed=0"
         ]
 
-    def test_a_whole_due_prints_as_an_integer_when_the_holder_runs(self):
-        # "a" runs, due twice the members' service: the runner's closed form
+    def test_a_running_holder_is_flagged_in_closed_form(self):
+        # "a" runs, "b" waits: the runner's crossing in closed form
         rows = [SimEvent(t, EventKind.RUN, app="a") for t in range(10)]
         trace = trace_from_rows(10, rows, [
-            ps_info("a", 100000, [(0, 10)]),
-            ps_info("b", 100000, [(0, 10)]),
+            ps_info("a", 100000, [(0, 10)], quantum=1),
+            ps_info("b", 100000, [(0, 10)], quantum=1),
         ])
-        got = check_share(trace, "a", 400000, quantum=1)
+        got = [v for v in check_share(trace, "root/st") if v.app_id == "a"]
         assert [v.line() for v in got] == [
-            "LAG_EXCEEDED app=a window=[0,3) expected=6 observed=3"
+            "LAG_EXCEEDED app=a window=[0,5) expected=5/2 observed=5"
         ]
 
-    def test_unknown_app_is_refused(self):
-        trace = trace_from_rows(1, [SimEvent(0, EventKind.IDLE)], [])
-        with pytest.raises(VerifyError):
-            check_share(trace, "ghost", 1000, quantum=10)
-
     def test_bad_share_or_quantum_is_refused(self):
-        trace = trace_from_rows(1, [SimEvent(0, EventKind.RUN, app="a")],
-                                [ps_info("a", 500000, [(0, 1)])])
-        assert check_share(trace, "a", 500000, quantum=0) == []
-        with pytest.raises(VerifyError, match="share_ppm"):
-            check_share(trace, "a", 0, quantum=1)
+        held = ps_info("a", 500000, [(0, 1)], quantum=0)
+
+        def trace(info):
+            return trace_from_rows(1, [SimEvent(0, EventKind.RUN, app="a")], [info])
+
+        assert check_share(trace(held), "root/st") == []
+        with pytest.raises(VerifyError, match="holds no share"):
+            check_share(trace(held._replace(weight_ppm=0)), "root/st")
         with pytest.raises(VerifyError, match="quantum"):
-            check_share(trace, "a", 500000, quantum=-1)
+            check_share(trace(held._replace(quantum=-1)), "root/st")
 
 
 class TestConservation:
@@ -289,7 +298,7 @@ class TestConservation:
 
     def test_empty_demand_interval_wastes_nothing(self):
         trace = trace_from_rows(4, [], [be_info("a", [(2, 2)])])
-        trace.segments = [(0, 4, None)]  # one idle segment around it
+        trace = trace._replace(segments=[(0, 4, None)])  # one idle segment around it
         assert check_conservation(trace) == []
 
     def test_idle_under_a_hard_cap_is_legitimate(self):
@@ -311,7 +320,7 @@ class TestMalformedSegments:
         "past_the_horizon": ([(0, 2, "a"), (2, 5, None)], 4),
     }
     CHECKS = {
-        "check_share": lambda trace: check_share(trace, "a", 500000, quantum=1),
+        "check_share": lambda trace: check_share(trace, "root/st"),
         "check_conservation": check_conservation,
         "build_report": build_report,
     }
@@ -320,8 +329,8 @@ class TestMalformedSegments:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_refused_naming_the_tick(self, case, check):
         segments, tick = self.CASES[case]
-        trace = trace_from_rows(4, [], [ps_info("a", 500000, [(0, 4)])])
-        trace.segments = segments
+        trace = trace_from_rows(4, [], [ps_info("a", 500000, [(0, 4)], quantum=1)])
+        trace = trace._replace(segments=segments)
         with pytest.raises(VerifyError, match=f"tick {tick} "):
             self.CHECKS[check](trace)
 
@@ -346,8 +355,8 @@ class TestMalformedSegments:
         else:
             segments, horizon = self.CASES[case][0], 4
         trace = trace_from_rows(horizon, [], [ps_info("a", 500000, [(0, horizon)])])
-        trace.segments = segments
-        got = check_reservation(trace, "a", Contract.resbh(1, 4), [(0, horizon)])
+        trace = with_award(trace._replace(segments=segments), "a", Contract.resbh(1, 4))
+        got = check_reservation(trace, "a")
         # under a budget of 1 and full demand, each window that served more
         # is an OVER_CAP, and each full one that served none an UNDER_SUPPLY
         expected = []
@@ -371,7 +380,7 @@ class TestReport:
     def test_single_deficit_report_text(self):
         trace = hard_solo_trace()
         victim = {200, 201, 202}
-        replace_rows(
+        trace = replace_rows(
             trace,
             lambda e: e.kind is EventKind.RUN and e.tick in victim,
             lambda e: SimEvent(e.tick, EventKind.IDLE),
@@ -401,10 +410,41 @@ class TestReport:
 
     def test_violations_come_out_sorted(self):
         trace = hard_solo_trace()
-        replace_rows(
+        trace = replace_rows(
             trace,
             lambda e: e.kind is EventKind.RUN and e.tick in {400, 201},
             lambda e: SimEvent(e.tick, EventKind.IDLE),
         )
         report = build_report(trace)
         assert [v.window for v in report.violations] == [(200, 300), (400, 500)]
+
+    def test_two_unusable_holders_refuse_the_first_in_app_order(self):
+        # "a" sits on the leaf whose path sorts last: the refusal follows
+        # the apps, not the leaves
+        trace = trace_from_rows(2, [SimEvent(0, EventKind.IDLE), SimEvent(1, EventKind.IDLE)], [
+            ps_info("a", 500000, [(0, 2)], path="root/y")._replace(weight_ppm=0),
+            ps_info("b", 500000, [(0, 2)], path="root/x", quantum=-1),
+        ])
+        with pytest.raises(VerifyError, match="^app 'a' holds no share on its leaf$"):
+            build_report(trace)
+        with pytest.raises(VerifyError, match="^quantum must be >= 0$"):
+            check_share(trace, "root/x")
+
+    # the calls to check_conservation / check_reservation / check_share that
+    # make the report of each workload at seed 1: one per reservation holder
+    # and one per leaf with a PS holder
+    PUBLIC_CALLS = {"long_horizon": (1, 4, 1), "mass_admission": (1, 53, 4), "churn": (1, 5, 2)}
+
+    @pytest.mark.parametrize("name", sorted(PUBLIC_CALLS))
+    def test_the_report_is_made_of_the_public_checks(self, name, tmp_path, monkeypatch):
+        trace = run_scenario(bench_scenario(name, 1, tmp_path))
+        calls = Counter()
+        names = ("check_conservation", "check_reservation", "check_share")
+        for check in names:
+            def counted(*args, check=check, fn=getattr(verify, check)):
+                calls[check] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(verify, check, counted)
+        assert build_report(trace).violations == ()
+        assert tuple(calls[check] for check in names) == self.PUBLIC_CALLS[name]

@@ -3,13 +3,15 @@
 `verify_reference` keeps the earlier checks unchanged. Random small traces
 have one or two leaves, up to five apps, weights including 0, backlogs
 touching tick 0 and the horizon, IDLE ticks, ticks no row covers, RUN rows
-by non-peers and strangers, segments of several ticks, and `share_ppm`
-overrides. Each app's `awarded` is its drawn grant. The traces are drawn
-well formed, as the engine writes them: at most one RUN or IDLE row per
-tick, and segments in tick order without overlap, inside the horizon. On
-them every `check_*` result and every report must agree with the reference
-field for field; the reference reads the trace as per-tick rows
-(`helpers.rows`) and gets the grants as `{app: info.awarded}`.
+by non-peers and strangers, segments of several ticks, and record weights
+edited to other values, 0 and -1 included. Each app's `awarded` is its
+drawn grant. The traces are drawn well formed, as the engine writes them:
+at most one RUN or IDLE row per tick, and segments in tick order without
+overlap, inside the horizon. On them every `check_*` result and every
+report must agree with the reference field for field; the reference reads
+the trace as per-tick rows (`helpers.rows`), gets the grants as `{app:
+info.awarded}`, and checks a leaf's shares with one `check_share` call per
+PS holder, in app order.
 
 About half the traces also get a copy made malformed on purpose, by a
 duplicate row, an overlapping or out-of-order segment, or stray rows
@@ -23,8 +25,8 @@ refused.
 `build_report` builds each share leaf once for every holder it checks
 there. On traces with two STRIDE leaves of three or four share-holders
 each, all granted PS, its report must equal the reference's, its
-LAG_EXCEEDED violations must be those of the per-app `check_share` calls,
-and it must sweep each leaf once.
+LAG_EXCEEDED violations must be those of the reference's per-app
+`check_share` calls, and it must sweep each leaf once.
 """
 
 from collections import Counter
@@ -86,9 +88,10 @@ MALFORMED = ["duplicate", "overlap", "order", "stray"]
 
 @st.composite
 def cases(draw, holders=0):
-    """A well-formed trace, a malformed copy of it or None, and check_share
-    overrides. With `holders`, both leaves get `holders` or one more
-    share-holders each, every one granted PS, and there is no copy."""
+    """A well-formed trace, a malformed copy of it or None, and (app, weight)
+    edits of the trace's records. With `holders`, both leaves get `holders`
+    or one more share-holders each, every one granted PS, and there is no
+    copy."""
     horizon = draw(st.integers(1, 40))
     if holders:
         paths = PATHS
@@ -150,11 +153,11 @@ def cases(draw, holders=0):
         else:  # stray rows, also where too few segments allow the others
             bad = [(-1, 0, "a0")] + bad + [(horizon, horizon + 1, "a0")]
         malformed = Trace(horizon, [], {}, trace.idle_ticks, trace.app_info, [], bad)
-    overrides = draw(st.lists(st.tuples(
+    edits = draw(st.lists(st.tuples(
         st.sampled_from([i.app_id for i in infos]),
         st.integers(-1, 1_000_000),
     ), max_size=3))
-    return trace, malformed, overrides
+    return trace, malformed, edits
 
 
 def old(trace):
@@ -166,9 +169,29 @@ def old(trace):
 def reservations_agree(trace):
     old_trace = old(trace)
     for app, info in trace.app_info.items():
-        args = (app, info.awarded, info.backlog)
-        assert (outcome(verify.check_reservation, trace, *args)
-                == outcome(ref.check_reservation, old_trace, *args))
+        assert (outcome(verify.check_reservation, trace, app)
+                == outcome(ref.check_reservation, old_trace, app, info.awarded, info.backlog))
+
+
+def ref_shares(old_trace, node_path):
+    """The reference's `check_share` for each PS holder of leaf `node_path`,
+    in app order, as one outcome: the first refusal, or every violation in
+    report order."""
+    found = []
+    for app, info in sorted(old_trace.app_info.items()):
+        if info.node_path == node_path and info.awarded.service is ServiceClass.PS:
+            try:
+                found += ref.check_share(old_trace, app, info.weight_ppm, info.quantum)
+            except VerifyError as e:
+                return "error", str(e)
+    return outcome(sorted, found, key=verify._sort_key)
+
+
+def shares(trace, node_path):
+    """`verify.check_share` on leaf `node_path`, its violations in report
+    order."""
+    return outcome(lambda: sorted(verify.check_share(trace, node_path),
+                                  key=verify._sort_key))
 
 
 def refused(check, *args):
@@ -182,21 +205,19 @@ def test_sweep_matches_the_tick_walk():
     @settings(max_examples=250, deadline=None, derandomize=True)
     @given(cases())
     def compare(case):
-        trace, malformed, overrides = case
+        trace, malformed, edits = case
         old_trace = old(trace)
         reservations_agree(trace)
         fired = False
-        for app, info in trace.app_info.items():
-            old_share = outcome(ref.check_share, old_trace, app, info.weight_ppm,
-                                info.quantum)
-            assert outcome(verify.check_share, trace, app, info.weight_ppm,
-                           info.quantum) == old_share
+        for path in PATHS:
+            old_share = ref_shares(old_trace, path)
+            assert shares(trace, path) == old_share
             fired |= old_share[0] == "ok" and any(
                 f[0] is ViolationKind.LAG_EXCEEDED for f in old_share[1])
-        for app, share_ppm in overrides:
-            quantum = trace.app_info[app].quantum
-            assert (outcome(verify.check_share, trace, app, share_ppm, quantum)
-                    == outcome(ref.check_share, old_trace, app, share_ppm, quantum))
+        for app, weight in edits:
+            info = trace.app_info[app]._replace(weight_ppm=weight)
+            edited = trace._replace(app_info={**trace.app_info, app: info})
+            assert shares(edited, info.node_path) == ref_shares(old(edited), info.node_path)
         lag_cases.append(fired)
         assert (outcome(verify.check_conservation, trace)
                 == outcome(ref.check_conservation, old_trace))
@@ -216,9 +237,8 @@ def test_sweep_matches_the_tick_walk():
             reservations_agree(malformed)
             assert refused(verify.check_conservation, malformed)
             assert refused(verify.build_report, malformed)
-            for app, info in malformed.app_info.items():
-                assert refused(verify.check_share, malformed, app, info.weight_ppm,
-                               info.quantum)
+            for path in PATHS:
+                assert refused(verify.check_share, malformed, path)
 
     compare()
     # the comparison is worth something only if the old check fires often
@@ -245,14 +265,15 @@ def test_one_sweep_per_leaf_matches_the_per_app_checks(monkeypatch):
         built.clear()
         new = verify.build_report(trace)
         assert built == Counter(PATHS)  # each leaf swept once
+        old_trace = old(trace)
         grant_of = {app: info.awarded for app, info in trace.app_info.items()}
-        old_report = ref.build_report(old(trace), grant_of)
+        old_report = ref.build_report(old_trace, grant_of)
         assert new.to_text() == old_report.to_text()
         assert ([fields(v) for v in new.violations]
                 == [fields(v) for v in old_report.violations])
         per_app = sorted(
             (v for app, info in trace.app_info.items()
-             for v in verify.check_share(trace, app, info.weight_ppm, info.quantum)),
+             for v in ref.check_share(old_trace, app, info.weight_ppm, info.quantum)),
             key=verify._sort_key,
         )
         lags = [v for v in new.violations if v.kind is ViolationKind.LAG_EXCEEDED]
