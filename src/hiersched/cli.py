@@ -38,12 +38,14 @@ or any deployment was rejected (suppress the latter with --allow-reject),
 2 for unusable input, a usage error included (usage to stderr). Both
 output paths are tried once the scenario is read and before it runs: one
 that cannot be written, or one that names the same file as the scenario or
-the other output (compared by `os.path.realpath`, so through links too),
-exits 2, and no output file is made or changed.
+the other output, exits 2, and no output file is made or changed. Paths
+that exist are compared by device and inode, so through symbolic and hard
+links; a path not made yet is compared by `os.path.realpath`.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -294,6 +296,16 @@ def _parse_args(argv) -> dict:
     return args
 
 
+def _file_key(path):
+    """What `path` names: (device, inode) of a file that exists, which two
+    hard links share, else the real path it would be made at."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def run(argv=None) -> int:
     """Run the command line `argv` (default `sys.argv[1:]`); return the
     exit status. The trace's CSV text is made once, by `Trace.to_csv`, and
@@ -329,13 +341,13 @@ def run(argv=None) -> int:
         # try the outputs before the run, so that a bad path costs no run;
         # a file made here is removed (the target, where the path is a
         # dangling link), so an output fault leaves no file behind
-        seen = {}  # the real path of each file named so far -> its flag
+        seen = {}  # the key of each file named so far -> its flag
         for flag in ("--scenario", "--trace-out", "--report-out"):
             if args.get(flag):
-                real = os.path.realpath(args[flag])
-                if real in seen:
-                    raise ScenarioError(f"{flag} names the same file as {seen[real]}")
-                seen[real] = flag
+                key = _file_key(args[flag])
+                if key in seen:
+                    raise ScenarioError(f"{flag} names the same file as {seen[key]}")
+                seen[key] = flag
         for path in filter(None, (args.get("--trace-out"), args.get("--report-out"))):
             existed = os.path.exists(path)
             try:
@@ -375,4 +387,12 @@ def run(argv=None) -> int:
 
 
 def main():
-    raise SystemExit(run())
+    """The command's entry point (`python3 -m hiersched`, `hiersched`):
+    exit with `run`'s status. It freezes the heap first, so that shutdown
+    skips its cyclic collections; `run` does not freeze, since tests and
+    the bench call it in their own process."""
+    code = run()
+    # the process ends here: the collections at exit would free nothing that
+    # matters, so move every object out of their reach
+    gc.freeze()
+    raise SystemExit(code)

@@ -186,7 +186,7 @@ def undeploy(h: Hierarchy, app_id: str) -> list:
         raise DeploymentError(f"no such app {app_id!r}")
     h.remove_application(app_id)
     node = h.node(node_id)
-    if node.loaded_for == app_id and not node.apps:
+    if node.loaded_for == app_id and not node.app_slots:
         h.detach(node_id)
     result = h.compose()
     if not result.feasible:  # removing demand cannot break a composed tree

@@ -35,14 +35,16 @@ first compose of a fresh tree sets, and lists, all of them.
 Dicts index app -> (node, slot), name -> node and service class -> the
 leaves offering it. Node ids only grow, and undo_attach_scheduler hands
 back only the newest, so nodes(), each class's leaves and each node's
-`children` are in id order. A leaf's `apps` are in attach order, and its
-fresh apps are their tail (`_holders`).
+`children` are in id order. A leaf's `app_slots` map each app id to its
+slot in attach order, so a removal costs O(1), and its fresh apps are
+their tail (`_holders`).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
+from itertools import islice
 from math import gcd
 
 from .contracts import (
@@ -122,7 +124,7 @@ class SchedulerNode:
     them that Hierarchy keeps."""
 
     __slots__ = ("node_id", "spec", "parent", "path", "granted", "degraded",
-                 "children", "apps", "tags", "loaded_for", "hard", "soft",
+                 "children", "app_slots", "tags", "loaded_for", "hard", "soft",
                  "reserved", "used", "scale", "factor", "fresh")
 
     def __init__(self, node_id, spec, parent, path, granted):
@@ -133,7 +135,7 @@ class SchedulerNode:
         self.granted = granted
         self.degraded = False
         self.children = []  # child node ids, VIRTUAL only
-        self.apps = []  # AppSlot, leaf policies only
+        self.app_slots = {}  # app id -> AppSlot, leaf policies only
         self.tags = set()  # app_class labels seen here
         self.loaded_for = None  # app whose deploy loaded this node
         # exact sums over the holders (children or apps), kept by Hierarchy,
@@ -148,6 +150,11 @@ class SchedulerNode:
 
     def is_leaf(self) -> bool:
         return self.spec.policy is not _VIRTUAL
+
+    @property
+    def apps(self) -> list:
+        """The AppSlots of a leaf in attach order, as a new list."""
+        return list(self.app_slots.values())
 
 
 # a holder is a node id (int) or an app id (str)
@@ -252,7 +259,7 @@ class Hierarchy:
         if app_id in self._apps:
             raise HierarchyError(f"duplicate app id {app_id!r}")
         slot = AppSlot(app_id=app_id, request=request)
-        node.apps.append(slot)
+        node.app_slots[app_id] = slot
         self._apps[app_id] = (node_id, slot)
         _tally(node, request, 1)
         node.fresh.add(app_id)
@@ -264,8 +271,8 @@ class Hierarchy:
         node = self.node(node_id)
         for child in list(node.children):
             self.detach(child)
-        for slot in node.apps:
-            del self._apps[slot.app_id]
+        for app_id in node.app_slots:
+            del self._apps[app_id]
         parent = self._nodes[node.parent]
         parent.children.remove(node_id)
         _tally(parent, node.spec.parent_request, -1)
@@ -294,7 +301,7 @@ class Hierarchy:
         except KeyError:
             raise HierarchyError(f"no such app {app_id!r}") from None
         node = self._nodes[nid]
-        node.apps.remove(slot)
+        del node.app_slots[app_id]
         _tally(node, slot.request, -1)
         _charge(node, slot.awarded, None)
         node.fresh.discard(app_id)
@@ -435,11 +442,13 @@ class Hierarchy:
     def _holders(self, node, fresh=False):
         """(holder, request) of a node's children or apps in tree order: all
         of them, or only the fresh ones. A leaf's fresh apps are the tail of
-        its `apps`: an attach appends one and marks it, a successful compose
-        clears every mark, and a removal drops the app from both."""
+        its `app_slots`: an attach appends one and marks it, a successful
+        compose clears every mark, and a removal drops the app from both."""
         if node.is_leaf():
-            apps = node.apps[len(node.apps) - len(node.fresh):] if fresh else node.apps
-            return [(s.app_id, s.request) for s in apps]
+            slots = node.app_slots.values()
+            if fresh:  # read back from the end: O(fresh), not O(apps)
+                slots = list(islice(reversed(slots), len(node.fresh)))[::-1]
+            return [(s.app_id, s.request) for s in slots]
         children = sorted(node.fresh) if fresh else node.children  # in id order
         return [(cid, self._nodes[cid].spec.parent_request) for cid in children]
 

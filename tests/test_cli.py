@@ -1,6 +1,7 @@
 """Scenario parsing diagnostics and end-to-end CLI runs over the bundled zoo."""
 
 import errno
+import gc
 import json
 import os
 import subprocess
@@ -530,29 +531,41 @@ class TestRun:
         elif other == "dangling-link":
             assert kept.is_symlink()
 
-    @pytest.mark.parametrize("case", ["report-links-to-trace", "trace-is-scenario"])
+    @pytest.mark.parametrize("case", ["report-links-to-trace", "trace-is-scenario",
+                                      "report-hard-links-trace", "trace-hard-links-scenario"])
     def test_outputs_that_name_one_file_exit_two_before_the_run(self, tmp_path, capsys,
                                                                 monkeypatch, case):
         """The trace would overwrite the report or the scenario: unusable
-        input, found through links too. It exits 2 with one line, no
+        input, found through symbolic and hard links too (a hard link shares
+        its file's inode, not its real path). It exits 2 with one line, no
         scenario is run, and no file is made or changed."""
         monkeypatch.setattr(cli, "run_scenario", lambda scenario: pytest.fail("ran"))
         scenario = tmp_path / "scenario.json"
         scenario.write_text(minimal())
         trace = tmp_path / "trace.csv"
-        if case == "report-links-to-trace":
-            (tmp_path / "link.txt").symlink_to(trace)  # dangling: trace.csv is not made
-            outputs = ["--trace-out", str(trace), "--report-out", str(tmp_path / "link.txt")]
+        link = tmp_path / "link.txt"
+        if case.startswith("report"):
+            if case == "report-links-to-trace":
+                link.symlink_to(trace)  # dangling: trace.csv is not made
+            else:
+                trace.write_text("old")
+                os.link(trace, link)
+            outputs = ["--trace-out", str(trace), "--report-out", str(link)]
             expected = "--report-out names the same file as --trace-out"
         else:
-            outputs = ["--trace-out", str(scenario)]
+            if case == "trace-hard-links-scenario":
+                os.link(scenario, trace)
+            else:
+                trace = scenario
+            outputs = ["--trace-out", str(trace)]
             expected = "--trace-out names the same file as --scenario"
+        names = {p.name for p in tmp_path.iterdir()}
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.exists()}
         assert run(["--scenario", str(scenario), *outputs]) == 2
         assert capsys.readouterr() == ("", f"error: {expected}\n")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.exists()} == before
-        assert {p.name for p in tmp_path.iterdir()} == {"scenario.json"} | (
-            {"link.txt"} if case == "report-links-to-trace" else set())
+        assert {p.name for p in tmp_path.iterdir()} == names
+        assert scenario.read_text() == minimal()
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
@@ -660,6 +673,54 @@ class TestArgs:
         degradation paths either, which these scenarios take."""
         added = self.modules_a_run_adds(tmp_path, scenario)
         assert not {"fractions", "decimal"} & added
+
+
+class TestMain:
+    """`main`, the command's entry point, freezes the heap once `run` is
+    done, so the interpreter's collections at exit skip it; `run` never
+    freezes."""
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_main_exits_with_the_status_of_run_and_freezes_once_after_it(
+            self, monkeypatch, code):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda: calls.append("run") or code)
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code
+        assert calls == ["run", "freeze"]
+
+    def test_run_does_not_freeze(self, tmp_path, capsys):
+        frozen = gc.get_freeze_count()
+        assert run(["--scenario", str(SCENARIOS / "stride.json"),
+                    "--trace-out", str(tmp_path / "trace.csv")]) == 0
+        capsys.readouterr()
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("scenario, code", [("stride.json", 0), ("overcommit.json", 1)])
+    def test_the_command_writes_what_run_writes(self, tmp_path, capsys, scenario, code):
+        """Skipping the collections at exit loses no output: the command's
+        trace, report and stdout are those of an in-process `run`."""
+        outputs = {}
+        for side in ("run", "command"):
+            (tmp_path / side).mkdir()
+            argv = ["--scenario", str(SCENARIOS / scenario),
+                    "--trace-out", str(tmp_path / side / "trace.csv"),
+                    "--report-out", str(tmp_path / side / "report.txt")]
+            if side == "run":
+                assert run(argv) == code
+                stdout = capsys.readouterr().out.encode()
+            else:
+                env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+                done = subprocess.run([sys.executable, "-m", "hiersched", *argv],
+                                      cwd=tmp_path, env=env, capture_output=True,
+                                      timeout=120)
+                assert done.returncode == code, done.stderr
+                stdout = done.stdout
+            outputs[side] = (stdout, (tmp_path / side / "trace.csv").read_bytes(),
+                             (tmp_path / side / "report.txt").read_bytes())
+        assert outputs["command"] == outputs["run"]
 
 
 class TestBenchWraps:

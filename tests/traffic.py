@@ -20,6 +20,7 @@ show. Standard library only.
 
 import ast
 import contextlib
+import gc
 import io
 import os
 import runpy
@@ -153,6 +154,7 @@ def _run_cli(scenario, tmp):
         pass
     finally:
         sys.argv = argv
+        gc.unfreeze()  # cli.main froze this process's heap before it exited
 
 
 def main(argv):
