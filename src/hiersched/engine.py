@@ -374,7 +374,7 @@ class Simulation:
         self.horizon = horizon
         self.rng = random.Random(seed)
         self.decisions: list = []
-        self._timeline: dict[int, list] = {}
+        self._timeline: dict[int, list] = {}  # tick -> (bound action, *its args)
         self._art: dict[str, _AppRT] = {}
         self._retired: dict[str, _AppRT] = {}  # app id -> runtime, in retire order
         self._rejected: set[str] = set()  # app ids whose last deploy was rejected
@@ -395,11 +395,11 @@ class Simulation:
 
     def deploy_at(self, tick, request: DeploymentRequest, workload: Workload):
         self._check_tick(tick)
-        self._timeline.setdefault(tick, []).append(("deploy", request, workload))
+        self._timeline.setdefault(tick, []).append((self._do_deploy, request, workload))
 
     def undeploy_at(self, tick, app_id: str):
         self._check_tick(tick)
-        self._timeline.setdefault(tick, []).append(("undeploy", app_id))
+        self._timeline.setdefault(tick, []).append((self._do_undeploy, app_id))
 
     def _check_tick(self, tick):
         if not 0 <= tick < self.horizon:
@@ -408,12 +408,10 @@ class Simulation:
             )
 
     def _apply_timeline(self, t):
-        for action in self._timeline.get(t, []):
-            if action[0] == "deploy":
-                _, req, workload = action
-                self._do_deploy(t, req, workload)
-            else:
-                self._do_undeploy(t, action[1])
+        # popped as applied: a bound action left behind would keep the
+        # simulation alive in a reference cycle after the run
+        for action, *args in self._timeline.pop(t):
+            action(t, *args)
 
     def _do_deploy(self, t, req, workload):
         if req.app_id in self._art:

@@ -160,49 +160,42 @@ def check_reservation(trace: Trace, app_id: str) -> list:
     return out
 
 
-class _ShareLeaf(namedtuple("_ShareLeaf", "peers runners pieces")):
-    """What the share checks of one leaf have in common: its share-holders
-    (the peers, a dict), their RUN segments in tick order (the runners, a
-    list), and the list of the leaf's pieces. A piece is a maximal [start,
-    end) range in which the set of backlogged peers is the same and not
-    empty, carried as (start, end, that set, its summed weight)."""
+class _ShareLeaf(namedtuple("_ShareLeaf", "runners pieces")):
+    """What the share checks of one leaf have in common: its share-holders'
+    RUN segments in tick order (the runners, a list), and the list of the
+    leaf's pieces. A piece is a maximal [start, end) range in which the set
+    of backlogged peers is the same and not empty, carried as (start, end,
+    that set, its summed weight)."""
 
     __slots__ = ()
 
 
 def _share_leaf(trace: Trace, node_path: str) -> _ShareLeaf:
     """Build the `_ShareLeaf` of `node_path` in one sweep over its peers'
-    backlog endpoints, clipped to [0, horizon): the backlogged set can change
-    only there. The trace's segments must have passed `_segments`."""
+    backlog endpoints: the backlogged set can change only there. Each peer's
+    backlog is first put in normal form, clipped to [0, horizon), empty
+    intervals dropped, sorted and merged (`_merge`), so every endpoint flips
+    exactly one peer in or out, whatever order or overlap the backlog came
+    in. The trace's segments must have passed `_segments`."""
     peers = {
         i.app_id: i for i in trace.app_info.values()
         if i.node_path == node_path and i.weight_ppm > 0
     }
     horizon = trace.horizon
-    edges = {}  # tick -> {peer: net change of its backlog count}
+    edges = {}  # tick -> the peers that flip there
     for p, info in peers.items():
-        for s, e in info.backlog:
-            s, e = max(s, 0), min(e, horizon)
-            if s < e:
-                for t, d in ((s, 1), (e, -1)):
-                    at = edges.setdefault(t, {})
-                    at[p] = at.get(p, 0) + d
-    count = dict.fromkeys(peers, 0)
+        clipped = ((max(s, 0), min(e, horizon)) for s, e in info.backlog)
+        for s, e in _merge(sorted(iv for iv in clipped if iv[0] < iv[1])):
+            edges.setdefault(s, []).append(p)
+            edges.setdefault(e, []).append(p)
     present = set()
     weight = 0
     pieces = []
     start = None
     for t in sorted(edges):
-        flips = []
-        for p, d in edges[t].items():
-            if (count[p] > 0) != (count[p] + d > 0):
-                flips.append(p)
-            count[p] += d
-        if not flips:
-            continue
         if start is not None:
             pieces.append((start, t, frozenset(present), weight))
-        for p in flips:
+        for p in edges[t]:
             if p in present:
                 present.remove(p)
                 weight -= peers[p].weight_ppm
@@ -211,7 +204,7 @@ def _share_leaf(trace: Trace, node_path: str) -> _ShareLeaf:
                 weight += peers[p].weight_ppm
         start = t if present else None
     runners = [g for g in trace.segments if g[2] in peers]
-    return _ShareLeaf(peers, runners, pieces)
+    return _ShareLeaf(runners, pieces)
 
 
 def _share_terms(info):
@@ -322,7 +315,8 @@ def check_conservation(trace: Trace) -> list:
     (`_segments`), so one walk over them finds each gap, a window of ticks
     with no row (expected 1, observed 0), and each idle stretch inside the
     merged backlog of the apps that nothing hard-caps (expected 0, observed
-    1). Gaps come first, then idle stretches, each in tick order.
+    1), stretches that touch merged by `_merge`. Gaps come first, then idle
+    stretches, each in tick order.
     """
     free = _merge(sorted(
         iv for i in trace.app_info.values() if not i.hard_capped
@@ -340,14 +334,10 @@ def check_conservation(trace: Trace) -> list:
             j += 1
         k = j
         while k < len(free) and free[k][0] < e:
-            a, b = max(free[k][0], s), min(free[k][1], e)
-            if wasted and wasted[-1][1] == a:
-                wasted[-1] = (wasted[-1][0], b)
-            else:
-                wasted.append((a, b))
+            wasted.append((max(free[k][0], s), min(free[k][1], e)))
             k += 1
     return gaps + [Violation(ViolationKind.NON_CONSERVING, "", w, 0, 1)
-                   for w in wasted]
+                   for w in _merge(wasted)]
 
 
 def _merge(intervals):

@@ -13,7 +13,7 @@ import pytest
 from hiersched import cli
 from hiersched.cli import Scenario, ScenarioError, parse_scenario, run
 from hiersched.contracts import ServiceClass
-from hiersched.engine import Trace
+from hiersched.engine import EventKind, Trace
 from hiersched.hierarchy import PolicyKind
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -184,6 +184,34 @@ SQUEEZE = {
     ],
 }
 
+# The same apps, with `h` deployed at tick 1000: `st` holds PS[5] until then,
+# and dispatch weighs `a` and `b` 3:2 before the squeeze and 2:1 after it.
+SQUEEZE_LATE = dict(SQUEEZE, timeline=SQUEEZE["timeline"][:2] + [
+    dict(SQUEEZE["timeline"][2], tick=1000),
+])
+
+# Three hard leaves, each with one PERIODIC app that fits its award. `a2`
+# runs wcet 1 every 20 ticks from tick 11 under RESBH[3,20], and its server's
+# windows are aligned to multiples of 20, not to `a2`'s releases.
+OFFSET = {
+    "horizon": 200, "seed": 0,
+    "schedulers": [
+        {"name": f"e{i}", "policy": "EDF_RESERVATION", "request": request}
+        for i, request in enumerate(("RESBH[32,100]", "RESBH[20,40]", "RESBH[3,20]"))
+    ],
+    "timeline": [
+        {"tick": 0, "action": "deploy", "app": f"a{i}", "class": f"a{i}",
+         "request": request, "scheduler": f"e{i}",
+         "workload": {"kind": "PERIODIC", "period": period, "wcet": wcet,
+                      "offset": offset}}
+        for i, (request, period, wcet, offset) in enumerate((
+            ("RESBH[32,100]", 100, 29, 90),
+            ("RESBH[20,40]", 40, 17, 18),
+            ("RESBH[3,20]", 20, 1, 11),
+        ))
+    ],
+}
+
 
 class TestRun:
     def test_stride_scenario_clean_run(self, tmp_path, capsys):
@@ -333,6 +361,27 @@ class TestRun:
         path.write_text(json.dumps(SQUEEZE))
         run(["--scenario", str(path)])
         assert "violations=0 conservation=ok" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 2: the share check weighs `a` and `b` by their request, "
+        "3:2, after `h` squeezes them to 2:1 at tick 1000; weighing them by "
+        "their final award instead would give false rows before tick 1000"))
+    def test_a_squeeze_that_starts_mid_run_is_no_violation(self, tmp_path, capsys):
+        path = tmp_path / "squeeze_late.json"
+        path.write_text(json.dumps(SQUEEZE_LATE))
+        run(["--scenario", str(path)])
+        assert "violations=0 conservation=ok" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 10: `a2`'s server windows are aligned to multiples of "
+        "its period, not to its releases, so its job released at 91 misses "
+        "its deadline at 110 though it fits its award"))
+    def test_an_admitted_app_that_fits_its_award_misses_no_deadline(self):
+        trace = cli.run_scenario(parse_scenario(json.dumps(OFFSET)))
+        assert str(trace.app_info["a2"].awarded) == "RESBH[3,20]"
+        misses = [e.tick for e in trace.events
+                  if e.kind is EventKind.DEADLINE_MISS and e.app == "a2"]
+        assert misses == []
 
     def test_reruns_are_byte_identical(self, tmp_path):
         outs = []

@@ -1,9 +1,11 @@
 """Simulator behavior pinned tick by tick on small hand-checked scenarios."""
 
 import csv
+import gc
 import io
 import random
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -84,6 +86,22 @@ class TestBasics:
         sim.run()
         with pytest.raises(EngineError):
             sim.run()
+
+    def test_a_run_frees_the_simulation_by_refcount(self):
+        # the timeline holds bound actions; once applied they must not keep
+        # the simulation alive in a cycle that only the collector frees
+        sim = Simulation(horizon=20)
+        deploy(sim, 0, "a", "batch", Contract.be(), cpu_bound(),
+               scheduler=rr_spec("rr0", Contract.be()))
+        sim.undeploy_at(10, "a")
+        sim.run()
+        freed = weakref.ref(sim)
+        gc.disable()
+        try:
+            del sim
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_exactly_one_run_or_idle_per_tick(self):
         sim = Simulation(horizon=120, seed=3)

@@ -247,8 +247,8 @@ SHAPES = [
      "window=(0, 10), expected=3, observed=2)"),
     (GuaranteeReport, "violations conservation_ok", {}, GuaranteeReport((), True),
      "GuaranteeReport(violations=(), conservation_ok=True)"),
-    (_ShareLeaf, "peers runners pieces", {}, _ShareLeaf({}, [], []),
-     "_ShareLeaf(peers={}, runners=[], pieces=[])"),
+    (_ShareLeaf, "runners pieces", {}, _ShareLeaf([], []),
+     "_ShareLeaf(runners=[], pieces=[])"),
     (TimelineEntry, "tick action app_id request workload",
      {"request": None, "workload": None}, TimelineEntry(0, "undeploy", "a"),
      "TimelineEntry(tick=0, action='undeploy', app_id='a', request=None, "

@@ -238,6 +238,27 @@ class TestShare:
             "LAG_EXCEEDED app=a window=[0,5) expected=5/2 observed=5"
         ]
 
+    def test_a_backlog_in_any_form_gives_the_pieces_of_its_normal_form(self):
+        # "a"'s backlog comes unsorted, overlapping, touching, empty and past
+        # both ends of the horizon; clipped to [0, 40) and merged it is
+        # [(0, 12), (20, 40)]
+        messy = [(30, 50), (8, 12), (-5, 3), (20, 26), (25, 31), (2, 8),
+                 (15, 15), (45, 60), (7, 4)]
+        runs = [SimEvent(t, EventKind.RUN, app="ab"[t % 2]) for t in range(40)]
+
+        def leaf(backlog):
+            trace = trace_from_rows(40, runs, [
+                ps_info("a", 300000, backlog), ps_info("b", 200000, [(5, 25)]),
+            ])
+            return verify._share_leaf(trace, "root/st")
+
+        assert leaf(messy) == leaf([(0, 12), (20, 40)])
+        assert leaf(messy).pieces == [
+            (0, 5, {"a"}, 300000), (5, 12, {"a", "b"}, 500000),
+            (12, 20, {"b"}, 200000), (20, 25, {"a", "b"}, 500000),
+            (25, 40, {"a"}, 300000),
+        ]
+
     def test_bad_share_or_quantum_is_refused(self):
         held = ps_info("a", 500000, [(0, 1)], quantum=0)
 
