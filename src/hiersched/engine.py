@@ -11,7 +11,8 @@ passes fix in advance. At a decision point timeline actions apply
 first, then reservation servers replenish, workloads release work, and the
 root dispatches exactly one application (or idles): each node on the way
 picks one runnable child by a single precedence rule (`Simulation._pick`),
-so dispatch walks one path from the root to a leaf. Apps (`_AppRT`) and
+from its runnable children kept in that rule's order, so dispatch walks one
+path from the root to a leaf. Apps (`_AppRT`) and
 nodes (`_NodeRT`) are one kind of grant holder: each has a `key`, a
 position `pos` at its `parent` node, a `grant`, a budget server (`cap` and
 `rem`, None unless the grant is a reservation), the tick `since` of its
@@ -39,10 +40,13 @@ deadline misses are rows at the tick they happen.
 a tick-by-tick loop writes (tests/engine_reference.py keeps one). Per
 decision, only the apps that can have changed are touched: a calendar holds
 each PERIODIC app's next release and each idle BURSTY app's next on-tick,
-and the next period boundary is kept until a decision reaches it or a
-timeline action may have changed the live periods. A phase runs only at the
-ticks that need it. Everything is deterministic for a given scenario and seed;
-the seed's only job is to phase-shift BURSTY workloads.
+and one heap of due ticks holds the calendar's ticks and the timeline's,
+so the next of either is its top. An undeploy leaves its app's calendar
+entry where it is, and the phases skip it. The next period boundary is
+kept apart, until a decision reaches it or a timeline action may have
+changed the live periods. A phase runs only at the ticks that need it.
+Everything is deterministic for a given scenario and seed; the seed's only
+job is to phase-shift BURSTY workloads.
 
 Reservation servers replenish at absolute multiples of their period (aligned
 to tick 0), so a mid-window deployment starts with a full budget and a short
@@ -77,13 +81,11 @@ class EngineError(Exception):
 
 # bound once: reading an Enum member off its class is a descriptor call,
 # which the dispatch path would pay per candidate
-_NULL, _RESBH, _RESBS, _PS, _BE, _ALL = (
-    ServiceClass.NULL, ServiceClass.RESBH, ServiceClass.RESBS,
-    ServiceClass.PS, ServiceClass.BE, ServiceClass.ALL,
+_NULL, _RESBH, _PS, _BE, _ALL = (
+    ServiceClass.NULL, ServiceClass.RESBH, ServiceClass.PS, ServiceClass.BE,
+    ServiceClass.ALL,
 )
 _FIXED_PRIORITY = PolicyKind.FIXED_PRIORITY
-# the precedence of `Simulation._pick` below the reservations with budget left
-_AFTER_BUDGETED = (_ALL, _PS, _BE, _RESBS)
 
 
 class WorkloadKind(Enum):
@@ -134,6 +136,13 @@ def _open(grant, left):
 
 
 _pos = attrgetter("pos")
+
+
+def _dispatch_order(holder):
+    """A runnable holder's place in `Simulation._pick`'s order: ALL, PS, BE,
+    then the reservations, RESBS and RESBH alike, each class by `pos`."""
+    service = holder.grant.service
+    return service is not _ALL, service is not _PS, service is not _BE, holder.pos
 
 
 def _used(rt, key):
@@ -305,7 +314,6 @@ class _AppRT:
         self.pending = 0
         if workload.kind is _BURSTY:
             self.arrived = _on_before(workload, self.since - phase_offset)
-        self.due = None  # the tick of its entry in the simulation's calendar
         self.backlog: list = []
         self._open = None  # start of the current backlog interval
 
@@ -349,7 +357,7 @@ class _NodeRT:
         self.grant = self.cap = self.rem = None
         self.since = since
         self.ready = {}
-        self.cands = None  # `ready`'s holders by pos, kept until it changes
+        self.cands = None  # `ready`'s holders in dispatch order, kept until it changes
         # stride: child node id or app id -> its pass times `scale`, the lcm
         # of the shares charged here, so a charge of n ticks adds
         # n * (scale // share) exactly
@@ -382,10 +390,12 @@ class Simulation:
         # period -> {key: holder} of the live budget servers with that period
         self._servers: dict[int, dict] = {}
         self._boundary = 0  # the first period boundary not before the decision
-        # tick -> the live apps whose next release (PERIODIC) or next
-        # on-tick with nothing pending (BURSTY) falls there; a heap of those
-        # ticks, with stale ones dropped lazily
+        # tick -> the apps whose next release (PERIODIC) or next on-tick
+        # with nothing pending (BURSTY) falls there; an undeployed app's
+        # entry stays, and the phases skip it
         self._calendar: dict[int, list[_AppRT]] = {}
+        # a heap of the calendar's and the timeline's ticks; a tick in
+        # neither is dropped when it comes to the top
         self._due_ticks: list[int] = []
         self._events: list[SimEvent] = []  # every row but RUN and IDLE
         self._segments: list = []  # (start, end, app or None), in tick order
@@ -394,24 +404,22 @@ class Simulation:
     # -------------------------------------------------------------- timeline
 
     def deploy_at(self, tick, request: DeploymentRequest, workload: Workload):
-        self._check_tick(tick)
-        self._timeline.setdefault(tick, []).append((self._do_deploy, request, workload))
+        self._at(tick, self._do_deploy, request, workload)
 
     def undeploy_at(self, tick, app_id: str):
-        self._check_tick(tick)
-        self._timeline.setdefault(tick, []).append((self._do_undeploy, app_id))
+        self._at(tick, self._do_undeploy, app_id)
 
-    def _check_tick(self, tick):
+    def _at(self, tick, *action):
+        """File `action`, a bound method and the arguments it takes after the
+        tick, on the timeline at `tick`, and the tick in `_due_ticks` the
+        first time."""
         if not 0 <= tick < self.horizon:
             raise EngineError(
                 f"timeline tick {tick} outside the horizon [0, {self.horizon})"
             )
-
-    def _apply_timeline(self, t):
-        # popped as applied: a bound action left behind would keep the
-        # simulation alive in a reference cycle after the run
-        for action, *args in self._timeline.pop(t):
-            action(t, *args)
+        if tick not in self._timeline:
+            heapq.heappush(self._due_ticks, tick)
+        self._timeline.setdefault(tick, []).append(action)
 
     def _do_deploy(self, t, req, workload):
         if req.app_id in self._art:
@@ -473,11 +481,6 @@ class Simulation:
             raise EngineError(str(e)) from e
         art.note_backlog(t, False)
         art.info = art.info._replace(undeployed_at=t)
-        if art.due is not None:
-            due = self._calendar[art.due]
-            due.remove(art)
-            if not due:
-                del self._calendar[art.due]
         self._retired[app_id] = art
         del self._art[app_id]
         # a leaf it unloaded has no app left, so leaves its parent's set too
@@ -598,7 +601,6 @@ class Simulation:
         deadline of the job before it."""
         if tick > self.horizon:
             return
-        art.due = tick
         due = self._calendar.get(tick)
         if due is None:
             self._calendar[tick] = [art]
@@ -620,12 +622,15 @@ class Simulation:
         self._schedule(art, t + 1 + (w.on + w.off - phase if phase >= w.on else 0))
 
     def _release_phase(self, t):
-        """Release work for the apps the calendar holds at `t`; a BURSTY app
-        with work pending takes its on-ticks in when it is charged. The
-        tick leaves `_due_ticks` in `_stretch_end`, as a tick no longer in
-        the calendar."""
+        """Release work for the live apps the calendar holds at `t`; an app
+        undeployed since it was filed is skipped (app ids are never reused,
+        so its id is not in `_art`). A BURSTY app with work pending takes
+        its on-ticks in when it is charged. The tick leaves `_due_ticks` in
+        `_stretch_end`, once it is in neither the calendar nor the
+        timeline."""
         for art in self._calendar.pop(t, ()):
-            art.due = None
+            if art.key not in self._art:
+                continue
             w = art.workload
             if w.kind is _PERIODIC:
                 art.pending += w.wcet
@@ -657,8 +662,12 @@ class Simulation:
         route: list = []
         rt = self._nrt[node_id]
         while True:
-            if rt.cands is None:  # sorted again only once `ready` moved
-                rt.cands = sorted(rt.ready.values(), key=_pos)
+            if rt.cands is None:
+                # sorted again only once `ready` moved: a holder's place
+                # cannot change while it is in `ready`, as awards keep the
+                # class of the request and a new node's provisional NULL
+                # grant keeps it out of `ready`
+                rt.cands = sorted(rt.ready.values(), key=_dispatch_order)
             cands = rt.cands
             if not cands:
                 return None, route
@@ -682,25 +691,22 @@ class Simulation:
         5. soft reservations with their budget spent, on slack, in
            attachment order.
         Each leaf policy offers only classes on this list, so any runnable
-        candidate has a place in it. The classes are tested in this order
-        by identity (hashing an Enum member runs Python code).
+        candidate has a place in it. `cands` are the node's runnable
+        children in this order, classes 1 and 5 together last
+        (`_dispatch_order`), so with no budget left the first candidate's
+        class is the one that runs. Classes are told apart by identity:
+        hashing an Enum member runs Python code.
         """
-        fp = rt.fp
-        if len(cands) == 1:  # no class to scan for
-            group, service = cands, None if cands[0].rem else cands[0].grant.service
-        else:
-            budgeted = [c for c in cands if c.rem]
-            if budgeted:
-                if fp or len(budgeted) == 1:
-                    return budgeted[0], None
-                return min(budgeted, key=lambda c: (t // c.grant.period + 1) * c.grant.period), None
-            for service in _AFTER_BUDGETED:
-                group = [c for c in cands if c.grant.service is service]
-                if group:
-                    break
+        budgeted = [c for c in cands if c.rem]
+        if budgeted:
+            if rt.fp or len(budgeted) == 1:
+                return budgeted[0], None
+            return min(budgeted, key=lambda c: (t // c.grant.period + 1) * c.grant.period), None
+        service = cands[0].grant.service
+        group = [c for c in cands if c.grant.service is service]
         if service is _PS:
             return self._stride_pick(rt, group), "stride"
-        if service is _BE and not fp:
+        if service is _BE and not rt.fp:
             return self._rr_pick(rt, group), "rr"
         return group[0], None
 
@@ -738,7 +744,7 @@ class Simulation:
 
     # ------------------------------------------------------- stretch and charge
 
-    def _stretch_end(self, t, picked, route, next_action):
+    def _stretch_end(self, t, picked, route):
         """First tick after `t` at which an input to dispatch can change.
 
         Until then the pick made at `t` stands: no period boundary, timeline
@@ -746,15 +752,17 @@ class Simulation:
         running app keeps its work, its budgets and, where it has
         contenders, its turn: a stride quantum end is a decision point only
         where the running key would lose the next turn (`_quanta_won`). No
-        deadline falls before the last tick.
+        deadline falls before the last tick. An undeployed app's calendar
+        entry is one more decision point, at which the same pick goes on.
         """
-        # the calendar holds the next release of every PERIODIC app (its
-        # newest job is due the tick before it) and the on-edge of every
-        # idle BURSTY app
+        # the next timeline tick, or calendar tick: the next release of a
+        # PERIODIC app (its newest job is due the tick before it) or the
+        # on-edge of an idle BURSTY app; the ticks already applied or
+        # released are dropped here
         ticks = self._due_ticks
-        while ticks and ticks[0] not in self._calendar:
-            heapq.heappop(ticks)  # its apps left
-        end = min(self.horizon, next_action, self._boundary, ticks[0] if ticks else self.horizon)
+        while ticks and ticks[0] not in self._calendar and ticks[0] not in self._timeline:
+            heapq.heappop(ticks)
+        end = min(self.horizon, self._boundary, ticks[0] if ticks else self.horizon)
         if picked is None:
             return end
 
@@ -824,9 +832,10 @@ class Simulation:
     def _deadline_phase(self, t):
         """Flag the PERIODIC apps that release again at t + 1 with work
         pending: work runs in release order, so theirs includes the newest
-        job's, due at `t`. Each tick ends a stretch at most once."""
+        job's, due at `t`; an app undeployed since it was filed is skipped.
+        Each tick ends a stretch at most once."""
         for art in sorted(self._calendar.get(t + 1, ()), key=_pos):
-            if art.workload.kind is _PERIODIC and art.pending:
+            if art.workload.kind is _PERIODIC and art.pending and art.key in self._art:
                 self._emit(t, _DEADLINE_MISS, app=art.key, node_path=art.node_path)
 
     # -------------------------------------------------------------- main loop
@@ -839,13 +848,13 @@ class Simulation:
         if self._done:
             raise EngineError("simulation already ran")
         self._done = True
-        # every action, calendar tick and period boundary is a decision point
-        actions = sorted(self._timeline, reverse=True)
         t = 0
         while t < self.horizon:
-            if actions and actions[-1] == t:
-                actions.pop()
-                self._apply_timeline(t)
+            if t in self._timeline:
+                # popped as applied: a bound action left behind would keep
+                # the simulation alive in a reference cycle after the run
+                for action, *args in self._timeline.pop(t):
+                    action(t, *args)
                 self._boundary = self._first_boundary(t)
             if self._boundary == t:
                 self._replenish_phase(t)
@@ -853,9 +862,7 @@ class Simulation:
             if t in self._calendar:
                 self._release_phase(t)
             picked, route = self.dispatch(Hierarchy.ROOT_ID, t)
-            end = self._stretch_end(
-                t, picked, route, actions[-1] if actions else self.horizon
-            )
+            end = self._stretch_end(t, picked, route)
             if picked is not None:
                 self._charge_phase(end - 1, end - t, picked, route)
             segs = self._segments

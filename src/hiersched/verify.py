@@ -117,17 +117,18 @@ def check_reservation(trace: Trace, app_id: str) -> list:
     interval delivered less than the budget. OVER_CAP (hard grants only):
     any aligned window delivered more than the budget, demand or not.
 
-    The demand intervals are sorted and non-overlapping. Each of the app's
-    RUN segments, clipped to [0, horizon), is added straight into the sums
-    of the aligned windows it covers, a tick counted once per segment over
-    it. The windows ascend, so one forward cursor over the demand intervals
-    finds the one that could cover each window: O(s + windows + intervals)
-    for s segments.
+    A window is inside the demand when one interval covers it; touching
+    intervals are not joined. Each of the app's RUN segments, clipped to
+    [0, horizon), is added straight into the sums of the aligned windows it
+    covers, a tick counted once per segment over it. The windows ascend and
+    the demand is sorted (`_demand`), so one forward cursor over it finds
+    the one interval that could cover each window, whatever order the
+    record holds: O(s + windows + intervals log intervals) for s segments.
     """
     info = trace.app_info.get(app_id)
     if info is None:
         raise VerifyError(f"trace has no app {app_id!r}")
-    grant, demand_windows = info.awarded, info.backlog
+    grant, demand_windows = info.awarded, _demand(info, trace.horizon)
     if not grant.is_reservation():
         raise VerifyError(
             f"check_reservation needs a reservation grant, got {grant.service.name}"
@@ -173,19 +174,17 @@ class _ShareLeaf(namedtuple("_ShareLeaf", "runners pieces")):
 def _share_leaf(trace: Trace, node_path: str) -> _ShareLeaf:
     """Build the `_ShareLeaf` of `node_path` in one sweep over its peers'
     backlog endpoints: the backlogged set can change only there. Each peer's
-    backlog is first put in normal form, clipped to [0, horizon), empty
-    intervals dropped, sorted and merged (`_merge`), so every endpoint flips
-    exactly one peer in or out, whatever order or overlap the backlog came
-    in. The trace's segments must have passed `_segments`."""
+    backlog is first put in normal form, read by `_demand` and merged
+    (`_merge`), so every endpoint flips exactly one peer in or out, whatever
+    order or overlap the backlog came in. The trace's segments must have
+    passed `_segments`."""
     peers = {
         i.app_id: i for i in trace.app_info.values()
         if i.node_path == node_path and i.weight_ppm > 0
     }
-    horizon = trace.horizon
     edges = {}  # tick -> the peers that flip there
     for p, info in peers.items():
-        clipped = ((max(s, 0), min(e, horizon)) for s, e in info.backlog)
-        for s, e in _merge(sorted(iv for iv in clipped if iv[0] < iv[1])):
+        for s, e in _merge(_demand(info, trace.horizon)):
             edges.setdefault(s, []).append(p)
             edges.setdefault(e, []).append(p)
     present = set()
@@ -320,7 +319,7 @@ def check_conservation(trace: Trace) -> list:
     """
     free = _merge(sorted(
         iv for i in trace.app_info.values() if not i.hard_capped
-        for iv in i.backlog if iv[0] < iv[1]
+        for iv in _demand(i, trace.horizon)
     ))
     gaps, wasted = [], []
     end = j = 0
@@ -338,6 +337,14 @@ def check_conservation(trace: Trace) -> list:
             k += 1
     return gaps + [Violation(ViolationKind.NON_CONSERVING, "", w, 0, 1)
                    for w in _merge(wasted)]
+
+
+def _demand(info, horizon):
+    """An app's demand, its `backlog` clipped to [0, horizon), with empty
+    intervals dropped, sorted and not merged: `check_reservation` holds a
+    window to one covering interval, and touching ones do not make one."""
+    clipped = ((max(s, 0), min(e, horizon)) for s, e in info.backlog)
+    return sorted(iv for iv in clipped if iv[0] < iv[1])
 
 
 def _merge(intervals):

@@ -139,6 +139,18 @@ class TestReservation:
         got = check_reservation(trace, "soft")
         assert got == []
 
+    def test_demand_is_read_in_tick_order_whatever_the_record_holds(self):
+        # idle over [0, 300) with a RESBS[10,100] award: each window that a
+        # demand interval covers is short, in whatever order the record
+        # lists the intervals
+        info = be_info("s", [(200, 300), (0, 100)])._replace(awarded=Contract.resbs(10, 100))
+        trace = trace_from_rows(300, [SimEvent(t, EventKind.IDLE) for t in range(300)], [info])
+        got = check_reservation(trace, "s")
+        assert [(v.kind, v.window, v.observed) for v in got] == [
+            (ViolationKind.UNDER_SUPPLY, (0, 100), 0),
+            (ViolationKind.UNDER_SUPPLY, (200, 300), 0),
+        ]
+
     def test_non_reservation_grant_is_refused(self):
         trace = with_award(hard_solo_trace(horizon=10), "hard", Contract.be())
         with pytest.raises(VerifyError):

@@ -22,6 +22,10 @@ shipped scenarios all verify clean, so the test also asserts that the
 traces do produce LAG_EXCEEDED, and that enough malformed copies are
 refused.
 
+`check_reservation` reads an app's demand sorted, so on the same traces
+with each record's backlog shuffled it must still agree with the reference,
+which tests each window against every interval.
+
 `build_report` builds each share leaf once for every holder it checks
 there. On traces with two STRIDE leaves of three or four share-holders
 each, all granted PS, its report must equal the reference's, its
@@ -283,3 +287,24 @@ def test_one_sweep_per_leaf_matches_the_per_app_checks(monkeypatch):
     compare()
     # several holders of a leaf must fail in the same report, often enough
     assert sum(lag_cases) >= len(lag_cases) // 10
+
+
+def test_reservations_read_a_shuffled_backlog_as_the_tick_walk_does():
+    reordered = []
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(cases(), st.randoms(use_true_random=False))
+    def compare(case, rnd):
+        trace, _, _ = case
+        infos = {}
+        for app, info in trace.app_info.items():
+            backlog = list(info.backlog)
+            rnd.shuffle(backlog)
+            infos[app] = info._replace(backlog=backlog)
+            reordered.append(info.awarded.is_reservation() and backlog != info.backlog)
+        reservations_agree(trace._replace(app_info=infos))
+
+    compare()
+    # the comparison is worth something only if reservation backlogs often
+    # come out of order
+    assert sum(reordered) >= len(reordered) // 20
