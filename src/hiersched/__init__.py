@@ -37,17 +37,16 @@ from .deployment import (
     find_compatible_service,
     undeploy,
 )
-from .engine import (
+from .record import (
     AppTraceInfo,
     EngineError,
     EventKind,
     SimEvent,
-    Simulation,
     Trace,
     Workload,
     WorkloadKind,
-    run_scenario,
 )
+from .engine import Simulation, run_scenario
 from .verify import (
     GuaranteeReport,
     VerifyError,

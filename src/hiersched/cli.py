@@ -37,10 +37,11 @@ Exit status: 0 when the run is clean, 1 when the verifier found violations
 or any deployment was rejected (suppress the latter with --allow-reject),
 2 for unusable input, a usage error included (usage to stderr). Both
 output paths are tried once the scenario is read and before it runs: one
-that cannot be written, or one that names the same file as the scenario or
-the other output, exits 2, and no output file is made or changed. Paths
-that exist are compared by device and inode, so through symbolic and hard
-links; a path not made yet is compared by `os.path.realpath`.
+that cannot be written, an empty one included, or one that names the same
+file as the scenario or the other output, exits 2, and no output file is
+made or changed. Paths that exist are compared by device and inode, so
+through symbolic and hard links; a path not made yet is compared by
+`os.path.realpath`.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ from collections import namedtuple
 
 from .contracts import ContractError, parse_contract
 from .deployment import DeploymentRequest, Outcome
-from .engine import EngineError, Workload, WorkloadKind, run_scenario
+from .engine import run_scenario
 from .hierarchy import HierarchyError, PolicyKind, SchedulerSpec
+from .record import EngineError, Workload, WorkloadKind
 from .verify import build_report
 
 
@@ -343,12 +345,13 @@ def run(argv=None) -> int:
         # dangling link), so an output fault leaves no file behind
         seen = {}  # the key of each file named so far -> its flag
         for flag in ("--scenario", "--trace-out", "--report-out"):
-            if args.get(flag):
+            if args.get(flag):  # an empty path names no file
                 key = _file_key(args[flag])
                 if key in seen:
                     raise ScenarioError(f"{flag} names the same file as {seen[key]}")
                 seen[key] = flag
-        for path in filter(None, (args.get("--trace-out"), args.get("--report-out"))):
+        # an empty output path is tried too, and fails as unwritable
+        for path in [args[flag] for flag in ("--trace-out", "--report-out") if flag in args]:
             existed = os.path.exists(path)
             try:
                 open(path, "a").close()
@@ -365,12 +368,12 @@ def run(argv=None) -> int:
     report_text = "\n".join(_decision_lines(trace) + [report.to_text()])
 
     try:
-        if args.get("--trace-out"):
+        if "--trace-out" in args:
             with open(args["--trace-out"], "w", encoding="utf-8", newline="") as f:
                 csv_text = trace.to_csv()
                 f.writelines(csv_text[k:k + 65536]
                              for k in range(0, len(csv_text), 65536))
-        if args.get("--report-out"):
+        if "--report-out" in args:
             with open(args["--report-out"], "w", encoding="utf-8", newline="") as f:
                 f.write(report_text)
     except OSError as e:

@@ -38,7 +38,7 @@ from enum import Enum
 from operator import itemgetter
 
 from .contracts import ServiceClass
-from .engine import Trace
+from .record import Trace
 
 
 class VerifyError(Exception):

@@ -23,7 +23,8 @@ while the code is generated. It is taken on a second compile of the
 module, so that the interpreter's one-time caches do not count, and it
 repeats to the KiB from run to run. Without bytecode cached, an import
 compiles every module, so the largest of them sets the peak RSS of
-importing the package; the total row gives that largest.
+importing the package; the total row gives that largest and names its
+module.
 
 Prints, per module and for the total, the code lines, the AST nodes, the
 compile peak and the name. With `--against REF` it reads the package's
@@ -88,18 +89,27 @@ def against(ref, root=ROOT):
     print(f"{'code lines':^20} {'AST nodes':^23} {'compile peak (KiB)':^20}".rstrip())
     print(f"{'ref':>6} {'tree':>6} {'change':>6} {'ref':>7} {'tree':>7} {'change':>7} "
           f"{'ref':>6} {'tree':>6} {'change':>6}")
+    names = sorted(old.keys() | new.keys())
     pairs = []
-    for name in sorted(old.keys() | new.keys()):
+    for name in names:
         pairs.append((measure(old[name]) if name in old else (0, 0, 0),
                       measure(new[name]) if name in new else (0, 0, 0)))
         print(_compared(*pairs[-1], name))
-    print(_compared(*(_total(side) for side in zip(*pairs)), "total"))
+    sides = list(zip(*pairs))
+    print(_compared(*map(_total, sides), "total (largest peak: {} -> {})".format(
+        *(_largest(side, names) for side in sides))))
 
 
 def _total(figures):
     """Summed code lines and AST nodes, and the largest compile peak."""
     lines, nodes, kib = zip(*figures)
     return sum(lines), sum(nodes), max(kib)
+
+
+def _largest(figures, names):
+    """The name of the module whose compile peak is the largest in
+    `figures`, the first of equal ones; `names` are the modules' names."""
+    return max(zip(figures, names), key=lambda pair: pair[0][2])[1]
 
 
 def _compared(a, b, name):
@@ -111,13 +121,14 @@ def main(argv):
     if argv[:1] == ["--against"] and len(argv) == 2:
         return against(argv[1])
     paths = [Path(a) for a in argv] or sorted(PACKAGE.glob("*.py"))
-    lines = nodes = largest = 0
+    rows = []
     for path in paths:
-        source = path.read_text(encoding="utf-8")
-        n, k, kib = measure(source)
-        lines, nodes, largest = lines + n, nodes + k, max(largest, kib)
+        rows.append(measure(path.read_text(encoding="utf-8")))
+        n, k, kib = rows[-1]
         print(f"{n:6,} {k:7,} {kib:6,} {path.name}")
-    print(f"{lines:6,} {nodes:7,} {largest:6,} total")
+    lines, nodes, largest = _total(rows)
+    peak = _largest(rows, [path.name for path in paths])
+    print(f"{lines:6,} {nodes:7,} {largest:6,} total (largest peak: {peak})")
 
 
 if __name__ == "__main__":

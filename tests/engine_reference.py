@@ -19,7 +19,8 @@ from hiersched.contracts import ServiceClass
 from hiersched.deployment import DeploymentRequest, Outcome
 from hiersched.deployment import deploy as _deploy
 from hiersched.deployment import undeploy as _undeploy
-from hiersched.engine import (
+from hiersched.hierarchy import Hierarchy, PolicyKind, new_hierarchy
+from hiersched.record import (
     _RANK,
     AppTraceInfo,
     EngineError,
@@ -29,7 +30,6 @@ from hiersched.engine import (
     Workload,
     WorkloadKind,
 )
-from hiersched.hierarchy import Hierarchy, PolicyKind, new_hierarchy
 
 
 @dataclass

@@ -8,8 +8,8 @@ from pathlib import Path
 
 from hiersched.cli import parse_scenario
 from hiersched.contracts import format_contract
-from hiersched.engine import _RANK, EventKind, SimEvent, Trace
 from hiersched.hierarchy import PolicyKind, SchedulerSpec
+from hiersched.record import _RANK, EventKind, SimEvent, Trace
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 

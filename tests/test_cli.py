@@ -544,15 +544,15 @@ class TestRun:
         assert run(["--scenario", str(path), *args]) == 2
         assert capsys.readouterr().err == f"error: {expected}\n"
 
-    @pytest.mark.parametrize("fault", ["directory", "no-parent"])
+    @pytest.mark.parametrize("fault", ["directory", "no-parent", "empty"])
     @pytest.mark.parametrize("other", ["missing", "existing", "dangling-link"])
     @pytest.mark.parametrize("bad", ["--trace-out", "--report-out"])
     def test_an_unwritable_output_exits_two_before_the_run(self, tmp_path, capsys,
                                                            monkeypatch, bad, other,
                                                            fault):
-        """Both outputs are tried before the run: one that cannot be written
-        exits 2 with one line, no scenario is run, and no output file is made
-        or changed."""
+        """Both outputs are tried before the run: one that cannot be written,
+        an empty path among them, exits 2 with one line, no scenario is run,
+        and no output file is made or changed."""
         monkeypatch.setattr(cli, "run_scenario", lambda scenario: pytest.fail("ran"))
         kept = tmp_path / "kept.txt"
         if other == "existing":
@@ -564,7 +564,7 @@ class TestRun:
             path.mkdir()
             err = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         else:
-            path = tmp_path / "nodir" / "out"
+            path = "" if fault == "empty" else tmp_path / "nodir" / "out"
             err = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
         good = "--report-out" if bad == "--trace-out" else "--trace-out"
         code = run(["--scenario", str(SCENARIOS / "stride.json"),

@@ -63,11 +63,12 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     b.write_text("x = 1\ny = 2\n", encoding="utf-8")
     main([str(a), str(b)])
     # the compile peaks depend on the interpreter (26 and 12 KiB on 3.11);
-    # the total row's is the largest module's, not a sum
+    # the total row's is the largest module's, not a sum, and names it
     ka, kb = compile_kib(SOURCE), compile_kib("x = 1\ny = 2\n")
+    assert ka > kb
     assert capsys.readouterr().out == (
         f"    14      36 {ka:6,} a.py\n     2       9 {kb:6,} b.py\n"
-        f"    16      45 {max(ka, kb):6,} total\n")
+        f"    16      45 {ka:6,} total (largest peak: a.py)\n")
 
 
 def test_against_compares_each_module_at_a_git_revision(tmp_path, capsys):
@@ -99,8 +100,11 @@ def test_against_compares_each_module_at_a_git_revision(tmp_path, capsys):
         ["1", "0", "-1", "5", "0", "-5", str(one), "0", f"-{one}", "gone.py"],
         ["1", "14", "+13", "5", "36", "+31", str(one), str(big), f"+{big - one}", "kept.py"],
         ["0", "2", "+2", "0", "9", "+9", "0", str(two), f"+{two}", "new.py"],
-        # code lines and nodes are summed; the compile peak is the largest
-        ["2", "16", "+14", "10", "45", "+35", str(one), str(big), f"+{big - one}", "total"],
+        # code lines and nodes are summed; the compile peak is the largest,
+        # and the row names its module at the revision and in the tree (of
+        # two equal peaks, the first)
+        ["2", "16", "+14", "10", "45", "+35", str(one), str(big), f"+{big - one}", "total",
+         "(largest", "peak:", "gone.py", "->", "kept.py)"],
     ]
 
 

@@ -1,5 +1,6 @@
-"""Each module of the package uses every name it imports, and the package
-reads every private name it defines.
+"""Each module of the package uses every name it imports, the package
+reads every private name it defines, and the verifier imports the trace
+record, not the simulator.
 
 An import that nothing reads still costs every run that loads the module:
 its lookup, and the import of a module no one needs. A private function,
@@ -45,20 +46,40 @@ def test_every_import_is_used(module):
 
 
 def imported_modules(source):
-    """The top-level names of the modules `source` imports."""
+    """The top-level names of the modules `source` imports, those of its
+    package with the dots of the relative import."""
     tree = ast.parse(source)
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names.update(a.name.partition(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.add(node.module.partition(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            dots = "." * node.level
+            if node.module:
+                names.add(dots + node.module.partition(".")[0])
+            else:  # `from . import name`
+                names.update(dots + a.name for a in node.names)
     return names
+
+
+def test_imported_modules_are_found():
+    source = ("import os.path\nfrom csv import writer\nfrom .engine import Trace\n"
+              "from . import cli, verify as v\nfrom .record.x import y\n")
+    assert imported_modules(source) == {"os", "csv", ".engine", ".cli", ".verify", ".record"}
 
 
 @pytest.mark.parametrize("module", MODULES + ["__init__.py"])
 def test_no_module_imports_typing(module):
     assert "typing" not in imported_modules((PACKAGE / module).read_text(encoding="utf-8"))
+
+
+def test_the_verifier_reads_the_record_not_the_simulator():
+    """The checks read the trace record (`record.py`) and import nothing
+    from the simulator that writes it, so checking a trace compiles no
+    engine."""
+    imported = imported_modules((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    assert ".record" in imported
+    assert ".engine" not in imported
 
 
 # namedtuple hooks a value type overrides: `collections` reads them, not us

@@ -13,13 +13,21 @@ the six scenarios in scenarios/ and the three bench workloads at seeds 1, 3
 and 7, generated by importing bench/workloads.py.
 
 For each module it prints the functions never entered, by qualified name,
-and the lines never executed outside those functions. A line counts when
-the compiler gave it code, so docstrings, comments and blank lines never
-show. Standard library only.
+the lines never executed outside those functions, and the conditions with
+one outcome. A line counts when the compiler gave it code, so docstrings,
+comments and blank lines never show. A line runs when any of its code
+does, so a condition whose other outcome no run takes shows only among the
+conditions: the tracer also sees each instruction (`frame.f_trace_opcodes`)
+and notes where each conditional jump went, and a jump that ran and always
+went the same way is listed by its line, the source of the value it tests
+and the one outcome that value had: true or false, None or not None. The
+instructions are CPython's (3.11 names them), so other interpreters may
+split a condition into jumps differently. Standard library only.
 """
 
 import ast
 import contextlib
+import dis
 import gc
 import io
 import os
@@ -33,27 +41,67 @@ PACKAGE = ROOT / "src" / "hiersched"
 SEEDS = (1, 3, 7)
 
 
+# the value a conditional jump tests, by the end of the jump's name: as it
+# is when the jump is taken, and as it is when it is not
+_TAKEN = {"FALSE": ("false", "true"), "TRUE": ("true", "false"),
+          "NONE": ("None", "not None"), "NOT_NONE": ("not None", "None")}
+
+
+def _conditions(code):
+    """{offset: (jump, the instruction before it)} for each conditional jump
+    of `code` (not of the code nested in it); the instruction before it
+    leaves the value that the jump tests. The offset is the one a trace
+    sees, that of the jump's first EXTENDED_ARG where it has any."""
+    out = {}
+    at = prior = None
+    for ins in dis.get_instructions(code):
+        if ins.opname == "EXTENDED_ARG":
+            at = ins.offset if at is None else at
+            continue
+        # a `with` block's exit tests how its block ended: not a condition
+        # of the source
+        if ("JUMP" in ins.opname and "_IF_" in ins.opname
+                and prior.opname != "WITH_EXCEPT_START"):
+            out[ins.offset if at is None else at] = (ins, prior)
+        at, prior = None, ins
+    return out
+
+
 def trace(root, work):
     """Run `work()` under `sys.settrace`, tracing only the frames of files
-    under directory `root`. Returns {real path: (first lines of the code
-    objects entered, lines executed)} for those files."""
+    under directory `root`, by line and by instruction. Returns {real path:
+    (first lines of the code objects entered, lines executed, {code object:
+    {offset of a conditional jump: offsets run next}})} for those files."""
     root = os.path.realpath(root) + os.sep
-    ran = {}  # co_filename -> its two sets, or None when not under root
-
-    def line(frame, event, arg):
-        if event == "line":
-            ran[frame.f_code.co_filename][1].add(frame.f_lineno)
-        return line
+    ran = {}  # co_filename -> its three records, or None when not under root
 
     def call(frame, event, arg):
-        name = frame.f_code.co_filename
+        code = frame.f_code
+        name = code.co_filename
         if name not in ran:
             inside = os.path.realpath(name).startswith(root)
-            ran[name] = (set(), set()) if inside else None
+            ran[name] = (set(), set(), {}) if inside else None
         if ran[name] is None:
             return None
-        ran[name][0].add(frame.f_code.co_firstlineno)
-        return line
+        entered, executed, jumps = ran[name]
+        entered.add(code.co_firstlineno)
+        if code not in jumps:
+            jumps[code] = {at: set() for at in _conditions(code)}
+        went = jumps[code]
+        last = None  # the offset of the frame's last instruction
+        frame.f_trace_opcodes = True
+
+        def step(frame, event, arg):
+            nonlocal last
+            if event == "opcode":
+                if last in went:
+                    went[last].add(frame.f_lasti)
+                last = frame.f_lasti
+            elif event == "line":
+                executed.add(frame.f_lineno)
+            return step
+
+        return step
 
     before = sys.gettrace()
     sys.settrace(call)
@@ -104,6 +152,44 @@ def unreached(path, entered, executed):
     return [name for _, _, name in missed], lines
 
 
+def _source(lines, pos):
+    """The source text that positions `pos` span: its first line, with
+    "..." for the rest."""
+    if pos.lineno is None or pos.col_offset is None:
+        return "?"
+    line = lines[pos.lineno - 1].encode()  # offsets count UTF-8 bytes
+    if pos.end_lineno == pos.lineno:
+        return line[pos.col_offset:pos.end_col_offset].decode()
+    return line[pos.col_offset:].decode().rstrip() + " ..."
+
+
+def one_outcome(path, executed, jumps):
+    """The conditions of source file `path` that no run took both ways,
+    given what `trace` saw of it: "LINE SOURCE: only VALUE" for a value
+    tested that always had the same outcome, "LINE SOURCE: never tested"
+    for one on a line that ran whose test never did (an `and` before it
+    always stopped short). A condition is the value a conditional jump
+    tests, found by the source it spans, so the jumps of one condition
+    count as one: a `while` tests its condition at its top and its end.
+    In line and column order."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    values = {}  # the positions of a value tested -> the values it had
+    for code, went in jumps.items():
+        for at, (jump, before) in _conditions(code).items():
+            if not went[at] and jump.positions.lineno not in executed:
+                continue  # its line is listed as never executed
+            pos = before.positions
+            taken, not_taken = _TAKEN[jump.opname.split("_IF_")[1].removesuffix("_OR_POP")]
+            values.setdefault(pos, set()).update(
+                taken if nxt == jump.argval else not_taken for nxt in went[at])
+    found = []
+    for pos, had in sorted(values.items(), key=lambda item: tuple(n or 0 for n in item[0])):
+        if len(had) < 2:
+            outcome = f"only {had.pop()}" if had else "never tested"
+            found.append(f"{pos.lineno} {_source(lines, pos)}: {outcome}")
+    return found
+
+
 def _ranges(lines):
     """Sorted line numbers as "3, 7-9, 12"."""
     spans = []
@@ -117,15 +203,18 @@ def _ranges(lines):
 
 def report(root, ran):
     """The text that main prints: the name of each .py file in directory
-    `root`, then its functions never entered and its lines never executed
-    outside them."""
+    `root`, then its functions never entered, its lines never executed
+    outside them and its conditions with one outcome."""
     out = []
     for path in sorted(Path(root).glob("*.py")):
-        entered, executed = ran.get(os.path.realpath(path), (set(), set()))
+        entered, executed, jumps = ran.get(os.path.realpath(path), (set(), set(), {}))
         functions, lines = unreached(path, entered, executed)
+        conditions = one_outcome(path, executed, jumps)
         out.append(path.name)
         out.append(f"  functions never entered: {', '.join(functions) or '-'}")
         out.append(f"  lines never executed: {_ranges(lines) or '-'}")
+        out.append("  conditions with one outcome:" + ("" if conditions else " -"))
+        out.extend(f"    {c}" for c in conditions)
     return "\n".join(out) + "\n"
 
 
