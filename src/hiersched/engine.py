@@ -1,22 +1,19 @@
-"""Tick-accurate simulator for a composed scheduler hierarchy.
+"""Tick-accurate simulator for a composed scheduler hierarchy: it decides
+when, and the dispatch rules (`hiersched.policy`) decide who runs and for
+how long.
 
 One CPU, advanced from one decision point to the next. A decision point is a
 tick where an input to dispatch can change: a timeline action, a period
 boundary of any budget server, a periodic release, an idle BURSTY app
 turning on, or, for the running app, the end of its pending work, the
-exhaustion of its own or a route node's budget, and the end of a quantum
-where the turn passes to a contender: at a round-robin node always, at a
-stride node only where the running key would lose the next turn, which the
-passes fix in advance. At a decision point timeline actions apply
+exhaustion of its own or a route node's budget, and the end of its turn at
+a node where it has contenders. At a decision point timeline actions apply
 first, then reservation servers replenish, workloads release work, and the
 root dispatches exactly one application (or idles): each node on the way
-picks one runnable child by a single precedence rule (`Simulation._pick`),
-from its runnable children kept in that rule's order, so dispatch walks one
-path from the root to a leaf. Apps (`_AppRT`) and
-nodes (`_NodeRT`) are one kind of grant holder: each has a `key`, a
-position `pos` at its `parent` node, a `grant`, a budget server (`cap` and
-`rem`, None unless the grant is a reservation), the tick `since` of its
-first grant, and is `backlogged()` (an app with work pending, a node with a
+picks one runnable child (`policy._pick`), so dispatch walks one path from
+the root to a leaf. Apps (`_AppRT`) and nodes (`_NodeRT`) are one kind of
+grant holder, with a budget server (`cap` and `rem`) where the grant is a
+reservation, and `backlogged()` (an app with work pending, a node with a
 runnable child). As in Bossa, events keep each node's ready state: `ready`
 holds its runnable children, the backlogged holders whose grant is not
 NULL nor a spent RESBH. Each event re-checks, at once, only the holders
@@ -26,22 +23,23 @@ parent, so no pick looks into a subtree. An app goes through one re-check
 each release and at the charge that drains its work; a server that a
 charge empties or a replenish refills, the holders of a compose's grants,
 and a leaving app and the leaf it unloads are re-checked where that
-happens. Dispatch returns its route, the holder picked at each node, so the
-app's own budget is one more server on the route: one loop caps the
-stretch by, and charges, every server on it, and the only difference is
-the row, BUDGET_EXHAUSTED for a node and none for an app. The pick holds
-until the next decision point, so the whole stretch is charged at once: work,
-budgets and quantum use move by its length, stride passes by its length
-over the share, kept exact as integers (`_NodeRT.scale`). The stretch goes
-into the trace as one RUN or IDLE segment (`hiersched.record` holds the
-trace record and the workload model). Per decision, only the apps that can
-have changed are touched: a calendar holds each PERIODIC app's next release
-and each idle BURSTY app's next on-tick, and one heap of due ticks holds the
-calendar's ticks and the timeline's, so the next of either is its top. An
-undeploy leaves its app's calendar entry where it is, and the phases skip
-it. The next period boundary is kept apart, until a decision reaches it or
-a timeline action may have changed the live periods. A phase runs only at
-the ticks that need it.
+happens. Dispatch returns its route, the holder picked at each node and the
+kind of its turn there, so the app's own budget is one more server on the
+route: one loop caps the stretch by, and charges, every server on it, the
+only difference being the row, BUDGET_EXHAUSTED for a node and none for an
+app, and asks the rules where each turn ends and what its charge does
+(`policy._turn_end`, `policy._charge_turn`). The pick holds until the next
+decision point, so the whole stretch is charged at once: work, budgets and
+turns move by its length. The stretch goes into the trace as one RUN or
+IDLE segment (`hiersched.record` holds the trace record and the workload
+model). Per decision, only the apps that can have changed are touched: a
+calendar holds each PERIODIC app's next release and each idle BURSTY app's
+next on-tick, and one heap of due ticks holds the calendar's ticks and the
+timeline's, so the next of either is its top. An undeploy leaves its app's
+calendar entry where it is, and the phases skip it. The next period
+boundary is kept apart, until a decision reaches it or a timeline action
+may have changed the live periods. A phase runs only at the ticks that
+need it.
 Everything is deterministic for a given scenario and seed; the seed's only
 job is to phase-shift BURSTY workloads.
 
@@ -58,14 +56,13 @@ from __future__ import annotations
 
 import heapq
 import random
-from math import gcd
 from operator import attrgetter
 
-from .contracts import ServiceClass
 from .deployment import DeploymentError, DeploymentRequest, Outcome
 from .deployment import deploy as _deploy
 from .deployment import undeploy as _undeploy
-from .hierarchy import Hierarchy, PolicyKind, new_hierarchy
+from .hierarchy import Hierarchy, new_hierarchy
+from .policy import _PS, _RESBH, _NodeRT, _charge_turn, _leave, _open, _pick, _turn_end
 from .record import (
     AppTraceInfo,
     EngineError,
@@ -77,13 +74,7 @@ from .record import (
     _on_before,
 )
 
-# bound once: reading an Enum member off its class is a descriptor call,
-# which the dispatch path would pay per candidate
-_NULL, _RESBH, _PS, _BE, _ALL = (
-    ServiceClass.NULL, ServiceClass.RESBH, ServiceClass.PS, ServiceClass.BE,
-    ServiceClass.ALL,
-)
-_FIXED_PRIORITY = PolicyKind.FIXED_PRIORITY
+# bound once: reading an Enum member off its class is a descriptor call
 _PERIODIC, _CPU_BOUND, _BURSTY = (
     WorkloadKind.PERIODIC, WorkloadKind.CPU_BOUND, WorkloadKind.BURSTY,
 )
@@ -93,46 +84,7 @@ _DEPLOY, _UNDEPLOY, _REPLENISH, _BUDGET_EXHAUSTED, _DEADLINE_MISS = (
 )
 
 
-def _open(grant, left):
-    """Neither a NULL grant nor a RESBH one with no budget `left`."""
-    service = grant.service
-    return service is not _NULL and not (service is _RESBH and left == 0)
-
-
 _pos = attrgetter("pos")
-
-
-def _dispatch_order(holder):
-    """A runnable holder's place in `Simulation._pick`'s order: ALL, PS, BE,
-    then the reservations, RESBS and RESBH alike, each class by `pos`."""
-    service = holder.grant.service
-    return service is not _ALL, service is not _PS, service is not _BE, holder.pos
-
-
-def _used(rt, key):
-    """Ticks `key` has used of its current quantum at a node."""
-    return rt.active[1] if rt.active is not None and rt.active[0] == key else 0
-
-
-def _quanta_won(rt, child, left):
-    """The whole quanta `child` keeps winning at stride node `rt` after the
-    `left` ticks of its current one: its pass grows by its step per tick,
-    the contenders' stand still, and it wins while below them (or level
-    with a later `pos`). Counted at the scale the charge will use."""
-    share, passes = child.grant.share, rt.passes
-    m = share // gcd(rt.scale, share)
-    step = rt.scale * m // share
-    bar = min(passes[c.key] * m + (child.pos < c.pos) for c in rt.contenders if c is not child)
-    return max(0, (bar - passes[child.key] * m - left * step - 1) // (rt.quantum * step) + 1)
-
-
-def _held(rt, cands):
-    """The candidate whose quantum at a node is still running, or None."""
-    if rt.active is not None:
-        for c in cands:
-            if c.key == rt.active[0]:
-                return c
-    return None
 
 
 class _AppRT:
@@ -179,43 +131,6 @@ class _AppRT:
             if self._open < tick:  # not opened this tick
                 self.backlog.append((self._open, tick))
             self._open = None
-
-
-class _NodeRT:
-    """Budget server, runnable children and dispatch state for one node.
-
-    Its holder fields are those of `_AppRT`: `key` and `pos` are both its
-    node id (ids grow with attachment), `parent` its parent's id (None at
-    the root), `grant` its grant (None until the first; the root, which
-    holds the whole CPU, gets none), `cap` and `rem` its budget server (None
-    unless the grant is a reservation) and `since` the tick of its first
-    grant. It is backlogged while `ready`, which maps the key of each
-    runnable child to the child's holder, is not empty. `path` is the
-    node's `SchedulerNode.path`, which its REPLENISH and BUDGET_EXHAUSTED
-    rows name.
-    """
-
-    def __init__(self, node, since):
-        self.key = self.pos = node.node_id
-        self.parent, self.path = node.parent, node.path
-        self.leaf, self.quantum = node.is_leaf(), node.spec.quantum
-        self.fp = node.spec.policy is _FIXED_PRIORITY  # a FIXED_PRIORITY leaf
-        self.grant = self.cap = self.rem = None
-        self.since = since
-        self.ready = {}
-        self.cands = None  # `ready`'s holders in dispatch order, kept until it changes
-        # stride: child node id or app id -> its pass times `scale`, the lcm
-        # of the shares charged here, so a charge of n ticks adds
-        # n * (scale // share) exactly
-        self.passes = {}
-        self.scale = 1
-        self.contenders = []  # the candidates of the last stride pick, by pos
-        self.active = None  # (key, ticks used) for quantum continuity
-        self.rr_last = None  # (key, position) that last held the round-robin turn
-        self.alone = False  # the last stride/RR pick had no contender
-
-    def backlogged(self) -> bool:
-        return bool(self.ready)
 
 
 class Simulation:
@@ -331,7 +246,16 @@ class Simulation:
         del self._art[app_id]
         # a leaf it unloaded has no app left, so leaves its parent's set too
         self._mark(art, False)
-        self._sync_runtimes(t, grants, art)
+        # the app leaves its leaf for good, and a leaf it unloaded, the only
+        # node an undeploy removes, leaves its parent: their servers go, and
+        # a turn either of them held passes on
+        self._unfile(art)
+        leaf = self._nrt[art.parent]
+        _leave(leaf, art)
+        if not self.h.has_node(leaf.key):
+            self._unfile(self._nrt.pop(leaf.key))
+            _leave(self._nrt[leaf.parent], leaf)
+        self._sync_runtimes(t, grants)
         self._emit(t, _UNDEPLOY, app=app_id, node_path=art.node_path)
 
     def _hard_capped(self, leaf_id, awarded):
@@ -345,23 +269,18 @@ class Simulation:
             nid = node.parent
         return False
 
-    def _sync_runtimes(self, t, grants, retired=None):
+    def _sync_runtimes(self, t, grants):
         """Bring the holders in line with a deploy's or an undeploy's
         recompose. `grants` are the grants it set, the only ones that can
-        have moved; `retired` is the app an undeploy took out, whose leaf
-        goes too if the undeploy unloaded it. Each grant's holder (made here
-        for a node seen for the first time) is served, then re-checked at its
-        parent once all are: a grant can open or close a child.
+        have moved. Each grant's holder (made here for a node seen for the
+        first time) is served, then re-checked at its parent once all are: a
+        grant can open or close a child.
 
         The engine learns of grants only from the composes of its own
         deploys and undeploys: code that changes `self.h` must leave the
         composing to them.
         """
         nrt = self._nrt
-        if retired is not None:
-            self._unfile(retired)
-            if not self.h.has_node(retired.parent):  # only its leaf can go
-                self._unfile(nrt.pop(retired.parent))
         served = []
         for g in grants:
             key = g.holder
@@ -501,92 +420,19 @@ class Simulation:
 
         Each node hands the CPU to one runnable child, so dispatch is one
         walk down from `node_id` to a leaf. The route holds
-        `(node holder, kind, child holder)` per node on the way; the kind is
-        "stride" or "rr" where the pick keeps turn state at the node, else
-        None. Its children are the path's budget servers, the app's last.
+        `(node holder, kind, child holder)` per node on the way, `kind`
+        being that of the child's turn there (`policy._pick`). Its children
+        are the path's budget servers, the app's last.
         """
         route: list = []
         rt = self._nrt[node_id]
-        while True:
-            if rt.cands is None:
-                # sorted again only once `ready` moved: a holder's place
-                # cannot change while it is in `ready`, as awards keep the
-                # class of the request and a new node's provisional NULL
-                # grant keeps it out of `ready`
-                rt.cands = sorted(rt.ready.values(), key=_dispatch_order)
-            cands = rt.cands
-            if not cands:
-                return None, route
-            child, kind = self._pick(rt, cands, tick)
+        while rt.ready:
+            child, kind = _pick(rt, tick)
             route.append((rt, kind, child))
             if rt.leaf:
                 return child.key, route
             rt = child
-
-    def _pick(self, rt, cands, t):
-        """The candidate `node` runs at `t`, and the kind of its turn.
-
-        One precedence rule serves every node, VIRTUAL or leaf:
-        1. reservations with budget left, by earliest end of their current
-           replenishment window, ties in attachment order; a FIXED_PRIORITY
-           leaf takes them in attachment order;
-        2. a child granted ALL;
-        3. proportional shares, by stride (`_stride_pick`);
-        4. best effort, by round robin (`_rr_pick`); a FIXED_PRIORITY leaf
-           takes them in attachment order, with no quantum;
-        5. soft reservations with their budget spent, on slack, in
-           attachment order.
-        Each leaf policy offers only classes on this list, so any runnable
-        candidate has a place in it. `cands` are the node's runnable
-        children in this order, classes 1 and 5 together last
-        (`_dispatch_order`), so with no budget left the first candidate's
-        class is the one that runs. Classes are told apart by identity:
-        hashing an Enum member runs Python code.
-        """
-        budgeted = [c for c in cands if c.rem]
-        if budgeted:
-            if rt.fp or len(budgeted) == 1:
-                return budgeted[0], None
-            return min(budgeted, key=lambda c: (t // c.grant.period + 1) * c.grant.period), None
-        service = cands[0].grant.service
-        group = [c for c in cands if c.grant.service is service]
-        if service is _PS:
-            return self._stride_pick(rt, group), "stride"
-        if service is _BE and not rt.fp:
-            return self._rr_pick(rt, group), "rr"
-        return group[0], None
-
-    def _stride_pick(self, rt, cands):
-        """Stride: the key still in its quantum, else the lowest pass, the
-        first of equal ones. A key that joins the runnable set starts at the
-        lowest pass of those that stayed, unless its own is higher. Holders
-        are never reused, so the same list of them means no key joined."""
-        rt.alone = len(cands) == 1
-        if cands != rt.contenders:
-            current = {c.key for c in cands}
-            stayed = current.intersection(c.key for c in rt.contenders)
-            passes = rt.passes
-            floor = min((passes[k] for k in stayed), default=0)
-            for k in current - stayed:
-                passes[k] = max(passes.get(k, floor), floor)
-            rt.contenders = cands
-        if rt.alone:
-            return cands[0]
-        return _held(rt, cands) or min(cands, key=lambda c: rt.passes[c.key])
-
-    def _rr_pick(self, rt, cands):
-        """Round robin: the key still in its quantum, else the first key after
-        the last turn's holder in attachment order, cyclically; the first
-        key if that holder has left."""
-        rt.alone = len(cands) == 1
-        held = _held(rt, cands)
-        if held:
-            return held
-        last = rt.rr_last
-        # still a holder: live app and node ids are never reused
-        if last is not None and (last[0] in self._art or last[0] in self._nrt):
-            return next((c for c in cands if c.pos > last[1]), cands[0])
-        return cands[0]
+        return None, route
 
     # ------------------------------------------------------- stretch and charge
 
@@ -596,9 +442,8 @@ class Simulation:
         Until then the pick made at `t` stands: no period boundary, timeline
         action or release falls inside, no idle BURSTY app turns on, and the
         running app keeps its work, its budgets and, where it has
-        contenders, its turn: a stride quantum end is a decision point only
-        where the running key would lose the next turn (`_quanta_won`). No
-        deadline falls before the last tick. An undeployed app's calendar
+        contenders, its turn at each node (`policy._turn_end`). No deadline
+        falls before the last tick. An undeployed app's calendar
         entry is one more decision point, at which the same pick goes on.
         """
         # the next timeline tick, or calendar tick: the next release of a
@@ -627,12 +472,8 @@ class Simulation:
         for rt, kind, child in route:  # the picked app's path
             if child.rem and child.rem < end - t:
                 end = t + child.rem
-            if kind and not rt.alone:
-                left = rt.quantum - _used(rt, child.key)
-                if kind == "stride":
-                    left += rt.quantum * _quanta_won(rt, child, left)
-                if left < end - t:
-                    end = t + left
+            if kind:
+                end = _turn_end(rt, kind, child, t, end)
         return end
 
     def _charge_phase(self, t, n, picked, route):
@@ -651,29 +492,15 @@ class Simulation:
                     self._next_on(art, t)
 
         for rt, kind, child in route:  # the picked app's path
-            key = child.key
             if child.rem:
                 child.rem -= n
                 if child.rem == 0:
                     if child is not art:  # app servers exhaust silently
-                        self._emit(t, _BUDGET_EXHAUSTED, node_id=key, node_path=child.path)
+                        self._emit(t, _BUDGET_EXHAUSTED, node_id=child.key,
+                                   node_path=child.path)
                     self._mark(child, child.backlogged())
-            if kind is None:
-                continue
-            if kind == "stride":
-                share = child.grant.share
-                if rt.scale % share:  # a new share: every pass is rescaled
-                    m = share // gcd(rt.scale, share)
-                    rt.scale *= m
-                    rt.passes = {k: p * m for k, p in rt.passes.items()}
-                rt.passes[key] += n * (rt.scale // share)
-            else:
-                # `child.pos`: a drained app may have left `ready` already
-                rt.rr_last = (key, child.pos)
-            # a quantum that runs out hands the turn back; with no
-            # contender the same key takes it again
-            used = (_used(rt, key) + n) % rt.quantum
-            rt.active = (key, used) if used else None
+            if kind is not None:
+                _charge_turn(rt, kind, child, n)
 
     def _deadline_phase(self, t):
         """Flag the PERIODIC apps that release again at t + 1 with work

@@ -20,11 +20,15 @@ lines but not work.
 The compile peak is the most memory `compile()` of the module holds at
 once, traced by `tracemalloc`, in KiB: mostly the syntax tree, held whole
 while the code is generated. It is taken on a second compile of the
-module, so that the interpreter's one-time caches do not count, and it
-repeats to the KiB from run to run. Without bytecode cached, an import
-compiles every module, so the largest of them sets the peak RSS of
-importing the package; the total row gives that largest and names its
-module.
+module, with the first one's code object still held, after a full
+collection and with the collector off, so that neither the interpreter's
+one-time caches, nor the names the first compile interned, nor what the
+process left in its free lists count. It repeats to the KiB from run to
+run, and a module's figure is the same alone and in a listing of others,
+whatever was measured before it.
+Without bytecode cached, an import compiles every module, so the largest of
+them sets the peak RSS of importing the package; the total row gives that
+largest and names its module.
 
 Prints, per module and for the total, the code lines, the AST nodes, the
 compile peak and the name. With `--against REF` it reads the package's
@@ -34,6 +38,7 @@ a module on one side only counts as zero on the other.
 """
 
 import ast
+import gc
 import subprocess
 import sys
 import tracemalloc
@@ -59,14 +64,28 @@ def ast_nodes(source):
 
 
 def compile_kib(source):
-    """The traced peak of a second `compile()` of `source`, in KiB."""
-    compile(source, "<module>", "exec")
+    """The traced peak of a second `compile()` of `source`, in KiB. The first
+    compile's code object is held through the second, so that the second
+    finds every name of `source` interned: an interned string is freed once
+    nothing holds it, and one the second compile interned again would count,
+    with a resize of the interpreter's table of them that lands in whichever
+    module crosses its threshold. A full collection first empties the free
+    lists of tuples, lists and dicts, whose fill would decide how many of
+    the compile's objects are new memory, and the collector stays off while
+    the compile is traced."""
+    first = compile(source, "<module>", "exec")
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
     tracemalloc.start()
     try:
         compile(source, "<module>", "exec")
         return round(tracemalloc.get_traced_memory()[1] / 1024)
     finally:
         tracemalloc.stop()
+        if enabled:
+            gc.enable()
+        del first
 
 
 def measure(source):

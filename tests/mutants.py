@@ -1,9 +1,10 @@
 """One-method engine mutants, and the scenarios that show their faults.
 
 Each mutant takes a pytest `monkeypatch` and patches one method of the
-engine through it, so the fault lasts for one test. The verifier should
-report each fault; `tests/test_mutants.py` pins what it reports on each
-scenario, and that the real engine reads clean there.
+engine, or one dispatch rule as the engine binds it, through it, so the
+fault lasts for one test. The verifier should report each fault;
+`tests/test_mutants.py` pins what it reports on each scenario, and that the
+real engine reads clean there.
 
 - `starve`: app budget servers skip their refill when `t // 100` is odd, so
   a starved app sees no budget for a whole window -> UNDER_SUPPLY;
@@ -21,8 +22,10 @@ scenario, and that the real engine reads clean there.
   from the engine's own record (ROADMAP item 12).
 """
 
-from hiersched.engine import _REPLENISH, Simulation, _AppRT, _NodeRT, _pos
+from hiersched import engine
+from hiersched.engine import _REPLENISH, Simulation, _AppRT, _pos
 from hiersched.hierarchy import Hierarchy
+from hiersched.policy import _NodeRT
 
 
 def _cap_scenario(app, request):
@@ -99,17 +102,17 @@ def node_over(monkeypatch):
 
 def skew(monkeypatch):
     """At a stride node, `min(rt.passes)`, the lowest key, is charged half
-    its pass increment, floored."""
-    charge = Simulation._charge_phase
+    its pass increment, floored: the engine's `_charge_turn`, the rule that
+    charges a turn, is patched."""
+    charge = engine._charge_turn
 
-    def skewed(self, t, n, picked, route):
-        charge(self, t, n, picked, route)
-        for rt, kind, child in route:
-            if kind == "stride" and child.key == min(rt.passes):
-                step = n * (rt.scale // child.grant.share)
-                rt.passes[child.key] -= step - step // 2
+    def skewed(rt, kind, child, n):
+        charge(rt, kind, child, n)
+        if kind == "stride" and child.key == min(rt.passes):
+            step = n * (rt.scale // child.grant.share)
+            rt.passes[child.key] -= step - step // 2
 
-    monkeypatch.setattr(Simulation, "_charge_phase", skewed)
+    monkeypatch.setattr(engine, "_charge_turn", skewed)
 
 
 def lazy(monkeypatch):

@@ -13,7 +13,8 @@ engine's, and it files each server it sets in the registry it rebuilds.
 
 from __future__ import annotations
 
-from hiersched.engine import Simulation, _NodeRT
+from hiersched.engine import Simulation
+from hiersched.policy import _NodeRT
 
 
 class FullScanSimulation(Simulation):

@@ -25,7 +25,7 @@ leaf walks only the leaves that offer the requested class.
 Each node keeps its runnable children, so a dispatch decision costs the same
 however many idle apps and idle leaves sit beside the path it takes: the
 backlog tests and the per-node picks of the decisions are counted by
-wrapping `_AppRT.backlogged` and `Simulation._pick`.
+wrapping `_AppRT.backlogged` and the engine's `_pick` (`hiersched.policy`).
 
 The engine files each budget server under its period, so a period boundary
 costs only the servers it refills, however many servers of other periods
@@ -293,13 +293,13 @@ def dispatch_counts(monkeypatch, n_idle):
     calls = Counter()
     decisions = []
 
-    def counting(cls, name):
-        method = getattr(cls, name)
+    def counting(owner, name):
+        function = getattr(owner, name)
 
-        def counted(self, *args):
+        def counted(*args):
             if decisions:
                 calls[name] += 1
-            return method(self, *args)
+            return function(*args)
         return counted
 
     class AfterTickZero(Simulation):
@@ -320,7 +320,7 @@ def dispatch_counts(monkeypatch, n_idle):
         sim.deploy_at(0, DeploymentRequest(f"p{i}", "", Contract.resbh(1, 1000)), never)
     with monkeypatch.context() as m:
         m.setattr(_AppRT, "backlogged", counting(_AppRT, "backlogged"))
-        m.setattr(Simulation, "_pick", counting(Simulation, "_pick"))
+        m.setattr(engine, "_pick", counting(engine, "_pick"))
         trace = sim.run()
     assert all(d.outcome is not Outcome.REJECTED for _, _, d in trace.decisions)
     assert len(sim.h.node(sim.h.find_node_by_name("main")).apps) == n_idle + 1

@@ -16,6 +16,8 @@ from hiersched.contracts import ServiceClass
 from hiersched.engine import EventKind, Trace
 from hiersched.hierarchy import PolicyKind
 
+import engine_reference as ref
+
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 
@@ -414,6 +416,28 @@ class TestRun:
         assert len(text) > 5 * 65536  # the slices `run` writes
         assert trace_out.read_bytes() == text.encode("utf-8")
         assert report_out.read_text(encoding="utf-8") == capsys.readouterr().out
+
+    def test_round_robin_hands_the_turn_on_in_attachment_order(self, tmp_path, capsys):
+        # three CPU_BOUND apps take quanta of 3 in turn; `b` leaves at tick 4,
+        # one tick into its quantum, and the turn of a holder that left goes
+        # to the first app, `a`, not to the one after `b`
+        path = tmp_path / "rotation.json"
+        path.write_text(minimal(horizon=20, schedulers=[
+            {"name": "rr0", "policy": "ROUND_ROBIN", "request": "BE", "quantum": 3},
+        ], timeline=[
+            *({"tick": 0, "action": "deploy", "app": app, "class": "batch",
+               "request": "BE", "scheduler": "rr0", "workload": {"kind": "CPU_BOUND"}}
+              for app in "abc"),
+            {"tick": 4, "action": "undeploy", "app": "b"},
+        ]), encoding="utf-8")
+        trace_out = tmp_path / "t.csv"
+        assert run(["--scenario", str(path), "--trace-out", str(trace_out)]) == 0
+        assert "violations=0 conservation=ok" in capsys.readouterr().out.splitlines()
+        text = trace_out.read_text(encoding="utf-8")
+        runs = "".join(row.split(",")[2] for row in text.splitlines() if ",RUN," in row)
+        assert runs == "aaab" "aaa" "ccc" "aaa" "ccc" "aaa" "c"
+        reference = ref.run_scenario(parse_scenario(path.read_text(encoding="utf-8")))
+        assert text == reference.to_csv()
 
     def test_seed_override_changes_bursty_phases(self, tmp_path):
         def trace_bytes(extra):

@@ -1,8 +1,12 @@
 """The code-line, AST-node and compile-peak counter of tests/code_lines.py."""
 
 import subprocess
+import sys
+from pathlib import Path
 
-from code_lines import against, ast_nodes, code_lines, compile_kib, main
+from code_lines import PACKAGE, against, ast_nodes, code_lines, compile_kib, main
+
+SCRIPT = str(Path(__file__).with_name("code_lines.py"))
 
 SOURCE = '''"""Module docstring,
 over two lines."""
@@ -55,6 +59,31 @@ def test_the_compile_peak_repeats_and_grows_with_the_tree():
     small = compile_kib("x = 1\ny = 2\n")
     assert small == compile_kib("x = 1\ny = 2\n")
     assert small < compile_kib(SOURCE) < compile_kib(SOURCE * 20)
+
+
+def test_the_compile_peak_does_not_depend_on_what_was_compiled_before():
+    # the names of a compile that nothing holds any more are freed from the
+    # interpreter's table of interned strings, and each one interned again
+    # takes a slot of it: a figure that counted interning them again would
+    # count a resize of that table wherever one lands. Each figure also
+    # follows a compile that filled the free lists
+    source = "".join(f"def f{i}(a{i}, b{i}):\n    return a{i} + b{i}.c{i}\n"
+                     for i in range(1000))
+    assert len({compile_kib(source) for _ in range(16)}) == 1
+
+
+def test_a_module_measures_the_same_alone_and_in_the_listing():
+    """Each row of the package's listing is what the module gives measured
+    alone, first in a fresh interpreter: no figure depends on the modules
+    measured before it."""
+    def listing(*paths):
+        out = subprocess.run([sys.executable, SCRIPT, *map(str, paths)], check=True,
+                             capture_output=True, text=True).stdout
+        return out.splitlines()[:-1]  # the total row dropped
+
+    together = listing()
+    assert len(together) == len(list(PACKAGE.glob("*.py")))
+    assert [listing(PACKAGE / row.split()[-1])[0] for row in together] == together
 
 
 def test_main_prints_each_module_and_the_total(tmp_path, capsys):

@@ -338,8 +338,8 @@ class Recording:
         super().__init__(*args, **kwargs)
         self.states = []
 
-    def _sync_runtimes(self, t, grants, retired=None):
-        super()._sync_runtimes(t, grants, retired)
+    def _sync_runtimes(self, t, grants):
+        super()._sync_runtimes(t, grants)
         self.states.append((
             t,
             {nid: (rt.since, rt.cap, rt.rem) for nid, rt in self._nrt.items()},
@@ -349,8 +349,8 @@ class Recording:
 
 
 class Incremental(Recording, engine.Simulation):
-    def _sync_runtimes(self, t, grants, retired=None):
-        super()._sync_runtimes(t, grants, retired)
+    def _sync_runtimes(self, t, grants):
+        super()._sync_runtimes(t, grants)
         # the registry files each live holder with a reservation grant, and
         # only those, under its grant's period
         live = {**self._nrt, **self._art}  # node ids are ints, app ids strs

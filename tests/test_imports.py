@@ -1,6 +1,6 @@
 """Each module of the package uses every name it imports, the package
-reads every private name it defines, and the verifier imports the trace
-record, not the simulator.
+reads every private name it defines, the verifier imports the trace
+record, not the simulator, and the dispatch rules import neither.
 
 An import that nothing reads still costs every run that loads the module:
 its lookup, and the import of a module no one needs. A private function,
@@ -75,11 +75,20 @@ def test_no_module_imports_typing(module):
 
 def test_the_verifier_reads_the_record_not_the_simulator():
     """The checks read the trace record (`record.py`) and import nothing
-    from the simulator that writes it, so checking a trace compiles no
-    engine."""
+    from the simulator that writes it or its dispatch rules, so checking a
+    trace compiles neither."""
     imported = imported_modules((PACKAGE / "verify.py").read_text(encoding="utf-8"))
     assert ".record" in imported
-    assert ".engine" not in imported
+    assert not imported & {".engine", ".policy"}
+
+
+def test_the_dispatch_rules_read_no_simulator():
+    """What one node decides (`policy.py`) reads the node, the contract
+    classes and the policy kinds: it imports neither the simulator that
+    walks the tree nor the admission, the trace record or the checks."""
+    imported = imported_modules((PACKAGE / "policy.py").read_text(encoding="utf-8"))
+    assert not imported & {".engine", ".deployment", ".record", ".verify"}
+    assert ".policy" in imported_modules((PACKAGE / "engine.py").read_text(encoding="utf-8"))
 
 
 # namedtuple hooks a value type overrides: `collections` reads them, not us
